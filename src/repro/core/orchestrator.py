@@ -178,6 +178,8 @@ class OrchestrationController:
         the nested values with the live state manager; a deep snapshot
         keeps the result immutable however the state is mutated after the
         run (or by a subsequent ``run()`` on the same controller).
+        Immutable values (``Vec2``, ``Route``) deep-copy to themselves, so
+        the snapshot shares them instead of copying route polylines.
         """
         state = self.state.world_state
         try:

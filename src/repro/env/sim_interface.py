@@ -13,11 +13,11 @@ import math
 import random
 from typing import Any, Dict, Optional
 
-from ..geom import Vec2, footprint_gap
+from ..geom import Vec2, footprint_gap, nearest_first
 from ..roles.fault_injector import FaultPipeline
 from ..sim.actions import LongitudinalLimits, Maneuver, ManeuverExecutor
 from ..sim.intersection import Route
-from ..sim.perception import ObjectKind, PerceptionSnapshot, perceive
+from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot, perceive
 from ..sim.scenario import ScenarioSpec
 from ..sim.world import World
 from .interface import EnvironmentInterface
@@ -102,16 +102,28 @@ class IntersectionSimInterface(EnvironmentInterface):
     def _apply_measurement_noise(self, snapshot: PerceptionSnapshot) -> PerceptionSnapshot:
         if self.position_sigma <= 0.0 and self.velocity_sigma <= 0.0:
             return snapshot
-        rng = self._noise_rng
+        gauss = self._noise_rng.gauss
+        position_sigma = self.position_sigma
+        velocity_sigma = self.velocity_sigma
         noisy = []
         for obj in snapshot.objects:
+            # Draw order: position x, y, then velocity x, y.
+            px = gauss(0.0, position_sigma)
+            py = gauss(0.0, position_sigma)
+            vx = gauss(0.0, velocity_sigma)
+            vy = gauss(0.0, velocity_sigma)
+            position = obj.position
+            velocity = obj.velocity
             noisy.append(
-                obj.with_position(
-                    obj.position
-                    + Vec2(rng.gauss(0.0, self.position_sigma), rng.gauss(0.0, self.position_sigma))
-                ).with_velocity(
-                    obj.velocity
-                    + Vec2(rng.gauss(0.0, self.velocity_sigma), rng.gauss(0.0, self.velocity_sigma))
+                PerceivedObject(
+                    object_id=obj.object_id,
+                    kind=obj.kind,
+                    position=Vec2(position.x + px, position.y + py),
+                    velocity=Vec2(velocity.x + vx, velocity.y + vy),
+                    heading=obj.heading,
+                    length=obj.length,
+                    width=obj.width,
+                    source_id=obj.source_id,
                 )
             )
         snapshot.objects = noisy
@@ -127,8 +139,10 @@ class IntersectionSimInterface(EnvironmentInterface):
 
         ego_box = ego.footprint()
         min_separation = math.inf
-        for obj in snapshot.objects:
-            min_separation = min(min_separation, footprint_gap(ego_box, obj.footprint()))
+        for bound, shape in nearest_first(ego_box, [obj.footprint() for obj in snapshot.objects]):
+            if bound >= min_separation:
+                break
+            min_separation = min(min_separation, footprint_gap(ego_box, shape))
         return {
             "perception": snapshot,
             "ego_route": ego.route,
@@ -187,9 +201,6 @@ class IntersectionSimInterface(EnvironmentInterface):
         ramped = current + max(-max_delta, min(max_delta, target - current))
         ego.apply_acceleration(ramped)
 
-    #: Lateral corridor half-width for blocking-obstacle detection (m).
-    _CORRIDOR_HALF_WIDTH = 2.5
-
     #: Vehicles faster than this will clear the corridor on their own (m/s).
     _BLOCKING_VEHICLE_SPEED = 2.5
 
@@ -212,13 +223,11 @@ class IntersectionSimInterface(EnvironmentInterface):
                 continue
             if obj.position.distance_to(snapshot.ego_position) > 35.0:
                 continue
-            for along in range(2, 31):
-                point = route.point_at(ego_s + float(along))
-                if obj.position.distance_to(point) <= self._CORRIDOR_HALF_WIDTH:
-                    stop = ego_s + float(along) - self._STOP_MARGIN
-                    if best is None or stop < best:
-                        best = stop
-                    break
+            along = route.first_in_corridor(ego_s, obj.position, 2, 30)
+            if along is not None:
+                stop = ego_s + float(along) - self._STOP_MARGIN
+                if best is None or stop < best:
+                    best = stop
         return best
 
     def advance(self) -> None:

@@ -7,6 +7,7 @@ from .shapes import (
     Shape,
     circle_overlaps_circle,
     footprint_gap,
+    nearest_first,
     obb_overlaps_circle,
     obb_overlaps_obb,
     segment_distance,
@@ -37,6 +38,7 @@ __all__ = [
     "circle_overlaps_circle",
     "separation_distance",
     "footprint_gap",
+    "nearest_first",
     "segment_distance",
     "KinematicState",
     "closest_point_of_approach",

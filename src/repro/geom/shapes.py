@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from operator import itemgetter
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .vec import Vec2
 
@@ -30,6 +31,10 @@ class Circle:
     def translated(self, offset: Vec2) -> "Circle":
         """Circle moved by ``offset``."""
         return Circle(self.center + offset, self.radius)
+
+    def bounding_radius(self) -> float:
+        """Radius of the smallest circle centred on ``center`` containing it."""
+        return self.radius
 
 
 @dataclass(frozen=True)
@@ -91,35 +96,35 @@ class OBB:
 Shape = Union[OBB, Circle]
 
 
-def _project_obb(box: OBB, axis: Vec2) -> "tuple[float, float]":
-    """Project an OBB onto a unit ``axis``; returns the (min, max) interval."""
-    center = box.center.dot(axis)
-    forward, left = box.axes
-    extent = abs(forward.dot(axis)) * box.half_length + abs(left.dot(axis)) * box.half_width
-    return center - extent, center + extent
-
-
 def obb_overlaps_obb(a: OBB, b: OBB) -> bool:
     """Separating-axis overlap test between two oriented boxes.
 
     A cheap bounding-circle rejection runs first because in a sparse traffic
     scene almost all pairs are far apart.
-
-    The body is the :func:`_project_obb` SAT loop with the vector algebra
-    inlined on plain floats: this predicate (via :func:`footprint_gap`) is
-    the simulator's hottest call, and the ~20 short-lived ``Vec2``
-    instances per invocation dominated its cost.  Operation order matches
-    the vector form exactly, keeping results bit-identical.
     """
     reach = a.bounding_radius() + b.bounding_radius()
     acx, acy = a.center.x, a.center.y
     bcx, bcy = b.center.x, b.center.y
     if math.hypot(acx - bcx, acy - bcy) > reach:
         return False
-    afx, afy = math.cos(a.heading), math.sin(a.heading)
-    bfx, bfy = math.cos(b.heading), math.sin(b.heading)
-    ahl, ahw = a.half_length, a.half_width
-    bhl, bhw = b.half_length, b.half_width
+    return _sat_overlap(
+        acx, acy, math.cos(a.heading), math.sin(a.heading), a.half_length, a.half_width,
+        bcx, bcy, math.cos(b.heading), math.sin(b.heading), b.half_length, b.half_width,
+    )
+
+
+def _sat_overlap(
+    acx: float, acy: float, afx: float, afy: float, ahl: float, ahw: float,
+    bcx: float, bcy: float, bfx: float, bfy: float, bhl: float, bhw: float,
+) -> bool:
+    """Separating-axis test on plain floats (``f``: each box's unit forward axis).
+
+    Both boxes are projected onto the four candidate axes; any gap between
+    the two projected intervals separates them.  The vector algebra is
+    inlined because this predicate (via :func:`footprint_gap`) is the
+    simulator's hottest call, and short-lived ``Vec2`` instances dominated
+    its cost.
+    """
     # The four candidate axes: a.forward, a.left, b.forward, b.left
     # (left = forward rotated 90 degrees counter-clockwise).
     for ax, ay in ((afx, afy), (-afy, afx), (bfx, bfy), (-bfy, bfx)):
@@ -173,20 +178,7 @@ def separation_distance(a: Shape, b: Shape) -> float:
     """
     if shapes_overlap(a, b):
         return 0.0
-    radius_a = a.bounding_radius() if isinstance(a, OBB) else a.radius
-    radius_b = b.bounding_radius() if isinstance(b, OBB) else b.radius
-    center_a = a.center
-    center_b = b.center
-    return max(0.0, center_a.distance_to(center_b) - radius_a - radius_b)
-
-
-def _closest_point_on_segment(p: Vec2, a: Vec2, b: Vec2) -> Vec2:
-    seg = b - a
-    seg_len_sq = seg.norm_sq()
-    if seg_len_sq == 0.0:
-        return a
-    t = max(0.0, min(1.0, (p - a).dot(seg) / seg_len_sq))
-    return a + seg * t
+    return max(0.0, a.center.distance_to(b.center) - a.bounding_radius() - b.bounding_radius())
 
 
 def _point_segment_distance(
@@ -194,8 +186,7 @@ def _point_segment_distance(
 ) -> float:
     """Distance from point ``p`` to segment ``ab`` on plain floats.
 
-    Float twin of ``p.distance_to(_closest_point_on_segment(p, a, b))``
-    with identical operation order.
+    Clamped projection of ``p`` onto the segment, then the distance to it.
     """
     segx, segy = bx - ax, by - ay
     seg_len_sq = segx * segx + segy * segy
@@ -232,16 +223,16 @@ def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     return _segment_distance(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y)
 
 
-def _obb_corner_coords(box: OBB) -> "tuple[float, ...]":
+def _corner_coords(
+    cx: float, cy: float, fx: float, fy: float, half_length: float, half_width: float
+) -> "tuple[float, ...]":
     """Corner coordinates ``(x0, y0, ..., x3, y3)`` in CCW order.
 
     Float twin of :meth:`OBB.corners` with identical operation order:
     each corner is ``(center ± dx) ± dy`` evaluated left to right.
     """
-    fx, fy = math.cos(box.heading), math.sin(box.heading)
-    cx, cy = box.center.x, box.center.y
-    dxx, dxy = fx * box.half_length, fy * box.half_length
-    dyx, dyy = -fy * box.half_width, fx * box.half_width
+    dxx, dxy = fx * half_length, fy * half_length
+    dyx, dyy = -fy * half_width, fx * half_width
     return (
         (cx + dxx) + dyx, (cy + dxy) + dyy,
         (cx - dxx) + dyx, (cy - dxy) + dyy,
@@ -250,43 +241,114 @@ def _obb_corner_coords(box: OBB) -> "tuple[float, ...]":
     )
 
 
-#: Safety margin absorbing float rounding in the edge-pair lower bound
-#: below, so pruning can never discard the true minimum.
+#: Safety margin absorbing float rounding in the centre-distance lower
+#: bounds below (edge pairs here, footprint pairs in :func:`nearest_first`),
+#: so pruning can never discard the true minimum.
 _EDGE_BOUND_SLACK = 1e-9
 
 
 def _obb_gap(a: OBB, b: OBB) -> float:
-    if obb_overlaps_obb(a, b):
+    acx, acy = a.center.x, a.center.y
+    bcx, bcy = b.center.x, b.center.y
+    afx, afy = math.cos(a.heading), math.sin(a.heading)
+    bfx, bfy = math.cos(b.heading), math.sin(b.heading)
+    ahl, ahw = a.half_length, a.half_width
+    bhl, bhw = b.half_length, b.half_width
+    # obb_overlaps_obb, sharing cos/sin with the corner construction.
+    far = math.hypot(acx - bcx, acy - bcy) > a.bounding_radius() + b.bounding_radius()
+    if not far and _sat_overlap(acx, acy, afx, afy, ahl, ahw, bcx, bcy, bfx, bfy, bhl, bhw):
         return 0.0
-    ca = _obb_corner_coords(a)
-    cb = _obb_corner_coords(b)
-    # Edge midpoints fall out of the corner construction for free: the
-    # midpoint of edge i is center +/- dy or -/+ dx, and edge half-lengths
-    # alternate (half_length, half_width).  ``|mid_a - mid_b| - (ha + hb)``
-    # lower-bounds the edge-pair distance, letting most of the 16 exact
-    # segment tests be skipped once a closer pair has been seen.
-    half_a = (a.half_length, a.half_width, a.half_length, a.half_width)
-    half_b = (b.half_length, b.half_width, b.half_length, b.half_width)
-    best = math.inf
-    for i in (0, 2, 4, 6):
-        ni = (i + 2) % 8
-        p1x, p1y, p2x, p2y = ca[i], ca[i + 1], ca[ni], ca[ni + 1]
+    ca = _corner_coords(acx, acy, afx, afy, ahl, ahw)
+    cb = _corner_coords(bcx, bcy, bfx, bfy, bhl, bhw)
+    # Edge i runs from corner i to corner i + 1; half-lengths alternate
+    # (half_length, half_width).
+    edges_a = [
+        (ca[0], ca[1], ca[2], ca[3], ahl), (ca[2], ca[3], ca[4], ca[5], ahw),
+        (ca[4], ca[5], ca[6], ca[7], ahl), (ca[6], ca[7], ca[0], ca[1], ahw),
+    ]
+    edges_b = [
+        (cb[0], cb[1], cb[2], cb[3], bhl), (cb[2], cb[3], cb[4], cb[5], bhw),
+        (cb[4], cb[5], cb[6], cb[7], bhl), (cb[6], cb[7], cb[0], cb[1], bhw),
+    ]
+    # ``|mid_a - mid_b| - (ha + hb)`` lower-bounds an edge pair's distance.
+    # Visiting pairs in ascending order of it, the first bound past the
+    # best distance ends the search.
+    mids_b = [((q1x + q2x) / 2.0, (q1y + q2y) / 2.0, hj) for q1x, q1y, q2x, q2y, hj in edges_b]
+    pairs = []
+    for i, (p1x, p1y, p2x, p2y, hi) in enumerate(edges_a):
         mix, miy = (p1x + p2x) / 2.0, (p1y + p2y) / 2.0
-        hi = half_a[i // 2]
-        for j in (0, 2, 4, 6):
-            nj = (j + 2) % 8
-            q1x, q1y, q2x, q2y = cb[j], cb[j + 1], cb[nj], cb[nj + 1]
-            bound = (
-                math.hypot(mix - (q1x + q2x) / 2.0, miy - (q1y + q2y) / 2.0)
-                - hi
-                - half_b[j // 2]
-            )
-            if bound - _EDGE_BOUND_SLACK > best:
-                continue
-            d = _segment_distance(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)
-            if d < best:
-                best = d
+        for j, (mjx, mjy, hj) in enumerate(mids_b):
+            pairs.append((math.hypot(mix - mjx, miy - mjy) - hi - hj, i, j))
+    pairs.sort()
+    # Vertex-edge distances, each computed at most once: slot
+    # 4 * vertex + edge for b's corners against a's edges, 16 + the same
+    # for a's corners against b's edges.
+    memo: "List[Optional[float]]" = [None] * 32
+    best = math.inf
+    for bound, i, j in pairs:
+        if bound - _EDGE_BOUND_SLACK > best:
+            break
+        p1x, p1y, p2x, p2y, _ = edges_a[i]
+        q1x, q1y, q2x, q2y, _ = edges_b[j]
+        # _segment_distance(p1, p2, q1, q2), its four point-segment
+        # distances taken from the memo.
+        px, py = p2x - p1x, p2y - p1y
+        qx, qy = q2x - q1x, q2y - q1y
+        d1 = px * (q1y - p1y) - py * (q1x - p1x)
+        d2 = px * (q2y - p1y) - py * (q2x - p1x)
+        d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
+        d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
+        if d1 * d2 < 0.0 and d3 * d4 < 0.0:
+            return 0.0
+        k = 4 * j + i
+        d = memo[k]
+        if d is None:
+            d = memo[k] = _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y)
+        k = 4 * ((j + 1) % 4) + i
+        e = memo[k]
+        if e is None:
+            e = memo[k] = _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y)
+        if e < d:
+            d = e
+        k = 16 + 4 * i + j
+        e = memo[k]
+        if e is None:
+            e = memo[k] = _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y)
+        if e < d:
+            d = e
+        k = 16 + 4 * ((i + 1) % 4) + j
+        e = memo[k]
+        if e is None:
+            e = memo[k] = _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y)
+        if e < d:
+            d = e
+        if d < best:
+            best = d
     return best
+
+
+def nearest_first(shape: Shape, others: Iterable[Shape]) -> "List[Tuple[float, Shape]]":
+    """``(bound, other)`` pairs in ascending order of ``bound``, a lower
+    bound on ``footprint_gap(shape, other)``.
+
+    ``bound`` is the centre distance minus both bounding radii minus
+    :data:`_EDGE_BOUND_SLACK`.  A caller that needs only the minimum gap
+    visits the pairs in order and stops at the first bound at or above its
+    running minimum: no gap from there on can undercut it.
+    """
+    cx, cy = shape.center.x, shape.center.y
+    reach = shape.bounding_radius() + _EDGE_BOUND_SLACK
+    pairs = [
+        (
+            math.hypot(other.center.x - cx, other.center.y - cy)
+            - reach
+            - other.bounding_radius(),
+            other,
+        )
+        for other in others
+    ]
+    pairs.sort(key=itemgetter(0))
+    return pairs
 
 
 def _closest_point_on_obb(box: OBB, point: Vec2) -> Vec2:

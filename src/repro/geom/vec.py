@@ -147,6 +147,10 @@ class Vec2:
         """Plain ``(x, y)`` tuple, e.g. for serialization."""
         return (self.x, self.y)
 
+    def __deepcopy__(self, memo: dict) -> "Vec2":
+        # Immutable: a deep copy may share the instance.
+        return self
+
 
 def angle_difference(a: float, b: float) -> float:
     """Smallest signed difference ``a - b`` between two angles, in ``(-pi, pi]``.

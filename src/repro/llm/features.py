@@ -236,9 +236,10 @@ def _assess_pedestrian(
     if distance > 35.0:
         return None
     on_path = False
-    for lookahead in (3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0):
-        path_point = route.point_at(ego_s + lookahead)
-        eta = lookahead / max(snapshot.ego_speed, 1.5)
+    ahead = route.points_ahead(ego_s)
+    for k in range(3, 25, 3):
+        path_point = ahead[k - 1]
+        eta = k / max(snapshot.ego_speed, 1.5)
         future = obj.position + obj.velocity * eta
         if future.distance_to(path_point) < 2.5 or obj.position.distance_to(path_point) < 2.0:
             on_path = True
@@ -262,9 +263,6 @@ def _assess_pedestrian(
 #: through the lane corridor but keeps moving (m/s).
 _BLOCKING_SPEED = 2.5
 
-#: Lateral corridor half-width around the ego path (m).
-_CORRIDOR_HALF_WIDTH = 2.5
-
 
 def _obstacle_ahead(snapshot: PerceptionSnapshot, route: Route, ego_s: float) -> float:
     """Along-path distance to the nearest (near-)static object blocking the
@@ -277,11 +275,9 @@ def _obstacle_ahead(snapshot: PerceptionSnapshot, route: Route, ego_s: float) ->
             continue
         if obj.position.distance_to(snapshot.ego_position) > 30.0:
             continue
-        for along in range(1, 26):
-            path_point = route.point_at(ego_s + float(along))
-            if obj.position.distance_to(path_point) <= _CORRIDOR_HALF_WIDTH:
-                best = min(best, float(along))
-                break
+        along = route.first_in_corridor(ego_s, obj.position, 1, 25)
+        if along is not None:
+            best = min(best, float(along))
     return best
 
 

@@ -96,9 +96,11 @@ def predict_min_separation(
         )
 
     footprints = [obj.footprint() for obj in candidates]
-    radii = [
-        shape.bounding_radius() if isinstance(shape, OBB) else shape.radius
-        for shape in footprints
+    # Per candidate: position, velocity and bounding radius as plain
+    # floats, so the per-step centre bound allocates no ``Vec2``.
+    kinematics = [
+        (obj.position.x, obj.position.y, obj.velocity.x, obj.velocity.y, shape.bounding_radius())
+        for obj, shape in zip(candidates, footprints)
     ]
 
     s = ego_s
@@ -114,10 +116,12 @@ def predict_min_separation(
     for i in range(steps + 1):
         t = i * step_s
         ego_center = route.point_at(s)
+        ex, ey = ego_center.x, ego_center.y
         ego_box: Optional[OBB] = None
-        for obj, shape, radius in zip(candidates, footprints, radii):
-            predicted_center = obj.position + obj.velocity * t
-            bound = ego_center.distance_to(predicted_center) - ego_radius - radius
+        for obj, shape, (px, py, vx, vy, radius) in zip(candidates, footprints, kinematics):
+            # ``ego_center.distance_to(obj.position + obj.velocity * t)``
+            # on plain floats, in the same operation order.
+            bound = math.hypot(ex - (px + vx * t), ey - (py + vy * t)) - ego_radius - radius
             if bound > 5.0 or bound >= best:
                 best_far_bound = min(best_far_bound, bound)
                 continue

@@ -24,7 +24,7 @@ import logging
 import threading
 import time
 import traceback
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import __version__
 from ..exec import CampaignCancelled, ProgressEvent, TelemetryProgress
@@ -386,8 +386,7 @@ class Scheduler:
             if self._stopping.is_set() and not user_cancelled:
                 # Graceful shutdown interrupted the job — back to the
                 # queue: a restarted server resumes it from its journal.
-                record.transition(QUEUED)
-                self.store.save(record)
+                self._settle(record, slots, QUEUED)
                 self.store.append_event(
                     job_id, {"kind": "job_interrupted", "job": job_id}
                 )
@@ -397,8 +396,7 @@ class Scheduler:
                 self.store.append_event(
                     job_id, {"kind": "job_cancelled", "job": job_id}
                 )
-                record.transition(CANCELLED)
-                self.store.save(record)
+                self._settle(record, slots, CANCELLED)
                 self.telemetry.counter("service.jobs_cancelled").inc()
         except BaseException as exc:  # noqa: BLE001 - runner must settle the record
             detail = traceback.format_exc()
@@ -407,27 +405,43 @@ class Scheduler:
             self.store.append_event(
                 job_id, {"kind": "job_failed", "job": job_id, "error": error}
             )
-            record.transition(FAILED, error=error)
-            self.store.save(record)
+            self._settle(record, slots, FAILED, error=error)
             self.telemetry.counter("service.jobs_failed").inc()
             logger.warning("job %s failed: %s", job_id, error)
         else:
             self.store.append_event(
                 job_id, {"kind": "job_done", "job": job_id, "result": result}
             )
-            record.transition(DONE, result=result)
-            self.store.save(record)
+            self._settle(record, slots, DONE, result=result)
             self.telemetry.counter("service.jobs_done").inc()
         finally:
+            # A no-op after _settle; returns the slots if settling raised.
             with self._cond:
-                self._free_slots += slots
-                self._running.pop(job_id, None)
-                self._cancel_flags.pop(job_id, None)
+                self._release(job_id, slots)
             run_s = _transition_latency(record, RUNNING)
             if run_s is not None:
                 self.telemetry.histogram("jobs.run_s").record(run_s)
             self._snapshot_metrics(record, wait_s=wait_s, run_s=run_s)
             self.queue.kick()
+
+    def _settle(self, record: JobRecord, slots: int, state: str, **fields: Any) -> None:
+        """Move a job out of ``running``: transition, save, release slots.
+
+        One critical section under the scheduler lock, so a reader
+        (``collect()``, ``job()``) sees either a running job holding its
+        slots or a settled job holding none — never a settled job still
+        counted as running.
+        """
+        with self._cond:
+            record.transition(state, **fields)
+            self.store.save(record)
+            self._release(record.id, slots)
+
+    def _release(self, job_id: str, slots: int) -> None:
+        # Called under the scheduler lock; idempotent.
+        if self._running.pop(job_id, None) is not None:
+            self._free_slots += slots
+        self._cancel_flags.pop(job_id, None)
 
     def _snapshot_metrics(
         self,

@@ -16,8 +16,9 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..geom import Vec2
 
@@ -35,6 +36,20 @@ EXIT_LENGTH = 40.0
 
 #: Sampling step for route polylines (metres).
 ROUTE_SAMPLE_STEP = 0.5
+
+#: Entries in :meth:`Route.points_ahead`: one per metre of lookahead.
+_LOOKAHEAD_STEPS = 30
+
+#: Lateral half-width of the lane corridor around a route (m).
+_CORRIDOR_HALF_WIDTH = 2.5
+
+#: The last lookahead table, per thread: one immutable ``(route, s,
+#: points)`` tuple, read once and replaced whole.  Routes are shared by
+#: every thread of a process and the service runs two jobs at once on
+#: threads; per thread, neither job evicts the other's table, and the
+#: number of route samplings each job does stays independent of the
+#: thread schedule.
+_lookahead_memo = threading.local()
 
 
 class Approach(enum.Enum):
@@ -68,15 +83,20 @@ _APPROACH_ROTATION = {
 class Route:
     """An arc-length parameterized path through the network.
 
+    Routes are immutable after construction and shared process-wide (see
+    :func:`default_map`).
+
     Attributes:
         approach: where the route enters from.
         movement: the turning movement it performs.
         waypoints: densely sampled polyline.
+        length: total arc length (m).
     """
 
     approach: Approach
     movement: Movement
     waypoints: List[Vec2]
+    length: float = field(init=False, repr=False)
     _cumulative: List[float] = field(init=False, repr=False)
     _entry_s: float = field(init=False, repr=False)
     _exit_s: float = field(init=False, repr=False)
@@ -88,6 +108,7 @@ class Route:
         for i in range(1, len(self.waypoints)):
             step = self.waypoints[i].distance_to(self.waypoints[i - 1])
             self._cumulative.append(self._cumulative[-1] + step)
+        self.length = self._cumulative[-1]
         # Waypoints are immutable after construction, so the box-crossing
         # arc lengths are fixed; precomputing them keeps entry_s/exit_s out
         # of the per-tick hot path (they are queried for every vehicle).
@@ -102,21 +123,51 @@ class Route:
                 self._exit_s = self._cumulative[min(i + 1, len(self.waypoints) - 1)]
                 break
 
-    @property
-    def length(self) -> float:
-        """Total arc length of the route."""
-        return self._cumulative[-1]
+    def __deepcopy__(self, memo: dict) -> "Route":
+        # Immutable and shared: run-end world-state snapshots keep the
+        # reference instead of copying the polyline.
+        return self
 
     def point_at(self, s: float) -> Vec2:
         """Position at arc length ``s`` (clamped to the route ends)."""
         s = max(0.0, min(s, self.length))
-        index = bisect.bisect_right(self._cumulative, s) - 1
-        if index >= len(self.waypoints) - 1:
-            return self.waypoints[-1]
-        seg_start = self._cumulative[index]
-        seg_len = self._cumulative[index + 1] - seg_start
+        cumulative = self._cumulative
+        waypoints = self.waypoints
+        index = bisect.bisect_right(cumulative, s) - 1
+        if index >= len(waypoints) - 1:
+            return waypoints[-1]
+        seg_start = cumulative[index]
+        seg_len = cumulative[index + 1] - seg_start
         t = 0.0 if seg_len == 0.0 else (s - seg_start) / seg_len
-        return self.waypoints[index].lerp(self.waypoints[index + 1], t)
+        a = waypoints[index]
+        b = waypoints[index + 1]
+        # ``a.lerp(b, t)``, inlined.
+        return Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+    def points_ahead(self, s: float) -> "Tuple[Vec2, ...]":
+        """Lookahead table: entry ``k - 1`` is ``point_at(s + float(k))``
+        for ``k = 1 .. _LOOKAHEAD_STEPS``.
+
+        The planner features, the HD-map sensor text and the
+        blocking-obstacle check all look ahead from the same ``s`` in one
+        tick, so the last table is kept (see :data:`_lookahead_memo`).
+        """
+        memo = getattr(_lookahead_memo, "last", None)
+        if memo is not None and memo[0] is self and memo[1] == s:
+            return memo[2]
+        points = tuple([self.point_at(s + float(k)) for k in range(1, _LOOKAHEAD_STEPS + 1)])
+        _lookahead_memo.last = (self, s, points)
+        return points
+
+    def first_in_corridor(self, s: float, point: Vec2, first: int, last: int) -> Optional[int]:
+        """Smallest ``k`` in ``first..last`` whose lookahead point
+        (:meth:`points_ahead`) lies within :data:`_CORRIDOR_HALF_WIDTH` of
+        ``point``; ``None`` when ``point`` is outside the corridor there."""
+        ahead = self.points_ahead(s)
+        for k in range(first, last + 1):
+            if point.distance_to(ahead[k - 1]) <= _CORRIDOR_HALF_WIDTH:
+                return k
+        return None
 
     def heading_at(self, s: float) -> float:
         """Path tangent heading (radians) at arc length ``s``."""
@@ -143,10 +194,6 @@ class Route:
     def exit_s(self) -> float:
         """Arc length at which the route leaves the intersection box."""
         return self._exit_s
-
-    def waypoints_ahead(self, s: float, count: int, spacing: float = 5.0) -> List[Vec2]:
-        """Upcoming waypoints for the HD-map sensor channel (Table I)."""
-        return [self.point_at(s + (i + 1) * spacing) for i in range(count)]
 
 
 def _in_box(point: Vec2, half_size: float = INTERSECTION_HALF_SIZE) -> bool:

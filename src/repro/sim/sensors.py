@@ -152,9 +152,10 @@ def speed_summary(snapshot: PerceptionSnapshot) -> str:
     return f"Vehicle speed: {snapshot.ego_speed:.1f} m/s."
 
 
-def waypoint_summary(route: Route, s: float, count: int = 5) -> str:
-    """Upcoming lane-centre waypoints from the HD map (Table I row 7)."""
-    points = route.waypoints_ahead(s, count)
+def waypoint_summary(route: Route, s: float) -> str:
+    """Upcoming lane-centre waypoints from the HD map (Table I row 7):
+    five points 5 m apart."""
+    points = route.points_ahead(s)[4:25:5]
     rendered = ", ".join(f"({p.x:.1f}, {p.y:.1f})" for p in points)
     remaining = max(route.entry_s - s, 0.0)
     if remaining > 0.0:

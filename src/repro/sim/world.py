@@ -15,7 +15,7 @@ import logging
 import random
 from typing import List, Optional, Set
 
-from ..geom import footprint_gap
+from ..geom import footprint_gap, nearest_first
 from .collision import CollisionEvent, detect_ego_collisions
 from .intersection import default_map
 from .pedestrian import Pedestrian
@@ -127,16 +127,24 @@ class World:
             self._contact_ids.add(event.other_id)
         if self._contact_ids - colliding_ids:
             self._rearm_separated_contacts(ego_box, colliding_ids)
-        for vehicle in self.vehicles:
-            if vehicle.is_ego or vehicle.finished:
-                continue
-            if vehicle.position.distance_to(self.ego.position) < 15.0:
-                gap = footprint_gap(ego_box, vehicle.footprint())
-                self.min_true_gap = min(self.min_true_gap, gap)
-        for pedestrian in self.pedestrians:
-            if not pedestrian.finished and pedestrian.position.distance_to(self.ego.position) < 15.0:
-                gap = footprint_gap(ego_box, pedestrian.footprint())
-                self.min_true_gap = min(self.min_true_gap, gap)
+        ego_position = self.ego.position
+        near = [
+            vehicle.footprint()
+            for vehicle in self.vehicles
+            if not (vehicle.is_ego or vehicle.finished)
+            and vehicle.position.distance_to(ego_position) < 15.0
+        ]
+        near += [
+            pedestrian.footprint()
+            for pedestrian in self.pedestrians
+            if not pedestrian.finished and pedestrian.position.distance_to(ego_position) < 15.0
+        ]
+        # Only the run's minimum is kept, so a gap that provably cannot
+        # undercut it is never computed.
+        for bound, shape in nearest_first(ego_box, near):
+            if bound >= self.min_true_gap:
+                break
+            self.min_true_gap = min(self.min_true_gap, footprint_gap(ego_box, shape))
 
         if self.ego_clearance_time is None and self.ego.cleared_intersection:
             self.ego_clearance_time = self.time

@@ -1,10 +1,12 @@
 """Tests for the IntersectionSimInterface (CarlaInterface analog)."""
 
 import math
+import random
 
 import pytest
 
 from repro.env import IntersectionSimInterface
+from repro.geom import Vec2, footprint_gap
 from repro.sim import Maneuver, ScenarioType, build_scenario
 
 
@@ -82,6 +84,43 @@ class TestObserve:
         pb = b.observe()["perception"]
         for x, y in zip(pa.objects, pb.objects):
             assert x.position == y.position
+
+    def test_noise_draws_position_then_velocity_per_object(self):
+        spec = build_scenario(ScenarioType.CONGESTED, 2)
+        clean = IntersectionSimInterface(spec, position_sigma=0.0, velocity_sigma=0.0)
+        noisy = IntersectionSimInterface(spec, position_sigma=0.3, velocity_sigma=0.2)
+        for iface in (clean, noisy):
+            iface.reset()
+        rng = random.Random(spec.seed * 65537 + 7)
+        for _ in range(25):
+            truth = clean.observe()["perception"].objects
+            seen = noisy.observe()["perception"].objects
+            assert len(truth) == len(seen)
+            for obj, got in zip(truth, seen):
+                px, py = rng.gauss(0.0, 0.3), rng.gauss(0.0, 0.3)
+                vx, vy = rng.gauss(0.0, 0.2), rng.gauss(0.0, 0.2)
+                assert got == obj.with_position(obj.position + Vec2(px, py)).with_velocity(
+                    obj.velocity + Vec2(vx, vy)
+                )
+            for iface in (clean, noisy):
+                iface.apply_action(Maneuver.PROCEED)
+                iface.advance()
+
+    @pytest.mark.parametrize("scenario", [
+        ScenarioType.CONGESTED, ScenarioType.CONFLICTING, ScenarioType.PEDESTRIAN,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_min_separation_equals_exhaustive_minimum(self, scenario, seed):
+        # PROCEED drives into the traffic, so gaps shrink to contact.
+        iface = IntersectionSimInterface(build_scenario(scenario, seed))
+        iface.reset()
+        while not iface.done:
+            state = iface.observe()
+            ego_box = iface.world.ego.footprint()
+            gaps = [footprint_gap(ego_box, obj.footprint()) for obj in state["perception"].objects]
+            assert state["min_separation"] == (min(gaps) if gaps else 1e3)
+            iface.apply_action(Maneuver.PROCEED)
+            iface.advance()
 
 
 class TestApplyAction:

@@ -1,6 +1,7 @@
 """Unit and property tests for footprints and overlap/gap computation."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from repro.geom import (
     Vec2,
     circle_overlaps_circle,
     footprint_gap,
+    nearest_first,
     obb_overlaps_circle,
     obb_overlaps_obb,
     segment_distance,
@@ -174,3 +176,104 @@ class TestProperties:
         box = car(x, y, h)
         for corner in box.corners():
             assert box.contains(corner)
+
+
+# ----------------------------------------------------------------------
+# Exactness of the pruned OBB gap and of the broad phase
+# ----------------------------------------------------------------------
+def _ref_point_segment(p: Vec2, a: Vec2, b: Vec2) -> float:
+    seg = b - a
+    seg_len_sq = seg.norm_sq()
+    if seg_len_sq == 0.0:
+        return p.distance_to(a)
+    t = max(0.0, min(1.0, (p - a).dot(seg) / seg_len_sq))
+    return p.distance_to(a + seg * t)
+
+
+def _ref_segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
+    p, q = p2 - p1, q2 - q1
+    if p.cross(q1 - p1) * p.cross(q2 - p1) < 0.0 and q.cross(p1 - q1) * q.cross(p2 - q1) < 0.0:
+        return 0.0
+    return min(
+        _ref_point_segment(q1, p1, p2),
+        _ref_point_segment(q2, p1, p2),
+        _ref_point_segment(p1, q1, q2),
+        _ref_point_segment(p2, q1, q2),
+    )
+
+
+def _ref_obb_gap(a: OBB, b: OBB) -> float:
+    """All 16 edge pairs, no pruning, no memo: the reference."""
+    if obb_overlaps_obb(a, b):
+        return 0.0
+    ca, cb = a.corners(), b.corners()
+    return min(
+        _ref_segment_distance(ca[i], ca[(i + 1) % 4], cb[j], cb[(j + 1) % 4])
+        for i in range(4)
+        for j in range(4)
+    )
+
+
+def _random_box(rng: random.Random, spread: float = 8.0) -> OBB:
+    return OBB(
+        center=Vec2(rng.uniform(-spread, spread), rng.uniform(-spread, spread)),
+        heading=rng.uniform(-math.pi, math.pi),
+        half_length=rng.uniform(0.2, 3.0),
+        half_width=rng.uniform(0.2, 1.5),
+    )
+
+
+def _box_pairs(seed: int):
+    rng = random.Random(seed)
+    for _ in range(600):  # rotated, anywhere from overlapping to far
+        yield _random_box(rng), _random_box(rng)
+    for _ in range(300):  # face to face: touching, then 1e-9 apart
+        a = _random_box(rng)
+        forward = Vec2.unit(a.heading)
+        for extra in (0.0, 1e-9, -1e-9):
+            reach = a.half_length + 2.25 + extra
+            b = OBB(a.center + forward * reach, a.heading, 2.25, 1.0)
+            yield a, b
+    for _ in range(300):  # a rotated corner touching (or 1e-9 off) a face
+        a = _random_box(rng)
+        turn = rng.uniform(0.1, 1.4)
+        b_half = (rng.uniform(0.3, 2.5), rng.uniform(0.3, 1.2))
+        # b's corner (-hl, -hw) in b's frame sits on a's forward face.
+        corner_offset = Vec2(-b_half[0], -b_half[1]).rotated(a.heading + turn)
+        face_point = a.center + Vec2.unit(a.heading) * a.half_length
+        for extra in (0.0, 1e-9):
+            center = face_point + Vec2.unit(a.heading) * extra - corner_offset
+            yield a, OBB(center, a.heading + turn, *b_half)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_obb_gap_equals_unpruned_reference(self, seed):
+        for a, b in _box_pairs(seed):
+            assert footprint_gap(a, b) == _ref_obb_gap(a, b), (a, b)
+            assert footprint_gap(b, a) == _ref_obb_gap(b, a), (b, a)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_nearest_first_minimum_equals_exhaustive_minimum(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            ego = _random_box(rng, spread=3.0)
+            others = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.3:
+                    others.append(Circle(Vec2(rng.uniform(-8, 8), rng.uniform(-8, 8)),
+                                         rng.uniform(0.2, 0.5)))
+                else:
+                    others.append(_random_box(rng))
+            best = math.inf
+            for bound, shape in nearest_first(ego, others):
+                assert bound <= footprint_gap(ego, shape)
+                if bound >= best:
+                    break
+                best = min(best, footprint_gap(ego, shape))
+            assert best == min(footprint_gap(ego, shape) for shape in others)
+
+    def test_nearest_first_orders_by_bound(self):
+        ego = car(0, 0)
+        near, far = car(0, 4), Circle(Vec2(20, 0), 0.3)
+        assert [shape for _, shape in nearest_first(ego, [far, near])] == [near, far]

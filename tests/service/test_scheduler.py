@@ -2,6 +2,7 @@
 and per-job journal isolation."""
 
 import json
+import sys
 import threading
 import time
 
@@ -85,6 +86,42 @@ class TestDispatch:
             release()
         _wait_state(scheduler, high.id, DONE)
         _wait_state(scheduler, low.id, DONE)
+
+
+class TestSettleOrdering:
+    def test_scrapes_never_count_a_settled_job_as_running(self, scheduler, monkeypatch):
+        # The settle path's own metrics snapshot refreshes the gauges too;
+        # with it off, each read below is the scraper's own scrape.
+        monkeypatch.setattr(scheduler, "_snapshot_metrics", lambda *args, **kwargs: None)
+        stop = threading.Event()
+        violations = []
+        scrapes = [0]
+
+        def scrape():
+            while not stop.is_set():
+                gauges = scheduler.collect().snapshot()["gauges"]
+                scrapes[0] += 1
+                live = gauges["jobs.state.queued"] + gauges["jobs.state.running"]
+                # One job at a time: once it settles, nothing may still
+                # count as running or hold a slot.
+                if gauges["jobs.running"] > live or (live == 0 and gauges["slots.busy"] != 0):
+                    violations.append(gauges)
+
+        scraper = threading.Thread(target=scrape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        scraper.start()
+        try:
+            for kind, spec, state in [("ok", {"x": 1}, DONE), ("boom", {}, FAILED)] * 15:
+                record = scheduler.submit(JobSpec(kind=kind, spec=spec))
+                _wait_state(scheduler, record.id, state)
+        finally:
+            stop.set()
+            scraper.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not scraper.is_alive()
+        assert scrapes[0] > 0
+        assert violations == []
 
 
 class TestSlotBudget:

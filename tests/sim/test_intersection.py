@@ -1,6 +1,8 @@
 """Tests for the intersection map and route geometry."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -84,11 +86,69 @@ class TestRouteGeometry:
         a, b = route.point_at(20.0), route.point_at(30.0)
         assert a.distance_to(b) == pytest.approx(10.0, rel=0.02)
 
-    def test_waypoints_ahead(self, intersection_map):
+    def test_length_is_the_final_arc_length(self, intersection_map):
+        for route in intersection_map.routes:
+            assert route.length == route._cumulative[-1]
+
+
+class TestLookaheadTable:
+    def test_entries_equal_point_at_on_every_route(self, intersection_map):
+        # Both clamped ends included: s < 0, s = 0, s within 30 m of the
+        # end, s = length and s beyond it.
+        for route in intersection_map.routes:
+            for s in (-3.0, 0.0, 10.0, 37.3, route.length - 12.5, route.length, route.length + 4.0):
+                ahead = route.points_ahead(s)
+                assert len(ahead) == 30
+                for k in range(1, 31):
+                    assert ahead[k - 1] == route.point_at(s + float(k)), (route, s, k)
+
+    def test_entries_are_one_metre_apart_along_the_path(self, intersection_map):
         route = intersection_map.route(Approach.SOUTH, Movement.STRAIGHT)
-        points = route.waypoints_ahead(10.0, count=3, spacing=5.0)
-        assert len(points) == 3
-        assert points[0].distance_to(route.point_at(15.0)) < 0.3
+        ahead = route.points_ahead(10.0)
+        assert ahead[4].distance_to(route.point_at(15.0)) < 0.3
+        assert ahead[1].distance_to(ahead[0]) == pytest.approx(1.0)
+
+    def test_same_s_reuses_the_table(self, intersection_map):
+        route = intersection_map.route(Approach.WEST, Movement.LEFT)
+        first = route.points_ahead(21.5)
+        assert route.points_ahead(21.5) is first
+        assert route.points_ahead(22.0) is not first
+
+    def test_threads_never_read_each_others_table(self, intersection_map):
+        # Two threads alternate on one route with a tiny switch interval,
+        # each with its own s.  A memo kept as separate attributes (s,
+        # points) would hand one thread the other's points.
+        shared = intersection_map.route(Approach.SOUTH, Movement.LEFT)
+        cases = [(12.25, shared.points_ahead(12.25)), (40.5, shared.points_ahead(40.5))]
+        errors = []
+
+        def sample(s, expected):
+            for _ in range(3000):
+                if shared.points_ahead(s) != expected:
+                    errors.append(s)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sample, args=case) for case in cases]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_corridor_hit_is_the_first_table_point_in_reach(self, intersection_map):
+        route = intersection_map.route(Approach.SOUTH, Movement.STRAIGHT)
+        ahead = route.points_ahead(5.0)
+        on_lane = ahead[9]
+        assert route.first_in_corridor(5.0, on_lane, 1, 25) == 8
+        assert route.first_in_corridor(5.0, on_lane, 13, 25) is None
+        beside = Vec2(on_lane.x + 3.0, on_lane.y)
+        assert route.first_in_corridor(5.0, beside, 1, 30) is None
 
 
 class TestConflicts:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geom import footprint_gap
 from repro.sim import (
     Maneuver,
     ManeuverExecutor,
@@ -94,6 +95,30 @@ class TestDeterminism:
         positions_a = sorted(round(v.s, 2) for v in a.background_vehicles)
         positions_b = sorted(round(v.s, 2) for v in b.background_vehicles)
         assert positions_a != positions_b
+
+
+class TestNearMissRecord:
+    @pytest.mark.parametrize("scenario", [
+        ScenarioType.CONGESTED, ScenarioType.CONFLICTING, ScenarioType.PEDESTRIAN,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_min_true_gap_equals_exhaustive_minimum(self, scenario, seed):
+        world = World(build_scenario(scenario, seed))
+        executor = ManeuverExecutor()
+        expected = float("inf")
+        while not world.done:
+            ego = world.ego
+            ego.apply_acceleration(
+                executor.acceleration_for(Maneuver.PROCEED, ego.speed, ego.s, ego.route)
+            )
+            world.step()
+            ego_box = ego.footprint()
+            entities = [v for v in world.vehicles if not (v.is_ego or v.finished)]
+            entities += [p for p in world.pedestrians if not p.finished]
+            for entity in entities:
+                if entity.position.distance_to(ego.position) < 15.0:
+                    expected = min(expected, footprint_gap(ego_box, entity.footprint()))
+            assert world.min_true_gap == expected
 
 
 class TestCollisionBookkeeping:
