@@ -122,6 +122,18 @@ class OrchestrationController:
                     f"fallback role {fallback.name!r} collides with a scheduled "
                     "role; the fallback must stay outside the role graph"
                 )
+        #: Roles whose proposals :meth:`_decide_action` weighs, in order:
+        #: the scheduled roles, then the resilience fallback (a Generator).
+        self._action_candidates: "List[tuple[str, RoleKind]]" = [
+            (scheduled.name, scheduled.role.kind) for scheduled in self._order
+        ]
+        if self.resilience is not None and self.resilience.config.fallback is not None:
+            self._action_candidates.append(
+                (self.resilience.config.fallback.name, RoleKind.GENERATOR)
+            )
+        #: Role name -> score name -> its series, ``score.<role>.<name>``
+        #: (the name :meth:`DependabilityMetrics.record_score` would give).
+        self._score_series: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # main loop
@@ -435,8 +447,13 @@ class OrchestrationController:
             )
         result.role_name = result.role_name or role.name
         self.state.record_output(result)
-        for score_name, value in result.scores.items():
-            self.metrics.record_score(f"{role.name}.{score_name}", self.environment.time, value)
+        if result.scores:
+            series = self._score_series.setdefault(role.name, {})
+            for score_name, value in result.scores.items():
+                name = series.get(score_name)
+                if name is None:
+                    name = series[score_name] = f"score.{role.name}.{score_name}"
+                self.metrics.record_series(name, self.environment.time, value)
         if len(self.metrics.faults) != faults_before:
             # Roles record injections straight into the metrics; mirror
             # them onto the bus so the evidence trail (and any trace) is
@@ -518,17 +535,11 @@ class OrchestrationController:
         executes outside the role graph, is considered after all scheduled
         Generators.
         """
-        candidates: "List[tuple[str, RoleKind]]" = [
-            (scheduled.name, scheduled.role.kind) for scheduled in self._order
-        ]
-        if self.resilience is not None and self.resilience.config.fallback is not None:
-            candidates.append((self.resilience.config.fallback.name, RoleKind.GENERATOR))
-
         recovery_action = None
         recovery_role = ""
         generator_action = None
         generator_role = ""
-        for name, kind in candidates:
+        for name, kind in self._action_candidates:
             result = self.state.output_of(name)
             if result is None:
                 continue

@@ -167,6 +167,11 @@ class StateManager:
         """Archived iterations, oldest first."""
         return list(self._history)
 
+    @property
+    def last_record(self) -> Optional[IterationRecord]:
+        """The newest archived iteration (``None`` before the first)."""
+        return self._history[-1] if self._history else None
+
     def history_signal(self, key: str) -> List[float]:
         """Extract a numeric world-state series from history (for STL).
 

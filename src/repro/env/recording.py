@@ -89,16 +89,22 @@ class TraceRecorder:
 
     @classmethod
     def attach(cls, controller: "OrchestrationController") -> "TraceRecorder":
-        """Create a recorder subscribed to ``controller``'s event bus."""
+        """Create a recorder subscribed to ``controller``'s event bus.
+
+        The subscriber holds the controller's state manager, not the
+        controller: the bus belongs to the controller, so a reference back
+        to it would make a cycle that keeps every finished run (its event
+        log, history, metrics and frames) alive until a full collection.
+        """
         recorder = cls()
+        state = controller.state
 
         def on_event(event: Event) -> None:
             if event.kind is not EventKind.ITERATION_FINISHED:
                 return
-            history = controller.state.history
-            if not history:
+            record = state.last_record
+            if record is None:
                 return
-            record = history[-1]
             recorder.frames.append(
                 TraceFrame(
                     iteration=record.iteration,

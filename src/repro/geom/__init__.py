@@ -11,6 +11,7 @@ from .shapes import (
     obb_overlaps_circle,
     obb_overlaps_obb,
     segment_distance,
+    separating_axis_bound,
     separation_distance,
     shapes_overlap,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "separation_distance",
     "footprint_gap",
     "nearest_first",
+    "separating_axis_bound",
     "segment_distance",
     "KinematicState",
     "closest_point_of_approach",

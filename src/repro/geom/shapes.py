@@ -241,9 +241,10 @@ def _corner_coords(
     )
 
 
-#: Safety margin absorbing float rounding in the centre-distance lower
-#: bounds below (edge pairs here, footprint pairs in :func:`nearest_first`),
-#: so pruning can never discard the true minimum.
+#: Safety margin absorbing float rounding in the lower bounds below (edge
+#: pairs here, footprint pairs in :func:`nearest_first`, projected
+#: intervals in :func:`separating_axis_bound`), so pruning can never
+#: discard the true minimum.
 _EDGE_BOUND_SLACK = 1e-9
 
 
@@ -349,6 +350,33 @@ def nearest_first(shape: Shape, others: Iterable[Shape]) -> "List[Tuple[float, S
     ]
     pairs.sort(key=itemgetter(0))
     return pairs
+
+
+def separating_axis_bound(a: OBB, b: OBB) -> float:
+    """A lower bound on ``footprint_gap(a, b)`` from projected intervals.
+
+    Both boxes are projected onto the four candidate axes of
+    :func:`_sat_overlap`; the largest gap between the two intervals, minus
+    :data:`_EDGE_BOUND_SLACK`, is returned (negative when every axis
+    overlaps).  Projection onto a unit axis never lengthens a distance, so
+    no point of ``a`` lies closer than that gap to a point of ``b``.
+    """
+    acx, acy = a.center.x, a.center.y
+    bcx, bcy = b.center.x, b.center.y
+    afx, afy = math.cos(a.heading), math.sin(a.heading)
+    bfx, bfy = math.cos(b.heading), math.sin(b.heading)
+    ahl, ahw = a.half_length, a.half_width
+    bhl, bhw = b.half_length, b.half_width
+    bound = -math.inf
+    for ax, ay in ((afx, afy), (-afy, afx), (bfx, bfy), (-bfy, bfx)):
+        gap = (
+            abs((acx - bcx) * ax + (acy - bcy) * ay)
+            - abs(afx * ax + afy * ay) * ahl - abs(-afy * ax + afx * ay) * ahw
+            - abs(bfx * ax + bfy * ay) * bhl - abs(-bfy * ax + bfx * ay) * bhw
+        )
+        if gap > bound:
+            bound = gap
+    return bound - _EDGE_BOUND_SLACK
 
 
 def _closest_point_on_obb(box: OBB, point: Vec2) -> Vec2:

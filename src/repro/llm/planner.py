@@ -1,8 +1,9 @@
 """LLMPlanner: the planner-facing facade over the surrogate model.
 
 Ties the pipeline of Fig. 3 together for one tick: perceived snapshot ->
-feature extraction -> prompt templating (with running-state history) ->
-model decision -> CoT explanation.  The Generator role
+feature extraction -> model decision -> CoT explanation, with the Table I
+channels templated into a prompt (with running-state history) whenever the
+model is consulted.  The Generator role
 (:class:`~repro.roles.generator.LLMGeneratorRole`) owns an instance and
 calls :meth:`plan` each iteration.
 """
@@ -55,11 +56,15 @@ class LLMPlanner:
         self.model = SurrogateLLM(config=config, seed=seed)
         self.history: List[HistoryEntry] = []
         self.history_limit = history_limit
+        #: The prompt behind the held decision.
+        self._prompt: Optional[PlannerPrompt] = None
 
     def reset(self) -> None:
-        """Fresh run: clear the model state and the decision history."""
+        """Fresh run: clear the model state, the decision history and the
+        held decision's prompt."""
         self.model.reset()
         self.history.clear()
+        self._prompt = None
 
     def plan(
         self,
@@ -68,13 +73,18 @@ class LLMPlanner:
         ego_s: float,
         ego_acceleration: float = 0.0,
     ) -> PlanOutput:
-        """Run the full per-tick planning pipeline."""
-        suite: SensorSuite = build_sensor_suite(snapshot, route, ego_s, ego_acceleration)
-        prompt = build_prompt(suite, self.goal, history=self.history)
+        """Run the full per-tick planning pipeline.
+
+        The prompt is rendered only when the model is consulted (a fresh
+        decision), from the history as it stood before that decision.  A
+        held tick returns the prompt behind the held decision.
+        """
         observation = observe(snapshot, route, ego_s)
         decision: PlannerDecision = self.model.decide(observation)
 
         if decision.fresh:
+            suite: SensorSuite = build_sensor_suite(snapshot, route, ego_s, ego_acceleration)
+            self._prompt = build_prompt(suite, self.goal, history=self.history)
             self.history.append(
                 HistoryEntry(
                     time=snapshot.time,
@@ -92,7 +102,7 @@ class LLMPlanner:
         return PlanOutput(
             maneuver=decision.maneuver,
             explanation=decision.explanation,
-            prompt=prompt,
+            prompt=self._prompt,
             observation=observation,
             failure_mode=decision.failure_mode,
             fresh=decision.fresh,

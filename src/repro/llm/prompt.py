@@ -6,15 +6,17 @@ their chain-of-thought explanations) — reproducing the pipeline "these data
 streams, alongside the running state, feed into a prompt templater to
 generate a textual representation" (§IV, Fig. 3).
 
-The surrogate model consumes structured features rather than parsing this
-text back, but the prompt is built every tick regardless: it exercises the
-same templating path a real LLM deployment would use, is recorded for
-evidence, and its token-ish length feeds the performance accounting.
+The prompt is rendered when the planner consults the model, which is when
+a real deployment would send it: on each fresh decision, not on the ticks
+that hold the previous one (:class:`~repro.llm.planner.LLMPlanner`).  The
+surrogate consumes structured features rather than parsing this text back,
+so the text itself is not read downstream; its rough token count is
+reported per tick as the Generator's ``prompt_tokens``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..sim.actions import Maneuver
@@ -64,18 +66,19 @@ class HistoryEntry:
     explanation: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerPrompt:
     """A fully assembled prompt plus bookkeeping metadata."""
 
     text: str
     channel_count: int
     history_entries: int
+    #: Rough token estimate (whitespace splitting x 1.3), counted once when
+    #: the prompt is built.
+    approx_tokens: int = field(init=False)
 
-    @property
-    def approx_tokens(self) -> int:
-        """Rough token estimate (whitespace splitting x 1.3)."""
-        return int(len(self.text.split()) * 1.3)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "approx_tokens", int(len(self.text.split()) * 1.3))
 
 
 def render_history(history: Sequence[HistoryEntry], limit: int = 5) -> str:

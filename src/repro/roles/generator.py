@@ -43,7 +43,9 @@ class LLMGeneratorRole(Role):
     Emits the proposed maneuver in ``data['action']`` and its
     chain-of-thought explanation in the narrative, mirroring Fig. 3 where
     "Llama 3.2 generates both control outputs and corresponding
-    explanations".
+    explanations".  ``data['prompt_tokens']`` is the token estimate of the
+    prompt behind the proposed maneuver: on a held tick (``data['fresh']``
+    false), that of the held decision's prompt.
 
     Args:
         planner: the planning pipeline (a default-configured

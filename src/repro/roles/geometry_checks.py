@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..geom import OBB, footprint_gap
+from ..geom import OBB, Vec2, footprint_gap, separating_axis_bound
 from ..sim.actions import Maneuver, ManeuverExecutor
 from ..sim.intersection import Route
 from ..sim.perception import PerceivedObject, PerceptionSnapshot
@@ -75,10 +75,7 @@ def predict_min_separation(
         )
 
     # Objects that cannot come near the ego within the horizon are skipped
-    # wholesale; inside the loop, a cheap centre-distance bound avoids the
-    # exact polygon gap except when shapes are genuinely close.  The bound
-    # (centre distance minus both bounding radii) never over-estimates, so
-    # threshold comparisons downstream stay exact.
+    # wholesale.
     ego_radius = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
     reach = (snapshot.ego_speed + 1.0) * horizon_s + 10.0
     near: list = []
@@ -97,62 +94,85 @@ def predict_min_separation(
 
     footprints = [obj.footprint() for obj in candidates]
     # Per candidate: position, velocity and bounding radius as plain
-    # floats, so the per-step centre bound allocates no ``Vec2``.
+    # floats, so the centre bounds allocate no ``Vec2``.
     kinematics = [
         (obj.position.x, obj.position.y, obj.velocity.x, obj.velocity.y, shape.bounding_radius())
         for obj, shape in zip(candidates, footprints)
     ]
 
+    # The ego rollout first: arc length and centre at every step, under
+    # the maneuver profile.
+    steps = int(round(horizon_s / step_s))
+    path: "List[Tuple[float, Vec2]]" = []
     s = ego_s
     speed = snapshot.ego_speed
-    best = math.inf
-    best_time = 0.0
-    best_obj: Optional[PerceivedObject] = None
-    #: Tightest centre-distance lower bound among skipped checks; reported
-    #: when nothing came close enough for an exact evaluation.
-    best_far_bound = math.inf
-
-    steps = int(round(horizon_s / step_s))
     for i in range(steps + 1):
+        if i:
+            accel = executor.acceleration_for(maneuver, speed, s, route)
+            new_speed = max(0.0, speed + accel * step_s)
+            s += (speed + new_speed) / 2.0 * step_s
+            speed = new_speed
+        path.append((s, route.point_at(s)))
+
+    # Centre bound of every (step, object) pair: the distance between the
+    # ego centre and the object's predicted centre (``ego_center.distance_to(
+    # obj.position + obj.velocity * t)`` on plain floats, in the same
+    # operation order) minus both bounding radii.  It never over-estimates
+    # the footprint gap.  Only pairs within 5 m get an exact check.
+    near_pairs: "List[Tuple[float, int, int]]" = []
+    far_bound = math.inf
+    for i, (_, center) in enumerate(path):
         t = i * step_s
-        ego_center = route.point_at(s)
-        ex, ey = ego_center.x, ego_center.y
-        ego_box: Optional[OBB] = None
-        for obj, shape, (px, py, vx, vy, radius) in zip(candidates, footprints, kinematics):
-            # ``ego_center.distance_to(obj.position + obj.velocity * t)``
-            # on plain floats, in the same operation order.
+        ex, ey = center.x, center.y
+        for j, (px, py, vx, vy, radius) in enumerate(kinematics):
             bound = math.hypot(ex - (px + vx * t), ey - (py + vy * t)) - ego_radius - radius
-            if bound > 5.0 or bound >= best:
-                best_far_bound = min(best_far_bound, bound)
-                continue
-            if ego_box is None:
-                ego_box = OBB(
-                    center=ego_center,
-                    heading=route.heading_at(s),
-                    half_length=VEHICLE_LENGTH / 2.0,
-                    half_width=VEHICLE_WIDTH / 2.0,
-                )
-            separation = footprint_gap(ego_box, shape.translated(obj.velocity * t))
-            if separation < best:
-                best = separation
-                best_time = t
-                best_obj = obj
-            if best == 0.0:
-                break
-        # Integrate ego one step under the maneuver profile.
-        accel = executor.acceleration_for(maneuver, speed, s, route)
-        new_speed = max(0.0, speed + accel * step_s)
-        s += (speed + new_speed) / 2.0 * step_s
-        speed = new_speed
-
-    if math.isinf(best):
+            if bound > 5.0:
+                if bound < far_bound:
+                    far_bound = bound
+            else:
+                near_pairs.append((bound, i, j))
+    if not near_pairs:
         # Nothing warranted an exact check; report the (safe) lower bound.
-        best = max(best_far_bound, 5.0)
+        return SeparationPrediction(
+            min_separation=far_bound,
+            time_of_min=0.0,
+            critical_object=None,
+            initial_acceleration=initial_accel,
+        )
 
+    # Nearest first: once a centre bound exceeds the best gap, no later
+    # pair can undercut it.  Ties go to the earliest (step, object), the
+    # pair a step-by-step scan would have kept.
+    near_pairs.sort()
+    ego_boxes: "List[Optional[OBB]]" = [None] * len(path)
+    best = math.inf
+    best_pair = (len(path), 0)
+    for bound, i, j in near_pairs:
+        if bound > best:
+            break
+        ego_box = ego_boxes[i]
+        if ego_box is None:
+            s, center = path[i]
+            ego_box = ego_boxes[i] = OBB(
+                center=center,
+                heading=route.heading_at(s),
+                half_length=VEHICLE_LENGTH / 2.0,
+                half_width=VEHICLE_WIDTH / 2.0,
+            )
+        obj = candidates[j]
+        shape = footprints[j].translated(obj.velocity * (i * step_s))
+        if isinstance(shape, OBB) and separating_axis_bound(ego_box, shape) > best:
+            continue
+        separation = footprint_gap(ego_box, shape)
+        if separation < best or (separation == best and (i, j) < best_pair):
+            best = separation
+            best_pair = (i, j)
+
+    i, j = best_pair
     return SeparationPrediction(
         min_separation=best,
-        time_of_min=best_time,
-        critical_object=best_obj,
+        time_of_min=i * step_s,
+        critical_object=candidates[j],
         initial_acceleration=initial_accel,
     )
 

@@ -1,5 +1,8 @@
 """Tests for trace recording and replay."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import OrchestrationController, OrchestratorConfig
@@ -52,6 +55,26 @@ class TestRecording:
     def test_actions_helper(self, recorded_controller):
         _, recorder = recorded_controller
         assert recorder.actions() == ["go"] * 4
+
+    def test_finished_run_is_freed_without_the_cycle_collector(self):
+        # The recorder must not tie the controller into a reference cycle:
+        # once its caller drops a finished controller, reference counting
+        # alone frees it (and its event log, history and metrics), while
+        # the recorder keeps its frames.
+        controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
+        controller.config.max_iterations = 5
+        recorder = TraceRecorder.attach(controller)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            controller.run()
+            finished = weakref.ref(controller)
+            del controller
+            assert finished() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(recorder.frames) == 5
 
 
 class TestPersistence:

@@ -1,12 +1,16 @@
 """Tests for the surrogate LLM decision model, prompt templater and CoT."""
 
+import weakref
+
 import pytest
 
+import repro.llm.planner as planner_module
 from repro.llm import (
     FEW_SHOT_EXAMPLES,
     HistoryEntry,
     LLMPlanner,
     PlannerObservation,
+    PlannerPrompt,
     SurrogateConfig,
     SurrogateLLM,
     build_prompt,
@@ -263,3 +267,88 @@ class TestPlannerFacade:
             world.ego.apply_acceleration(0.5)
             world.step()
         assert len(planner.history) <= 3
+
+
+def recent_decisions(prompt):
+    """The body of a prompt's "Recent decisions" section."""
+    section = prompt.text.split("### Recent decisions\n", 1)[1]
+    return section.split("\n\n### Goal", 1)[0]
+
+
+class TestConsultTimePrompt:
+    """The prompt is rendered when the model is consulted, not every tick."""
+
+    @pytest.fixture
+    def counted_suites(self, monkeypatch):
+        calls = []
+        render = planner_module.build_sensor_suite
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "build_sensor_suite", counting)
+        return calls
+
+    @staticmethod
+    def drive(planner, ticks=60):
+        world = World(build_scenario(ScenarioType.CONGESTED, 0))
+        for _ in range(ticks):
+            snapshot = perceive(world)
+            yield snapshot, planner.plan(snapshot, world.ego.route, world.ego.s)
+            world.ego.apply_acceleration(0.5)
+            world.step()
+
+    def test_channels_rendered_once_per_fresh_decision(self, counted_suites):
+        outputs = [output for _, output in self.drive(LLMPlanner(seed=0))]
+        fresh = sum(output.fresh for output in outputs)
+        assert 0 < fresh < len(outputs)
+        assert len(counted_suites) == fresh
+
+    def test_held_tick_returns_the_held_decisions_prompt(self):
+        held_ticks = 0
+        consulted = None
+        for _, output in self.drive(LLMPlanner(seed=0)):
+            if output.fresh:
+                consulted = output
+            else:
+                held_ticks += 1
+                assert output.prompt is consulted.prompt
+                assert output.maneuver is consulted.maneuver
+        assert held_ticks > 0
+
+    def test_recent_decisions_exclude_the_decision_being_made(self):
+        planner = LLMPlanner(seed=0, history_limit=100)
+        fresh = 0
+        for snapshot, output in self.drive(planner):
+            if not output.fresh:
+                continue
+            fresh += 1
+            newest = planner.history[-1]
+            assert newest.time == snapshot.time
+            assert output.prompt.history_entries == len(planner.history) - 1
+            assert recent_decisions(output.prompt) == render_history(planner.history[:-1])
+            assert f"t={snapshot.time:.1f}s: chose" not in output.prompt.text
+        assert fresh > 1
+
+    def test_reset_drops_the_held_prompt(self):
+        planner = LLMPlanner(seed=0)
+        _, output = next(self.drive(planner))
+        held = weakref.ref(output.prompt)
+        del output
+        assert held() is not None
+        planner.reset()
+        assert held() is None
+
+    def test_token_estimate_counted_once_per_prompt(self):
+        splits = []
+
+        class CountingText(str):
+            def split(self, *args, **kwargs):
+                splits.append(1)
+                return super().split(*args, **kwargs)
+
+        text = CountingText("You are the planner.\n### Decision\nReasoning: go  now")
+        prompt = PlannerPrompt(text=text, channel_count=8, history_entries=0)
+        assert [prompt.approx_tokens for _ in range(5)] == [int(len(str(text).split()) * 1.3)] * 5
+        assert len(splits) == 1
