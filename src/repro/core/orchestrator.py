@@ -93,11 +93,6 @@ class OrchestrationController:
             keep_log=self.config.keep_event_log,
             max_log=self.config.event_log_limit,
         )
-        #: Optional tracing hook, installed by
-        #: :meth:`repro.obs.trace.TraceRecorder.attach`.  ``None`` (the
-        #: default) keeps tracing zero-cost: the hot path pays one
-        #: ``is not None`` check per role execution and nothing else.
-        self.tracer: Optional[Any] = None
         #: Optional phase profiler (:class:`repro.obs.profile.PhaseProfiler`).
         #: ``None`` (the default) keeps profiling zero-cost: every phase
         #: site pays one ``is not None`` check and nothing else.
@@ -465,10 +460,6 @@ class OrchestrationController:
                     role=role.name,
                     payload={"fault": record.kind, "detail": record.detail},
                 )
-        if self.tracer is not None:
-            self.tracer.record_role_span(
-                role.name, iteration, elapsed, result.verdict.value
-            )
         self._publish(
             EventKind.ROLE_EXECUTED,
             iteration,

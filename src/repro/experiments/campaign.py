@@ -308,7 +308,7 @@ def run_once(
 ) -> RunOutcome:
     """Run one seeded scenario through the full assurance loop.
 
-    ``trace`` names a file to record the run into (schema-v1 JSONL, see
+    ``trace`` names a file to record the run into (JSONL, see
     :mod:`repro.obs.trace`); ``trace_id`` labels it (defaults to
     ``"<scenario>:<seed>"``).  Without ``trace`` nothing is recorded.
 
@@ -572,7 +572,7 @@ def execute_suite(
     and journal.
 
     ``trace`` names a campaign trace directory: each run writes a
-    schema-v1 trace under ``<trace>/units/``, the engine records dispatch
+    run trace under ``<trace>/units/``, the engine records dispatch
     telemetry to ``<trace>/engine.trace.jsonl``, and a deterministic
     ``<trace>/manifest.json`` merges them (``python -m repro.obs
     summarize <trace>`` reads the lot).
@@ -710,7 +710,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     )
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
-        help="record schema-v1 traces for every run into DIR",
+        help="record JSONL traces for every run into DIR",
     )
     parser.add_argument(
         "--report", type=Path, default=None, metavar="FILE",

@@ -199,7 +199,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
-        help="record schema-v1 run + engine traces into DIR",
+        help="record JSONL run + engine traces into DIR",
     )
     parser.add_argument(
         "--log-level",

@@ -126,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         type=Path,
         default=None,
         metavar="DIR",
-        help="record schema-v1 run + engine traces into DIR "
+        help="record JSONL run + engine traces into DIR "
         "(inspect with `python -m repro.obs summarize DIR`)",
     )
     parser.add_argument(

@@ -4,9 +4,12 @@ Python's :func:`json.dumps` default (``allow_nan=True``) emits the
 non-standard tokens ``Infinity``, ``-Infinity`` and ``NaN``, which strict
 RFC 8259 parsers — including most non-Python consumers of report.json,
 corpus entries and the service HTTP API — reject.  Every artifact writer in
-this repo goes through :func:`dumps` / :func:`dump` below, which sanitize
-non-finite floats *then* serialize with ``allow_nan=False`` as a backstop:
-if a non-finite value ever slips past sanitization, serialization fails
+this repo goes through :func:`dumps` / :func:`dump` below, which serialize
+with ``allow_nan=False``.  Almost every payload is all-finite, so the
+first attempt usually succeeds as is; only when it raises ``ValueError``
+is the payload sanitized and serialized again.  The output is the same
+text that sanitizing first would give, and a non-finite value that
+sanitization cannot reach (a dict key, a ``default`` result) still fails
 loudly at the producer instead of corrupting the artifact for consumers.
 
 Sanitization maps non-finite floats to ``None`` (JSON ``null``).  Domains
@@ -25,9 +28,8 @@ from typing import Any, IO
 def sanitize(value: Any) -> Any:
     """Recursively replace non-finite floats with ``None``.
 
-    Containers are rebuilt only when something actually changes, so the
-    common all-finite case costs one traversal and no allocations beyond
-    the checks themselves.  Tuples come back as lists (JSON has no tuple).
+    Dicts, lists and tuples are rebuilt (tuples come back as lists: JSON
+    has no tuple); every other value is returned as is.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
@@ -41,10 +43,16 @@ def sanitize(value: Any) -> Any:
 def dumps(obj: Any, **kwargs: Any) -> str:
     """``json.dumps`` with non-finite floats nulled and ``allow_nan=False``."""
     kwargs.setdefault("allow_nan", False)
-    return json.dumps(sanitize(obj), **kwargs)
+    try:
+        return json.dumps(obj, **kwargs)
+    except ValueError:
+        return json.dumps(sanitize(obj), **kwargs)
 
 
 def dump(obj: Any, fp: IO[str], **kwargs: Any) -> None:
-    """``json.dump`` with non-finite floats nulled and ``allow_nan=False``."""
-    kwargs.setdefault("allow_nan", False)
-    json.dump(sanitize(obj), fp, **kwargs)
+    """``json.dump`` with non-finite floats nulled and ``allow_nan=False``.
+
+    The text is built whole before it is written, so a failed first
+    attempt leaves nothing half-written in ``fp``.
+    """
+    fp.write(dumps(obj, **kwargs))

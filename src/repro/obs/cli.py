@@ -47,13 +47,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import TelemetryRegistry
 from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceData,
+    TraceExpander,
     _read_spool_manifest,
     aggregate_counts,
     aggregate_search_counts,
@@ -267,55 +268,91 @@ def _discover_safely(path: Path) -> List[Path]:
         return []
 
 
-def _follow_traces(path: Path, event_filter: Optional[str], interval: float) -> int:
-    """Poll trace files for new event records until Ctrl-C.
+class _FollowedTrace:
+    """One trace file read incrementally, expanded like :func:`load_trace`.
 
     Reads are offset-based and byte-oriented: only complete lines are
-    consumed, so a writer caught mid-line just means the event shows up
-    on the next poll.  New trace files (a campaign spawning more units)
-    are picked up on every cycle.  The poll interval is clamped to
-    100 ms — like the progress reporter, following must never become
-    the load.
+    consumed, so a writer caught mid-line just means the record shows up
+    on the next poll.  A tick's events appear once its ``iteration``
+    record is written.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.offset = 0
+        self.expander = TraceExpander()
+
+    @property
+    def trace_id(self) -> str:
+        return (self.expander.header or {}).get("trace_id", self.path.stem)
+
+    def read(self) -> List[Dict[str, Any]]:
+        """The event records completed since the last read."""
+        try:
+            with self.path.open("rb") as fh:
+                fh.seek(self.offset)
+                chunk = fh.read()
+        except OSError:
+            return []
+        complete, sep, _partial = chunk.rpartition(b"\n")
+        if not sep:
+            return []
+        self.offset += len(complete) + len(sep)
+        events: List[Dict[str, Any]] = []
+        for raw in complete.splitlines():
+            try:
+                record = json.loads(raw.decode("utf-8", "replace"))
+            except json.JSONDecodeError:
+                continue
+            if isinstance(record, dict):
+                events.extend(
+                    r for r in self.expander.feed(record) if r.get("kind") == "event"
+                )
+        return events
+
+
+def _follow_traces(
+    path: Path, event_filter: Optional[str], interval: float, lines: int
+) -> int:
+    """Print the last ``lines`` events, then poll for new ones until Ctrl-C.
+
+    New trace files (a campaign spawning more units) are picked up on
+    every cycle.  The poll interval is clamped to 100 ms — like the
+    progress reporter, following must never become the load.
     """
     interval = max(interval, 0.1)
-    offsets: Dict[Path, int] = {}
-    for p in _discover_safely(path):
-        try:
-            offsets[p] = p.stat().st_size
-        except OSError:
-            pass
+    followed: Dict[Path, _FollowedTrace] = {}
+    with_events: set = set()
+
+    def poll() -> List[Tuple[_FollowedTrace, List[Dict[str, Any]]]]:
+        batches = []
+        for p in _discover_safely(path):
+            trace = followed.get(p)
+            if trace is None:
+                trace = followed[p] = _FollowedTrace(p)
+            events = trace.read()
+            if events:
+                with_events.add(p)
+                batches.append((trace, events))
+        return batches
+
+    def rows(batches: List[Tuple[_FollowedTrace, List[Dict[str, Any]]]]) -> List[str]:
+        label = len(with_events) > 1
+        return [
+            _format_event(event, trace.trace_id if label else None)
+            for trace, events in batches
+            for event in events
+            if not event_filter or event.get("event") == event_filter
+        ]
+
+    # The first read orders traces by id, as plain ``tail`` does.
+    for row in rows(sorted(poll(), key=lambda batch: batch[0].trace_id))[-lines:]:
+        print(row, flush=True)
     try:
         while True:
             time.sleep(interval)
-            files = _discover_safely(path)
-            label = len(files) > 1
-            for p in files:
-                pos = offsets.get(p, 0)
-                try:
-                    with p.open("rb") as fh:
-                        fh.seek(pos)
-                        chunk = fh.read()
-                except OSError:
-                    continue
-                complete, sep, _partial = chunk.rpartition(b"\n")
-                if not sep:
-                    continue
-                offsets[p] = pos + len(complete) + len(sep)
-                for raw in complete.splitlines():
-                    try:
-                        record = json.loads(raw.decode("utf-8", "replace"))
-                    except json.JSONDecodeError:
-                        continue
-                    if not isinstance(record, dict) or record.get("kind") != "event":
-                        continue
-                    if event_filter and record.get("event") != event_filter:
-                        continue
-                    name = p.name[: -len(".trace.jsonl")] if p.name.endswith(
-                        ".trace.jsonl"
-                    ) else p.stem
-                    print(
-                        _format_event(record, name if label else None), flush=True
-                    )
+            for row in rows(poll()):
+                print(row, flush=True)
     except KeyboardInterrupt:
         return 0
 
@@ -333,14 +370,11 @@ def _tail_traces(path: "str | Path") -> List[TraceData]:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
-    try:
-        traces = _tail_traces(args.path)
-    except OSError:
-        # With --follow a not-yet-created path is fine: wait for it.
-        if not args.follow:
-            raise
-        traces = []
-    if not traces and not args.follow:
+    if args.follow:
+        # A path that does not exist yet is fine: wait for it.
+        return _follow_traces(Path(args.path), args.event, args.interval, args.lines)
+    traces = _tail_traces(args.path)
+    if not traces:
         print("no traces found", file=sys.stderr)
         return 1
     rows: List[str] = []
@@ -352,8 +386,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
             rows.append(_format_event(event, trace.trace_id if label else None))
     for row in rows[-args.lines:]:
         print(row)
-    if args.follow:
-        return _follow_traces(Path(args.path), args.event, args.interval)
     return 0
 
 

@@ -46,6 +46,8 @@ from .trace import (
     discover_traces,
     load_trace,
     recompute_counts,
+    verify_search_trace,
+    verify_trace,
 )
 
 #: Version stamp of the index file layout.
@@ -153,7 +155,10 @@ def _search_robustness(trace: TraceData) -> Dict[str, float]:
 
 def _file_entry(path: Path, rel: str, job: Optional[str]) -> Dict[str, Any]:
     """Parse one trace file into its index entry (kind-dispatched)."""
-    trace = load_trace(path)
+    return _trace_entry(load_trace(path), rel, job)
+
+
+def _trace_entry(trace: TraceData, rel: str, job: Optional[str]) -> Dict[str, Any]:
     kind = trace.trace_kind
     if kind == "run":
         return {"kind": "run", "row": build_row(trace, job=job, file=rel)}
@@ -324,9 +329,10 @@ def verify_index(
     """Recompute every indexed row from its raw trace file.
 
     Returns ``(ok, problems)``.  Any divergence — a row that does not
-    match its recomputation, a file the index lists but the tree lacks,
-    a file the tree holds but the index missed — is a problem; callers
-    exit non-zero, mirroring the ``obs summarize`` contract.
+    match its recomputation, a trace whose records disagree with its own
+    footer, a file the index lists but the tree lacks, a file the tree
+    holds but the index missed — is a problem; callers exit non-zero,
+    mirroring the ``obs summarize`` contract.
     """
     root = Path(root)
     index_path = Path(index_path) if index_path is not None else default_index_path(root)
@@ -348,13 +354,19 @@ def verify_index(
             continue
         path, job = on_disk[rel]
         entry = indexed[rel]
-        fresh = _file_entry(path, rel, job)
+        trace = load_trace(path)
+        fresh = _trace_entry(trace, rel, job)
         for field in ("kind", "row", "robustness"):
             if entry.get(field) != fresh.get(field):
                 problems.append(
                     f"{rel}: indexed {field} diverges from recomputation "
                     f"({entry.get(field)!r} != {fresh.get(field)!r})"
                 )
+        # The raw records must also agree with their own footer, as
+        # ``obs summarize`` checks.
+        check = {"run": verify_trace, "search": verify_search_trace}.get(trace.trace_kind)
+        if check is not None:
+            problems.extend(f"{rel}: {problem}" for problem in check(trace)[1])
     return not problems, problems
 
 

@@ -70,7 +70,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
-        help="also record a schema-v1 run trace per evaluation into DIR",
+        help="also record a JSONL run trace per evaluation into DIR",
     )
     parser.add_argument(
         "--profile", type=Path, default=None, metavar="DIR",
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace", type=Path, default=None, metavar="FILE",
-        help="record the replay into a schema-v1 trace file",
+        help="record the replay into a JSONL trace file",
     )
     p.add_argument(
         "--planner", default="llm", choices=("llm", "rule"),

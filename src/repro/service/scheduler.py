@@ -363,9 +363,11 @@ class Scheduler:
                     "cached": event.cached,
                 },
             )
-            if event.done or event.total:
-                record.progress_done = event.done
-                record.progress_total = event.total
+            # Save only on a change: campaign_finished repeats the counts
+            # of the last task_finished.
+            progress = (event.done, event.total)
+            if any(progress) and progress != (record.progress_done, record.progress_total):
+                record.progress_done, record.progress_total = progress
                 self.store.save(record)
 
         ctx = JobContext(

@@ -11,6 +11,7 @@ the framework (:mod:`repro.env.sim_interface`) sets it before each step.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from typing import List, Optional, Set
@@ -73,9 +74,11 @@ class World:
                 )
             )
 
-        self._next_vehicle_id = 2
+        # Traffic ids count up from 2.  The allocator holds no reference to
+        # the world, so a finished run's world is freed by reference
+        # counting instead of waiting in a cycle for the collector.
         self._spawner = TrafficSpawner(
-            self.intersection, spec.spawn_schedule, id_allocator=self._allocate_vehicle_id
+            self.intersection, spec.spawn_schedule, id_allocator=itertools.count(2).__next__
         )
         self._traffic = TrafficController(self.intersection)
         self.collisions: List[CollisionEvent] = []
@@ -87,11 +90,6 @@ class World:
         #: Smallest ground-truth footprint gap between the ego and any other
         #: entity over the run (m) — the near-miss record.
         self.min_true_gap: float = float("inf")
-
-    def _allocate_vehicle_id(self) -> int:
-        vehicle_id = self._next_vehicle_id
-        self._next_vehicle_id += 1
-        return vehicle_id
 
     # ------------------------------------------------------------------
     # stepping

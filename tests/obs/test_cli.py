@@ -211,6 +211,119 @@ class TestTail:
         assert "half" not in capsys.readouterr().out
 
 
+    def test_follow_prints_what_tail_prints_for_a_live_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The trace appears and grows while it is followed, cut mid-line
+        # and mid-tick; once it is complete, follow must have printed
+        # exactly what a plain tail prints.
+        source, _ = _write_trace(tmp_path / "src", steps=4)
+        data = source.read_bytes()
+        live = tmp_path / "live" / "run-a.trace.jsonl"
+        # Just past the violation (its tick record not yet written), then
+        # partway through that tick record, then the rest.
+        held = data.index(b"\n", data.index(b"violation_detected")) + 1
+        cuts = [held, held + 20, len(data)]
+        cycles = {"n": 0}
+
+        def scripted_sleep(_interval):
+            n = cycles["n"]
+            cycles["n"] += 1
+            if n == len(cuts):
+                raise KeyboardInterrupt
+            live.parent.mkdir(exist_ok=True)
+            live.write_bytes(data[: cuts[n]])
+
+        monkeypatch.setattr(cli_module.time, "sleep", scripted_sleep)
+        assert main(["tail", str(live), "--follow", "-n", "1000"]) == 0
+        followed = capsys.readouterr().out
+        assert main(["tail", str(live), "-n", "1000"]) == 0
+        printed = capsys.readouterr().out
+        footer = json.loads(data.splitlines()[-1])
+        assert len(printed.splitlines()) == footer["events"]
+        first_tick = [line.split("] ")[1].split()[0] for line in printed.splitlines()[:7]]
+        assert first_tick == [
+            "iteration_started",
+            "state_updated",
+            "role_executed",
+            "role_executed",
+            "violation_detected",
+            "action_executed",
+            "iteration_finished",
+        ]
+        assert followed == printed
+
+
+class TestEvidenceTampering:
+    """Editing a v2 trace's records after the fact is drift, both for
+    ``summarize`` (exit 1) and for ``query --verify`` (exit 2)."""
+
+    def _indexed(self, tmp_path):
+        path, _ = _write_trace(tmp_path)
+        assert main(["query", str(tmp_path)]) == 0
+        return path
+
+    @staticmethod
+    def _rewrite(path, edit):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in edit(records)))
+
+    def _assert_drift(self, tmp_path, path, capsys):
+        capsys.readouterr()
+        assert main(["summarize", str(path)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+        assert main(["query", str(tmp_path), "--verify"]) == 2
+
+    def test_untouched_trace_verifies(self, tmp_path):
+        self._indexed(tmp_path)
+        assert main(["query", str(tmp_path), "--verify"]) == 0
+
+    def test_edited_role_verdict(self, tmp_path, capsys):
+        path = self._indexed(tmp_path)
+
+        def flip_first_verdict(records):
+            tick = next(r for r in records if r["kind"] == "iteration")
+            name, verdict, latency = tick["roles"][1]
+            tick["roles"][1] = [name, "pass" if verdict == "fail" else "fail", latency]
+            return records
+
+        self._rewrite(path, flip_first_verdict)
+        self._assert_drift(tmp_path, path, capsys)
+
+    def test_deleted_notable_event(self, tmp_path, capsys):
+        path = self._indexed(tmp_path)
+
+        def drop_violation(records):
+            first = next(
+                r for r in records if r.get("event") == "violation_detected"
+            )
+            return [r for r in records if r is not first]
+
+        self._rewrite(path, drop_violation)
+        self._assert_drift(tmp_path, path, capsys)
+
+
+class TestSchemaV1Trace:
+    """A v1 trace (``data/stub-v1.trace.jsonl``, the stub run of
+    ``test_trace._traced_run`` recorded by the v1 writer) still loads,
+    summarizes, verifies, and diffs clean against the same run in v2."""
+
+    def test_summarize_verify_and_diff(self, tmp_path, capsys):
+        from tests.obs.test_trace import V1_FIXTURE, _traced_run
+
+        v1 = tmp_path / "v1" / V1_FIXTURE.name
+        v1.parent.mkdir()
+        v1.write_bytes(V1_FIXTURE.read_bytes())
+        assert main(["summarize", str(v1)]) == 0
+        assert "1/1 traces match" in capsys.readouterr().out
+        assert main(["query", str(v1.parent)]) == 0
+        assert main(["query", str(v1.parent), "--verify"]) == 0
+        _, _, v2 = _traced_run(tmp_path / "v2", name="stub-v1")
+        capsys.readouterr()
+        assert main(["diff", str(v1), str(v2), "--no-timing"]) == 0
+        assert "counts identical" in capsys.readouterr().out
+
+
 class TestDiff:
     def test_identical_traces(self, tmp_path, capsys):
         a, _ = _write_trace(tmp_path / "a", name="run")

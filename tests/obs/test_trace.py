@@ -2,14 +2,21 @@
 engine traces, manifests, and the serial == parallel guarantee."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.core import (
+    Event,
+    EventKind,
     OrchestrationController,
+    RoleExecutionError,
     RoleKind,
     RoleResult,
     Verdict,
 )
 from repro.exec import CampaignEngine, EnginePolicy, WorkUnit
+from repro.experiments.campaign import CampaignOptions, run_once
 from repro.obs.trace import (
     ENGINE_TRACE_NAME,
     MANIFEST_NAME,
@@ -22,7 +29,28 @@ from repro.obs.trace import (
     unit_trace_path,
     verify_trace,
 )
+from repro.sim import ScenarioType
 from tests.conftest import ScriptedRole, StubEnvironment, constant_generator
+
+
+def assert_events_match_log(trace, log):
+    """The loaded events equal the bus log field for field: ``seq`` is
+    the 1-based bus position, and a role latency is the raw one (a plain
+    event record) or the raw one rounded to 1 ns (a tick record)."""
+    assert trace.corrupt_lines == 0
+    assert len(trace.events) == len(log)
+    for seq, (record, event) in enumerate(zip(trace.events, log), start=1):
+        assert record["seq"] == seq
+        assert record["event"] == event.kind.value
+        assert record["iteration"] == event.iteration
+        assert record["time"] == event.time
+        assert record["role"] == event.role
+        payload = dict(record["payload"])
+        expected = dict(event.payload)
+        if event.kind is EventKind.ROLE_EXECUTED:
+            latency, raw = payload.pop("elapsed_s"), expected.pop("elapsed_s")
+            assert latency in (raw, round(raw, 9))
+        assert payload == expected, (seq, event.kind)
 
 
 def _build_controller(steps=3):
@@ -65,11 +93,7 @@ class TestTraceRecorder:
 
     def test_every_bus_event_recorded(self, tmp_path):
         controller, _, path = _traced_run(tmp_path)
-        trace = load_trace(path)
-        assert len(trace.events) == len(controller.events.log)
-        assert [e["event"] for e in trace.events] == [
-            e.kind.value for e in controller.events.log
-        ]
+        assert_events_match_log(load_trace(path), controller.events.log)
 
     def test_self_certifying(self, tmp_path):
         _, result, path = _traced_run(tmp_path)
@@ -115,7 +139,6 @@ class TestTraceRecorder:
         recorder = trace_controller(controller, path)
         result = controller.run()
         recorder.finalize(result.metrics)
-        assert controller.tracer is None
         written = path.read_text()
         # Finalize is idempotent and the bus is unsubscribed: running again
         # appends nothing to the closed trace.
@@ -135,7 +158,6 @@ class TestTraceRecorder:
 
     def test_zero_cost_when_disabled(self, tmp_path):
         controller = _build_controller()
-        assert controller.tracer is None
         controller.run()
         assert list(tmp_path.iterdir()) == []
 
@@ -240,3 +262,185 @@ class TestDiscovery:
         ]
         runs = load_run_traces(job_dir)
         assert [t.trace_id for t in runs] == ["eval-b", "replay", "unit-a"]
+
+
+# ----------------------------------------------------------------------
+# schema v2: one iteration record per tick, expanded back on load
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built_controllers(monkeypatch):
+    """Every controller ``run_once`` builds, in build order."""
+    from repro.experiments import campaign
+
+    built = []
+    build = campaign.build_controller
+
+    def capture(*args, **kwargs):
+        controller = build(*args, **kwargs)
+        built.append(controller)
+        return controller
+
+    monkeypatch.setattr(campaign, "build_controller", capture)
+    return built
+
+
+class TestSchemaV2:
+    def test_one_record_per_tick(self, tmp_path):
+        _, result, path = _traced_run(tmp_path)
+        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+        assert kinds.count("iteration") == result.iterations
+        # Role and iteration spans live inside the tick records.
+        assert kinds.count("span") == 1
+
+    @pytest.mark.parametrize("scenario", list(ScenarioType), ids=lambda s: s.value)
+    def test_run_once_trace_matches_bus_log(self, scenario, tmp_path, built_controllers):
+        path = tmp_path / "run.trace.jsonl"
+        run_once(scenario, 0, trace=path)
+        trace = load_trace(path)
+        assert_events_match_log(trace, built_controllers[-1].events.log)
+        assert verify_trace(trace) == (True, [])
+
+    @pytest.mark.parametrize(
+        "scenario,options,expected",
+        [
+            (
+                ScenarioType.GHOST_ATTACK,
+                CampaignOptions(breaker=True, crash_window=(5, 15)),
+                {
+                    EventKind.FAULT_INJECTED,
+                    EventKind.RECOVERY_ACTIVATED,
+                    EventKind.ACTION_HELD,
+                    EventKind.ROLE_RETRIED,
+                    EventKind.ROLE_SKIPPED,
+                    EventKind.DEGRADED_MODE_ENTERED,
+                    EventKind.DEGRADED_MODE_EXITED,
+                },
+            ),
+            (
+                ScenarioType.GHOST_ATTACK,
+                CampaignOptions(deadline_ms=0.01, breaker=True, crash_window=(5, 15)),
+                {
+                    EventKind.DEADLINE_EXCEEDED,
+                    EventKind.FAULT_INJECTED,
+                    EventKind.RECOVERY_ACTIVATED,
+                    EventKind.DEGRADED_MODE_ENTERED,
+                },
+            ),
+        ],
+        ids=["breaker", "deadlines"],
+    )
+    def test_resilient_run_trace_matches_bus_log(
+        self, scenario, options, expected, tmp_path, built_controllers
+    ):
+        path = tmp_path / "run.trace.jsonl"
+        run_once(scenario, 0, options, trace=path)
+        log = built_controllers[-1].events.log
+        assert expected <= {event.kind for event in log}
+        trace = load_trace(path)
+        assert_events_match_log(trace, log)
+        assert verify_trace(trace) == (True, [])
+
+    @pytest.mark.parametrize("crash", ["role", "observe"])
+    def test_crashed_run_keeps_every_published_event(self, crash, tmp_path):
+        class Exploding(ScriptedRole):
+            def execute(self, context):
+                if context.iteration == 2:
+                    raise RuntimeError("boom")
+                return super().execute(context)
+
+        class BlindEnvironment(StubEnvironment):
+            def observe(self):
+                if self._tick == 2:
+                    raise RuntimeError("sensor down")
+                return super().observe()
+
+        if crash == "role":
+            monitor = Exploding(
+                [RoleResult(verdict=Verdict.FAIL, narrative="too close")],
+                name="Monitor",
+                kind=RoleKind.SAFETY_MONITOR,
+            )
+            environment = StubEnvironment(steps=5)
+        else:
+            monitor = ScriptedRole([RoleResult(verdict=Verdict.PASS)], name="Monitor")
+            environment = BlindEnvironment(steps=5)
+        roles = [constant_generator("go"), monitor]
+        controller = OrchestrationController(roles, environment)
+        path = tmp_path / "crash.trace.jsonl"
+        recorder = trace_controller(controller, path, trace_id="crash")
+        expected_error = RoleExecutionError if crash == "role" else RuntimeError
+        with pytest.raises(expected_error):
+            controller.run()
+        recorder.finalize()
+        log = controller.events.log
+        assert log[-1].iteration == 2  # the raise cut tick 2 short
+        trace = load_trace(path)
+        assert_events_match_log(trace, log)
+        assert verify_trace(trace) == (True, [])
+        ticks = [s for s in trace.spans if s["span_kind"] == "iteration"]
+        assert [s["iteration"] for s in ticks] == [0, 1, 2]
+
+    def test_events_that_do_not_fit_a_tick_are_kept(self, tmp_path):
+        # A per-tick kind published off-pattern (a payload the tick record
+        # has no field for, no open tick, a time other than the tick's
+        # start) is written as a plain event, not dropped or retimed.
+        class SkewedClock(StubEnvironment):
+            skew = 0.0
+
+            def observe(self):
+                self.skew += 0.01  # sim time moves while the tick runs
+                return super().observe()
+
+            @property
+            def time(self):
+                return self._tick * 0.1 + self.skew
+
+        controller = OrchestrationController(
+            [constant_generator("go"), ScriptedRole([RoleResult(verdict=Verdict.PASS)])],
+            SkewedClock(steps=2),
+        )
+        path = tmp_path / "odd.trace.jsonl"
+        recorder = trace_controller(controller, path)
+        controller.run()
+        controller.events.publish(
+            Event(EventKind.ITERATION_STARTED, 7, 0.7, payload={"note": "replayed"})
+        )
+        controller.events.publish(Event(EventKind.STATE_UPDATED, 7, 0.7))
+        recorder.finalize()
+        assert_events_match_log(load_trace(path), controller.events.log)
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "stub-v1.trace.jsonl"
+
+
+class TestSchemaV1:
+    """``data/stub-v1.trace.jsonl`` is ``_traced_run(name="stub-v1")``
+    recorded by the schema-v1 writer."""
+
+    @staticmethod
+    def _untimed(records):
+        out = []
+        for record in records:
+            record = {k: v for k, v in record.items() if k not in ("start_s", "duration_s")}
+            if "payload" in record:
+                record["payload"] = {
+                    k: v for k, v in record["payload"].items() if k != "elapsed_s"
+                }
+            out.append(record)
+        return out
+
+    def test_v1_trace_loads_and_verifies(self):
+        trace = load_trace(V1_FIXTURE)
+        assert trace.header["schema"] == 1
+        assert trace.corrupt_lines == 0
+        assert verify_trace(trace) == (True, [])
+        assert recompute_counts(trace)["iterations_completed"] == 3
+
+    def test_expansion_yields_the_v1_records(self, tmp_path):
+        _, _, path = _traced_run(tmp_path, name="stub-v1")
+        old, new = load_trace(V1_FIXTURE), load_trace(path)
+        assert new.header["schema"] == TRACE_SCHEMA_VERSION == 2
+        assert self._untimed(new.events) == self._untimed(old.events)
+        assert self._untimed(new.spans) == self._untimed(old.spans)
+        assert new.footer["events"] == old.footer["events"]
+        assert new.footer["spans"] == old.footer["spans"] == len(new.spans)

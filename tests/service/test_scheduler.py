@@ -321,3 +321,32 @@ class TestJournalIsolation:
         assert final.result == {"results": [0, 2, 4, 6, 8]}
         state = load_journal(store.job_dir(record.id) / "journal.jsonl")
         assert state.completed_keys() == {f"res-{i}" for i in range(5)}
+
+
+class TestProgressSaves:
+    def test_one_run_job_never_rewrites_identical_state(self, store):
+        # campaign_finished repeats the done/total of the last
+        # task_finished; saving it again would rewrite state.json with
+        # the same bytes.  A one-run job saves at running, at each
+        # progress change (0/1, 1/1) and at done.
+        saved = []
+        save = store.save
+
+        def recording_save(record):
+            save(record)
+            saved.append((store.job_dir(record.id) / "state.json").read_bytes())
+
+        store.save = recording_save
+        scheduler = Scheduler(store, workers=1, max_jobs=1).start()
+        try:
+            record = scheduler.submit(
+                JobSpec(kind="campaign", spec={"scenarios": ["nominal"], "seed_count": 1})
+            )
+            _wait_state(scheduler, record.id, DONE, timeout=60.0)
+        finally:
+            scheduler.stop()
+        final = (store.job_dir(record.id) / "state.json").read_bytes()
+        assert len(saved) == 4
+        assert all(a != b for a, b in zip(saved, saved[1:]))
+        assert final == saved[-1]
+        assert json.loads(final)["progress"] == {"done": 1, "total": 1}

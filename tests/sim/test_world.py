@@ -1,5 +1,8 @@
 """Tests for the World container: stepping, termination, ground truth."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.geom import footprint_gap
@@ -191,3 +194,36 @@ class TestCollisionBookkeeping:
         intruder.speed = world.ego.speed
         world.step()
         assert self._events_for(world, intruder) == 2
+
+
+class TestLifetime:
+    def test_run_once_frees_its_worlds_without_the_cycle_collector(self, monkeypatch):
+        # The spawner's id allocator must not tie a world into a reference
+        # cycle: once run_once returns, reference counting alone frees
+        # every world it built (with their vehicles and spawners).
+        from repro.experiments.campaign import run_once
+
+        built = []
+        init = World.__init__
+
+        def tracking_init(self, spec):
+            init(self, spec)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(World, "__init__", tracking_init)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run_once(ScenarioType.CONGESTED, 0)
+            assert built
+            assert [ref() for ref in built] == [None] * len(built)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_traffic_ids_count_up_from_two(self):
+        world = World(build_scenario(ScenarioType.CONGESTED, 0))
+        drive(world)
+        ids = [vehicle.vehicle_id for vehicle in world.background_vehicles]
+        assert ids == list(range(2, 2 + len(ids)))

@@ -5,6 +5,8 @@ import math
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.jsonutil import dump, dumps, sanitize
 
@@ -65,3 +67,53 @@ class TestStrictDumps:
         # somehow bypassed sanitization would fail loudly at the producer.
         with pytest.raises(ValueError):
             json.dumps(math.inf, allow_nan=False)
+
+
+class _Opaque:
+    """A value JSON cannot encode; ``default=repr`` turns it into text."""
+
+    def __repr__(self) -> str:
+        return "<opaque>"
+
+
+def _sanitize_first(obj, **kwargs):
+    """The reference: sanitize the whole payload, then serialize."""
+    kwargs.setdefault("allow_nan", False)
+    return json.dumps(sanitize(obj), **kwargs)
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.builds(_Opaque),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestFastPathMatchesSanitizeFirst:
+    @settings(max_examples=400, deadline=None)
+    @given(_payloads, st.booleans(), st.sampled_from([None, 2]))
+    def test_same_text_as_the_reference(self, payload, sort_keys, indent):
+        kwargs = {"sort_keys": sort_keys, "indent": indent, "default": repr}
+        expected = _sanitize_first(payload, **kwargs)
+        assert dumps(payload, **kwargs) == expected
+        buffer = StringIO()
+        dump(payload, buffer, **kwargs)
+        assert buffer.getvalue() == expected
+
+    def test_nonfinite_dict_key_still_fails_loudly(self):
+        # Sanitization cannot reach keys; the strict backstop still raises.
+        with pytest.raises(ValueError):
+            dumps({math.inf: 1})
