@@ -3,8 +3,8 @@
 Runs ``nominal`` and ``pedestrian_crossing`` at seeds 0-14 (30 runs,
 ~2,900 ticks) through ``run_once``, each run once untraced and once
 traced back to back, alternating which goes first, and prints the
-traced/untraced time ratio minus one for each of five repeats and their
-median::
+traced and untraced times, the traced/untraced time ratio minus one and
+the traced cost per tick for each of five repeats, then their medians::
 
     PYTHONPATH=src python benchmarks/trace_overhead.py
 
@@ -35,26 +35,37 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         run_once(*RUNS[0], trace=out / "warm-up.trace.jsonl")
-        overheads = []
+        rows = []  # (untraced s, traced s, overhead, traced cost per tick in us)
         for repeat in range(REPEATS):
             untraced = traced = 0.0
+            ticks = 0
             for n, (scenario, seed) in enumerate(RUNS):
                 path = out / f"{scenario.value}-{seed}.trace.jsonl"
                 for with_trace in ((False, True) if (n + repeat) % 2 == 0 else (True, False)):
                     started = time.perf_counter()
-                    run_once(scenario, seed, trace=path if with_trace else None)
+                    outcome = run_once(scenario, seed, trace=path if with_trace else None)
                     elapsed = time.perf_counter() - started
                     if with_trace:
                         traced += elapsed
+                        ticks += outcome.iterations
                     else:
                         untraced += elapsed
-            overheads.append(traced / untraced - 1.0)
+            rows.append(
+                (untraced, traced, traced / untraced - 1.0, (traced - untraced) / ticks * 1e6)
+            )
             print(
                 f"repeat {repeat}: untraced {untraced:.3f} s, traced {traced:.3f} s, "
-                f"overhead {overheads[-1]:+.1%}",
+                f"overhead {rows[-1][2]:+.1%}, {rows[-1][3]:.0f} us per traced tick "
+                f"({ticks} ticks)",
                 flush=True,
             )
-    print(f"median overhead {statistics.median(overheads):+.1%} over {REPEATS} repeats")
+    untraced, traced, overhead, per_tick = (
+        statistics.median(column) for column in zip(*rows)
+    )
+    print(
+        f"medians over {REPEATS} repeats: untraced {untraced:.3f} s, traced {traced:.3f} s, "
+        f"overhead {overhead:+.1%}, {per_tick:.0f} us per traced tick"
+    )
 
 
 if __name__ == "__main__":

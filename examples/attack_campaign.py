@@ -23,10 +23,13 @@ def run_scenario(scenario: ScenarioType, seeds: range):
     for seed in seeds:
         controller = build_controller(build_scenario(scenario, seed))
         recorder = TraceRecorder.attach(controller)
+        # The campaign controller keeps no event log; collect the trail.
+        events = []
+        controller.events.subscribe(events.append)
         result = controller.run()
         outcomes.append((result, recorder))
         if example_events is None and result.metrics.faults:
-            example_events = controller.events
+            example_events = events
     return outcomes, example_events
 
 
@@ -91,7 +94,7 @@ def main() -> None:
         print("\nEvidence trail of one spoofed run (first 12 notable events):")
         notable = [
             e
-            for e in spoof_events.log
+            for e in spoof_events
             if e.kind
             in (
                 EventKind.FAULT_INJECTED,

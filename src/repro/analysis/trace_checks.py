@@ -1,17 +1,24 @@
 """Offline trace verification: STL properties over recorded runs.
 
-Bridges :class:`~repro.env.recording.TraceFrame` logs and the STL engine:
-given a recorded run and a dictionary of named STL properties over its
-numeric world-state signals, compute the robustness of each property —
-the post-hoc, assurance-case half of runtime verification (the in-loop
-half is :class:`~repro.roles.safety_monitor.STLSafetyMonitor`).
+Bridges recorded runs and the STL engine: given a run and a dictionary of
+named STL properties over its numeric world-state signals, compute the
+robustness of each property — the post-hoc, assurance-case half of runtime
+verification (the in-loop half is
+:class:`~repro.roles.safety_monitor.STLSafetyMonitor`).
+
+A run is either a list of :class:`~repro.env.recording.TraceFrame` (a
+saved or replayed recording) or, for a run that just finished in this
+process, its :class:`~repro.core.state.StateManager`: the history is the
+run's one per-tick store, and :func:`safety_robustness` reads its signals
+straight from it without building frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
 
+from ..core.state import StateManager
 from ..env.recording import TraceFrame
 from ..stl import Formula, Trace, evaluate, parse
 
@@ -24,20 +31,27 @@ from ..stl import Formula, Trace, evaluate, parse
 #: same predicate over a bounded look-ahead window.)
 SAFETY_FORMULA = "G (min_separation >= 1.0 | ego_speed <= 0.5)"
 
+#: A recorded run: frames, or a finished run's state manager.
+RecordedRun = Union[Sequence[TraceFrame], StateManager]
 
-def safety_robustness(
-    frames: Sequence[TraceFrame], period: float = 0.1
-) -> float:
+
+def safety_robustness(run: RecordedRun, period: float = 0.1) -> float:
     """Minimum robustness of :data:`SAFETY_FORMULA` over a recorded run.
+
+    From a :class:`~repro.core.state.StateManager` the two signals are
+    read straight from its history, with the strictness of
+    :func:`frames_to_trace`; a history that lost the run's first
+    iterations raises :class:`~repro.core.errors.StateError`.
 
     Negative means the safety envelope was violated at some instant —
     the run is a counterexample.
     """
-    return check_trace(frames, {"safety": SAFETY_FORMULA}, period)[0].robustness
+    formula = parse(SAFETY_FORMULA)
+    return evaluate(formula, _run_trace(run, sorted(formula.variables()), period))[0]
 
 
 def safety_robustness_many(
-    runs: "Sequence[Sequence[TraceFrame]]", period: float = 0.1
+    runs: "Sequence[RecordedRun]", period: float = 0.1
 ) -> List[float]:
     """Batched :func:`safety_robustness`: one stacked STL pass over N runs.
 
@@ -49,7 +63,7 @@ def safety_robustness_many(
     """
     formula = parse(SAFETY_FORMULA)
     variables = sorted(formula.variables())
-    traces = [frames_to_trace(frames, variables, period=period) for frames in runs]
+    traces = [_run_trace(run, variables, period) for run in runs]
     from ..stl.batch import robustness_many
 
     return robustness_many(formula, traces)
@@ -85,14 +99,39 @@ def frames_to_trace(
     """
     if not frames:
         raise ValueError("cannot build a trace from zero frames")
+    return _trace((frame.world for frame in frames), "frame", variables, period)
+
+
+def _run_trace(run: RecordedRun, variables: Sequence[str], period: float) -> Trace:
+    """:func:`frames_to_trace`, or for a state manager the same signals
+    with the same strictness read straight from its history.
+
+    Raises:
+        StateError: the history lost the run's first iterations
+            (:meth:`~repro.core.state.StateManager.run_history`).
+    """
+    if not isinstance(run, StateManager):
+        return frames_to_trace(run, variables, period)
+    records = run.run_history()
+    if not records:
+        raise ValueError("cannot build a trace from an empty history")
+    return _trace((record.world_state for record in records), "iteration", variables, period)
+
+
+def _trace(
+    worlds: Iterable[Mapping[str, Any]],
+    unit: str,
+    variables: Sequence[str],
+    period: float,
+) -> Trace:
     signals: Dict[str, List[float]] = {name: [] for name in variables}
-    for index, frame in enumerate(frames):
+    for index, world in enumerate(worlds):
         for name in variables:
-            if name not in frame.world:
-                raise KeyError(f"frame {index} has no signal {name!r}")
-            value = frame.world[name]
+            if name not in world:
+                raise KeyError(f"{unit} {index} has no signal {name!r}")
+            value = world[name]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise KeyError(f"signal {name!r} is not numeric in frame {index}")
+                raise KeyError(f"signal {name!r} is not numeric in {unit} {index}")
             signals[name].append(float(value))
     return Trace(period=period, signals=signals)
 

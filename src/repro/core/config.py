@@ -29,8 +29,17 @@ class OrchestratorConfig:
         continue_on_role_error: when True, a raising role is logged as a
             ``role_error`` violation and the loop continues; when False the
             error propagates as :class:`~repro.core.errors.RoleExecutionError`.
-        history_limit: StateManager history bound (iterations).
-        keep_event_log: retain the full event trail (memory vs evidence).
+        history_limit: StateManager history bound (iterations).  Evidence
+            read from the history after a run (STL robustness, recorded
+            frames) needs the whole run, so keep it at least
+            ``max_iterations``; reading a history that lost its first
+            iterations raises.
+        keep_event_log: retain the full event trail in the bus's
+            in-memory log (memory vs evidence).  On by default for the
+            examples and interactive use;
+            :func:`~repro.experiments.campaign.build_controller` turns it
+            off.  A bus with no log and no subscriber is not heard, and the
+            controller then builds no events at all.
         event_log_limit: optional ring-buffer cap on the retained event
             log; older events are dropped (and counted) past the cap.
             ``None`` keeps the log unbounded, which all-iteration evidence

@@ -2,10 +2,14 @@
 
 Every notable occurrence in the assurance loop — role executed, violation
 flagged, fault injected, recovery activated, action executed — is published
-as an :class:`Event`.  Subscribers (metrics, log writers, tests) receive
-events synchronously in publication order, which keeps the loop
-deterministic and the evidence trail replayable, a prerequisite for the
-"traceable evidence suitable for building assurance cases" goal (§I).
+as an :class:`Event`.  Subscribers (trace recorders, tests) receive events
+synchronously in publication order, which keeps the loop deterministic and
+the evidence trail replayable, a prerequisite for the "traceable evidence
+suitable for building assurance cases" goal (§I).
+
+Events are built only when heard: the orchestrator asks
+:attr:`EventBus.heard` first and builds neither the :class:`Event` nor its
+payload for a bus with no subscriber and no retained log.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ class EventBus:
 
     Subscribers are invoked in registration order.  A subscriber raising is
     a programming error in the subscriber and propagates — the assurance
-    loop must not silently lose evidence.
+    loop must not silently lose evidence.  A bus that keeps no log and has
+    no subscriber is not :attr:`heard`; publishers may then skip building
+    the event, since nothing would receive it.
 
     Args:
         keep_log: retain published events in :attr:`log`.
@@ -98,6 +104,12 @@ class EventBus:
                 pass  # already removed; unsubscribing twice is harmless
 
         return unsubscribe
+
+    @property
+    def heard(self) -> bool:
+        """True when a published event reaches anyone: a subscriber or the
+        retained log."""
+        return self._keep_log or bool(self._subscribers)
 
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to all subscribers and append it to the log."""

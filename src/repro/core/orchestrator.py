@@ -163,7 +163,10 @@ class OrchestrationController:
                 break
 
         info = self.environment.result_info()
-        self._publish(EventKind.RUN_TERMINATED, iteration, payload={"reason": reason.value, **info})
+        if self.events.heard:
+            self._publish(
+                EventKind.RUN_TERMINATED, iteration, payload={"reason": reason.value, **info}
+            )
         if self.profiler is None:
             final_world_state = self._snapshot_world_state()
         else:
@@ -212,9 +215,18 @@ class OrchestrationController:
         self._publish(EventKind.STATE_UPDATED, iteration)
 
         # Steps 4-5: generation and dependability assessment, in order.
+        # One context serves every role of the tick; _execute_role sets
+        # each role's own deadline on it.
+        context = RoleContext(
+            state=self.state,
+            metrics=self.metrics,
+            iteration=iteration,
+            time=env.time,
+            config=self.config.role_config,
+        )
         violation = False
         for scheduled in self._order:
-            violation |= self._execute_role(scheduled, iteration)
+            violation |= self._execute_role(scheduled, context)
 
         # Steps 6-7: feedback processing, decision and adaptation.
         if profiler is None:
@@ -239,15 +251,16 @@ class OrchestrationController:
                     held = policy == HOLD
                     source = "action-hold" if held else "safe-action"
                     self.metrics.record_hold(held)
-                    self._publish(
-                        EventKind.ACTION_HELD,
-                        iteration,
-                        payload={
-                            "policy": policy,
-                            "action": self._describe_action(action),
-                            "consecutive_holds": hold.consecutive_holds,
-                        },
-                    )
+                    if self.events.heard:
+                        self._publish(
+                            EventKind.ACTION_HELD,
+                            iteration,
+                            payload={
+                                "policy": policy,
+                                "action": self._describe_action(action),
+                                "consecutive_holds": hold.consecutive_holds,
+                            },
+                        )
                 else:
                     self.resilience.hold.note_executed(action)
             finally:
@@ -260,11 +273,12 @@ class OrchestrationController:
         else:
             with profiler.phase("sim.apply_action"):
                 env.apply_action(action)
-        self._publish(
-            EventKind.ACTION_EXECUTED,
-            iteration,
-            payload={"action": self._describe_action(action), "source": source},
-        )
+        if self.events.heard:
+            self._publish(
+                EventKind.ACTION_EXECUTED,
+                iteration,
+                payload={"action": self._describe_action(action), "source": source},
+            )
         if profiler is None:
             env.advance()
         else:
@@ -276,18 +290,11 @@ class OrchestrationController:
         self._publish(EventKind.ITERATION_FINISHED, iteration)
         return violation
 
-    def _execute_role(self, scheduled: ScheduledRole, iteration: int) -> bool:
+    def _execute_role(self, scheduled: ScheduledRole, context: RoleContext) -> bool:
         resilience = self.resilience
-        deadline_ms = (
+        iteration = context.iteration
+        deadline_ms = context.deadline_ms = (
             resilience.deadline_for(scheduled.name) if resilience is not None else None
-        )
-        context = RoleContext(
-            state=self.state,
-            metrics=self.metrics,
-            iteration=iteration,
-            time=self.environment.time,
-            config=self.config.role_config,
-            deadline_ms=deadline_ms,
         )
         if not scheduled.trigger.should_run(context):
             self._publish(EventKind.ROLE_SKIPPED, iteration, role=scheduled.name)
@@ -307,12 +314,13 @@ class OrchestrationController:
             fallback = resilience.config.fallback
             self.metrics.increment("resilience.degraded.iterations")
             self.metrics.set_breaker_state(role.name, breaker.state.value)
-            self._publish(
-                EventKind.ROLE_SKIPPED,
-                iteration,
-                role=role.name,
-                payload={"reason": "breaker_open", "fallback": fallback.name},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.ROLE_SKIPPED,
+                    iteration,
+                    role=role.name,
+                    payload={"reason": "breaker_open", "fallback": fallback.name},
+                )
             context.deadline_ms = resilience.deadline_for(fallback.name)
             violation, _ = self._run_role_body(
                 fallback,
@@ -345,26 +353,28 @@ class OrchestrationController:
                 if ok:
                     if breaker.record_success():
                         self.metrics.increment("resilience.degraded.exited")
+                        if self.events.heard:
+                            self._publish(
+                                EventKind.DEGRADED_MODE_EXITED,
+                                iteration,
+                                role=role.name,
+                                payload={
+                                    "degraded_iterations": breaker.degraded_iterations,
+                                },
+                            )
+                elif breaker.record_failure(iteration):
+                    self.metrics.increment("resilience.degraded.entered")
+                    if self.events.heard:
                         self._publish(
-                            EventKind.DEGRADED_MODE_EXITED,
+                            EventKind.DEGRADED_MODE_ENTERED,
                             iteration,
                             role=role.name,
                             payload={
-                                "degraded_iterations": breaker.degraded_iterations,
+                                "consecutive_failures": breaker.consecutive_failures,
+                                "cooldown_iterations": breaker.cooldown,
+                                "fallback": resilience.config.fallback.name,
                             },
                         )
-                elif breaker.record_failure(iteration):
-                    self.metrics.increment("resilience.degraded.entered")
-                    self._publish(
-                        EventKind.DEGRADED_MODE_ENTERED,
-                        iteration,
-                        role=role.name,
-                        payload={
-                            "consecutive_failures": breaker.consecutive_failures,
-                            "cooldown_iterations": breaker.cooldown,
-                            "fallback": resilience.config.fallback.name,
-                        },
-                    )
                 self.metrics.set_breaker_state(role.name, breaker.state.value)
         return violation
 
@@ -406,12 +416,13 @@ class OrchestrationController:
                 if attempt >= retries:
                     break
                 self.metrics.record_retry(role.name)
-                self._publish(
-                    EventKind.ROLE_RETRIED,
-                    iteration,
-                    role=role.name,
-                    payload={"attempt": attempt + 1, "error": repr(exc)},
-                )
+                if self.events.heard:
+                    self._publish(
+                        EventKind.ROLE_RETRIED,
+                        iteration,
+                        role=role.name,
+                        payload={"attempt": attempt + 1, "error": repr(exc)},
+                    )
                 backoff = self.resilience.config.backoff_s(attempt)
                 if backoff > 0:
                     wall_clock.sleep(backoff)
@@ -427,12 +438,13 @@ class OrchestrationController:
             self.metrics.record_violation(
                 "role_error", role.name, iteration, self.environment.time, detail=repr(error)
             )
-            self._publish(
-                EventKind.VIOLATION_DETECTED,
-                iteration,
-                role=role.name,
-                payload={"category": "role_error", "detail": repr(error)},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.VIOLATION_DETECTED,
+                    iteration,
+                    role=role.name,
+                    payload={"category": "role_error", "detail": repr(error)},
+                )
             result = RoleResult(verdict=Verdict.WARNING, narrative=f"role error: {error!r}")
         self.metrics.record_role_timing(role.name, elapsed)
 
@@ -449,23 +461,24 @@ class OrchestrationController:
                 if name is None:
                     name = series[score_name] = f"score.{role.name}.{score_name}"
                 self.metrics.record_series(name, self.environment.time, value)
-        if len(self.metrics.faults) != faults_before:
-            # Roles record injections straight into the metrics; mirror
-            # them onto the bus so the evidence trail (and any trace) is
-            # complete without a metrics cross-reference.
-            for record in self.metrics.faults[faults_before:]:
-                self._publish(
-                    EventKind.FAULT_INJECTED,
-                    iteration,
-                    role=role.name,
-                    payload={"fault": record.kind, "detail": record.detail},
-                )
-        self._publish(
-            EventKind.ROLE_EXECUTED,
-            iteration,
-            role=role.name,
-            payload={"verdict": result.verdict.value, "elapsed_s": elapsed},
-        )
+        if self.events.heard:
+            if len(self.metrics.faults) != faults_before:
+                # Roles record injections straight into the metrics; mirror
+                # them onto the bus so the evidence trail (and any trace)
+                # is complete without a metrics cross-reference.
+                for record in self.metrics.faults[faults_before:]:
+                    self._publish(
+                        EventKind.FAULT_INJECTED,
+                        iteration,
+                        role=role.name,
+                        payload={"fault": record.kind, "detail": record.detail},
+                    )
+            self._publish(
+                EventKind.ROLE_EXECUTED,
+                iteration,
+                role=role.name,
+                payload={"verdict": result.verdict.value, "elapsed_s": elapsed},
+            )
 
         violation = error is not None  # a role error counts as a violation
         overrun = (
@@ -476,12 +489,13 @@ class OrchestrationController:
         if overrun:
             elapsed_ms = elapsed * 1000.0
             self.metrics.record_deadline_overrun(role.name)
-            self._publish(
-                EventKind.DEADLINE_EXCEEDED,
-                iteration,
-                role=role.name,
-                payload={"budget_ms": deadline_ms, "elapsed_ms": elapsed_ms},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.DEADLINE_EXCEEDED,
+                    iteration,
+                    role=role.name,
+                    payload={"budget_ms": deadline_ms, "elapsed_ms": elapsed_ms},
+                )
             detail = (
                 f"deadline exceeded: {elapsed_ms:.2f} ms > "
                 f"{deadline_ms:.2f} ms budget"
@@ -489,12 +503,13 @@ class OrchestrationController:
             self.metrics.record_violation(
                 "performance", role.name, iteration, self.environment.time, detail=detail
             )
-            self._publish(
-                EventKind.VIOLATION_DETECTED,
-                iteration,
-                role=role.name,
-                payload={"category": "performance", "detail": detail},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.VIOLATION_DETECTED,
+                    iteration,
+                    role=role.name,
+                    payload={"category": "performance", "detail": detail},
+                )
             violation = True
 
         if result.verdict.is_violation:
@@ -502,12 +517,13 @@ class OrchestrationController:
             self.metrics.record_violation(
                 category, role.name, iteration, self.environment.time, detail=result.narrative
             )
-            self._publish(
-                EventKind.VIOLATION_DETECTED,
-                iteration,
-                role=role.name,
-                payload={"category": category, "detail": result.narrative},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.VIOLATION_DETECTED,
+                    iteration,
+                    role=role.name,
+                    payload={"category": category, "detail": result.narrative},
+                )
             violation = True
         return violation, error is None and not overrun
 
@@ -546,15 +562,17 @@ class OrchestrationController:
                     generator_role = name
 
         if recovery_action is not None:
+            described = self._describe_action(recovery_action)
             self.metrics.record_recovery(
-                self.state.iteration, self.environment.time, self._describe_action(recovery_action)
+                self.state.iteration, self.environment.time, described
             )
-            self._publish(
-                EventKind.RECOVERY_ACTIVATED,
-                self.state.iteration,
-                role=recovery_role,
-                payload={"action": self._describe_action(recovery_action)},
-            )
+            if self.events.heard:
+                self._publish(
+                    EventKind.RECOVERY_ACTIVATED,
+                    self.state.iteration,
+                    role=recovery_role,
+                    payload={"action": described},
+                )
             return recovery_action, recovery_role
         return generator_action, generator_role
 
@@ -575,6 +593,13 @@ class OrchestrationController:
         role: Optional[str] = None,
         payload: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """Publish one event, or nothing when the bus is not heard.
+
+        Call sites that build a payload check :attr:`EventBus.heard`
+        first, so an unheard run builds neither events nor payloads.
+        """
+        if not self.events.heard:
+            return
         self.events.publish(
             Event(
                 kind=kind,

@@ -90,6 +90,11 @@ class RoleContext:
     "consistent view of the system state for all roles within an iteration"
     (§III.B.4).
 
+    The orchestrator builds one context per iteration and hands it to
+    every role of that iteration, setting ``deadline_ms`` to each role's
+    own budget just before the role runs.  A role reads the context during
+    :meth:`Role.execute` and does not keep it.
+
     Attributes:
         state: the shared state manager.
         metrics: the dependability metrics collector.
@@ -97,9 +102,10 @@ class RoleContext:
         time: current simulated time in seconds.
         config: orchestrator-level configuration values roles may consult.
         deadline_ms: wall-clock budget (milliseconds) the orchestrator's
-            resilience layer grants this execution, or ``None`` when
-            deadlines are not enforced.  Roles with tunable depth (sample
-            counts, search horizons) may consult it to stay in budget.
+            resilience layer grants the role now executing, or ``None``
+            when deadlines are not enforced.  Roles with tunable depth
+            (sample counts, search horizons) may consult it to stay in
+            budget.
     """
 
     state: "StateManager"
@@ -114,8 +120,9 @@ class Role(abc.ABC):
     """Abstract base class all roles implement.
 
     Subclasses provide :meth:`execute`; the orchestrator guarantees it is
-    called at most once per iteration, in dependency order, with a fresh
-    :class:`RoleContext`.
+    called at most once per iteration, in dependency order, with the
+    iteration's shared :class:`RoleContext` carrying this role's own
+    ``deadline_ms``.
     """
 
     #: Role family; used by the orchestrator's decision logic (e.g. which
@@ -127,7 +134,12 @@ class Role(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, context: RoleContext) -> RoleResult:
-        """Run the role for one iteration and return its result."""
+        """Run the role for one iteration and return its result.
+
+        ``context`` is shared by every role of the iteration; read it
+        here, and do not keep it past the call (its ``deadline_ms`` is
+        reset for the next role).
+        """
 
     def reset(self) -> None:
         """Clear per-run internal state; called at orchestration start."""

@@ -5,10 +5,15 @@ interface, (b) the outputs produced by roles in the current iteration and
 (c) bounded historical state for temporal analysis (§III.B.4).  Roles never
 talk to each other directly — everything flows through here, which is what
 makes role implementations swappable.
+
+The history is also the run's one per-tick store: post-hoc evidence (the
+STL safety robustness, recorded trace frames) is read from it through
+:meth:`StateManager.run_history` once the run is over.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional
@@ -184,7 +189,33 @@ class StateManager:
                 series.append(float(value))
         return series
 
+    def run_history(self) -> List[IterationRecord]:
+        """Every archived iteration of the run, oldest first.
+
+        Raises:
+            StateError: when the history bound dropped the run's first
+                iterations (the oldest record is not iteration 0), so the
+                history no longer holds the whole run.
+        """
+        history = self._history
+        if history and history[0].iteration != 0:
+            raise StateError(
+                f"history starts at iteration {history[0].iteration}, not 0: "
+                f"history_limit={history.maxlen} dropped the run's first "
+                "iterations; raise it to at least the run's max_iterations"
+            )
+        return list(history)
+
     def recent(self, count: int) -> Iterator[IterationRecord]:
-        """The last ``count`` archived iterations, oldest first."""
-        history = list(self._history)
-        return iter(history[-count:])
+        """The last ``count`` archived iterations, oldest first.
+
+        ``recent(0)`` yields nothing and only the requested tail is copied.
+
+        Raises:
+            ValueError: for a negative ``count``.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        tail = list(itertools.islice(reversed(self._history), count))
+        tail.reverse()
+        return iter(tail)

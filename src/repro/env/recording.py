@@ -1,10 +1,13 @@
 """Trace recording and replay for orchestration runs.
 
-Subscribes to an orchestrator's event bus and state manager to capture a
-compact per-iteration trace — numeric world state, executed action, role
-verdicts — which can be serialized to JSON Lines and replayed for post-hoc
-analysis (e.g. feeding offline STL evaluation, or the recovery
-counterfactuals in :mod:`repro.experiments.recovery`).
+Builds a compact per-iteration trace — numeric world state, executed
+action, role verdicts — from an orchestrator's state-manager history,
+which can be serialized to JSON Lines and replayed for post-hoc analysis
+(e.g. feeding offline STL evaluation).
+
+The history is the run's one per-tick store (§III.B.4): a recorder
+subscribes to nothing and copies nothing while the run executes; it
+builds its frames from the history when they are read.
 """
 
 from __future__ import annotations
@@ -12,16 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
-
-from typing import TYPE_CHECKING
-
-from ..core.events import Event, EventKind
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
 from ..jsonutil import dumps as strict_dumps
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> env import cycle
     from ..core.orchestrator import OrchestrationController
+    from ..core.state import StateManager
 
 
 def _json_safe(value: Any) -> Any:
@@ -71,7 +71,7 @@ class TraceFrame:
 
 
 class TraceRecorder:
-    """Records per-iteration frames from a live orchestrator.
+    """Per-iteration frames of a run, built from its state manager's history.
 
     Usage::
 
@@ -79,52 +79,47 @@ class TraceRecorder:
         recorder = TraceRecorder.attach(controller)
         controller.run()
         recorder.save("run.jsonl")
+
+    The recorder holds the state manager, not the controller, so a finished
+    controller is freed by reference counting once its caller drops it, and
+    :attr:`frames` always describes the state manager's latest run.
     """
 
     #: World-state keys excluded from frames (non-numeric heavyweights).
     EXCLUDED_KEYS = frozenset({"perception", "ego_route"})
 
-    def __init__(self) -> None:
-        self.frames: List[TraceFrame] = []
+    def __init__(self, state: "StateManager") -> None:
+        self._state = state
 
     @classmethod
     def attach(cls, controller: "OrchestrationController") -> "TraceRecorder":
-        """Create a recorder subscribed to ``controller``'s event bus.
+        """Create a recorder over ``controller``'s state-manager history."""
+        return cls(controller.state)
 
-        The subscriber holds the controller's state manager, not the
-        controller: the bus belongs to the controller, so a reference back
-        to it would make a cycle that keeps every finished run (its event
-        log, history, metrics and frames) alive until a full collection.
+    @property
+    def frames(self) -> List[TraceFrame]:
+        """One frame per archived iteration, oldest first.
+
+        Raises:
+            StateError: when the history bound dropped the run's first
+                iterations (see :meth:`~repro.core.state.StateManager.run_history`).
         """
-        recorder = cls()
-        state = controller.state
-
-        def on_event(event: Event) -> None:
-            if event.kind is not EventKind.ITERATION_FINISHED:
-                return
-            record = state.last_record
-            if record is None:
-                return
-            recorder.frames.append(
-                TraceFrame(
-                    iteration=record.iteration,
-                    time=record.time,
-                    world={
-                        k: v
-                        for k, v in record.world_state.items()
-                        if k not in cls.EXCLUDED_KEYS
-                    },
-                    action=record.executed_action,
-                    action_source=record.action_source,
-                    verdicts={
-                        name: result.verdict.value
-                        for name, result in record.outputs.items()
-                    },
-                )
+        excluded = self.EXCLUDED_KEYS
+        return [
+            TraceFrame(
+                iteration=record.iteration,
+                time=record.time,
+                world={
+                    k: v for k, v in record.world_state.items() if k not in excluded
+                },
+                action=record.executed_action,
+                action_source=record.action_source,
+                verdicts={
+                    name: result.verdict.value for name, result in record.outputs.items()
+                },
             )
-
-        controller.events.subscribe(on_event)
-        return recorder
+            for record in self._state.run_history()
+        ]
 
     # ------------------------------------------------------------------
     # persistence

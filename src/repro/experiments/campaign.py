@@ -22,7 +22,6 @@ from ..core import (
     ResilienceConfig,
     RoleGraph,
 )
-from ..env.recording import TraceRecorder as RunRecorder
 from ..env.sim_interface import IntersectionSimInterface
 from ..exec import (
     CampaignEngine,
@@ -287,8 +286,15 @@ def build_controller(
             max_retries=1,
             fallback=create_fallback(name=FALLBACK_PLANNER),
         )
+    # The history is the run's evidence store (the STL robustness is read
+    # from it), so it must hold every iteration the run can reach.  No
+    # caller reads the bus log: a trace recorder subscribes instead, and
+    # an unheard bus builds no events.
+    max_iterations = int(spec.timeout_s / 0.1) + 10
     config = OrchestratorConfig(
-        max_iterations=int(spec.timeout_s / 0.1) + 10,
+        max_iterations=max_iterations,
+        history_limit=max_iterations,
+        keep_event_log=False,
         halt_on_violation=options.halt_on_violation,
         continue_on_role_error=options.continue_on_role_error,
         resilience=ResilienceConfig(**resilience_kwargs),
@@ -320,9 +326,6 @@ def run_once(
     """
     spec = build_scenario(scenario_type, seed)
     controller = build_controller(spec, options)
-    # Always record the per-iteration world-state frames: they feed the
-    # offline STL check below (and cost a small dict per 100 ms tick).
-    run_recorder = RunRecorder.attach(controller)
     if profile is not None and profiler is None:
         profiler = PhaseProfiler()
     recorder: Optional[TraceRecorder] = None
@@ -345,13 +348,14 @@ def run_once(
     # top-level import would be circular.
     from ..analysis.trace_checks import safety_robustness
 
+    # The offline STL check reads the run's history, its one per-tick store.
     stl_rho: Optional[float] = None
-    if run_recorder.frames:
+    if controller.state.last_record is not None:
         if profiler is None:
-            stl_rho = safety_robustness(run_recorder.frames)
+            stl_rho = safety_robustness(controller.state)
         else:
             with profiler.phase("stl.robustness"):
-                stl_rho = safety_robustness(run_recorder.frames)
+                stl_rho = safety_robustness(controller.state)
 
     if profile is not None and profiler is not None:
         write_profile(

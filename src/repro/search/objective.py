@@ -4,7 +4,7 @@ A candidate is a parameter vector in one family's
 :class:`~repro.search.space.SearchSpace`; its score is the minimum
 robustness of the whole-run safety envelope
 (:data:`~repro.analysis.trace_checks.SAFETY_FORMULA`) over the run's
-recorded world-state trace.  Negative robustness = the safety spec was
+world-state history.  Negative robustness = the safety spec was
 violated = the candidate is a counterexample.
 
 :func:`execute_search_unit` is the module-level (picklable) engine worker
@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.trace_checks import safety_robustness, safety_robustness_many
 from ..core.orchestrator import OrchestrationResult
+from ..core.state import StateManager
 from ..env.recording import TraceFrame, TraceRecorder as RunRecorder
 from ..exec import WorkUnit, fingerprint
 from ..experiments.campaign import CampaignOptions, build_controller
@@ -30,8 +31,8 @@ from ..sim.scenario import ScenarioSpec
 from ..stl import finite_robustness
 from .space import Params, get_space
 
-#: Robustness reported for a run that produced no frames (terminated
-#: before the first iteration); large-positive = "vacuously safe", kept
+#: Robustness reported for a run that archived no iteration (terminated
+#: before the first one); large-positive = "vacuously safe", kept
 #: finite so every artifact stays strict-JSON.
 NO_TRACE_ROBUSTNESS = 1.0e3
 
@@ -71,11 +72,26 @@ def run_spec(
     The campaign's :func:`~repro.experiments.campaign.run_once` builds its
     spec from ``(scenario_type, seed)``; search candidates arrive as
     already-built specs, so this is the spec-first twin.  Returns the
-    orchestration result plus the recorded world-state frames (the STL
-    evidence).
+    orchestration result plus the run's world-state frames, built from its
+    history (the STL evidence).
     """
+    result, state = _run_spec(
+        spec, options, trace=trace, trace_id=trace_id, profiler=profiler
+    )
+    return result, RunRecorder(state).frames
+
+
+def _run_spec(
+    spec: ScenarioSpec,
+    options: Optional[CampaignOptions] = None,
+    *,
+    trace: "str | Path | None" = None,
+    trace_id: Optional[str] = None,
+    profiler: Optional[PhaseProfiler] = None,
+) -> "Tuple[OrchestrationResult, StateManager]":
+    """:func:`run_spec` returning the run's state manager instead of
+    frames: scoring reads the STL signals straight from its history."""
     controller = build_controller(spec, options)
-    run_recorder = RunRecorder.attach(controller)
     recorder: Optional[TraceRecorder] = None
     if trace is not None:
         recorder = TraceRecorder(
@@ -96,7 +112,7 @@ def run_spec(
             prevented_collision=not result.environment_info["collision"]
         )
         recorder.finalize(result.metrics)
-    return result, run_recorder.frames
+    return result, controller.state
 
 
 def evaluate_spec(
@@ -111,15 +127,15 @@ def evaluate_spec(
 ) -> Evaluation:
     """Score one candidate spec with the safety-robustness objective."""
     profiler = PhaseProfiler() if profile is not None else None
-    result, frames = run_spec(
+    result, state = _run_spec(
         spec, options, trace=trace, trace_id=key, profiler=profiler
     )
-    if frames:
+    if state.last_record is not None:
         if profiler is None:
-            robustness = safety_robustness(frames)
+            robustness = safety_robustness(state)
         else:
             with profiler.phase("stl.robustness"):
-                robustness = safety_robustness(frames)
+                robustness = safety_robustness(state)
     else:  # pragma: no cover - the orchestrator always completes >= 1 tick
         robustness = NO_TRACE_ROBUSTNESS
     if profile is not None and profiler is not None:
@@ -223,7 +239,7 @@ def execute_search_block(payloads: "List[Tuple]") -> "List[Evaluation]":
     which a shared batched pass cannot honour.
     """
     evaluations: "List[Optional[Evaluation]]" = [None] * len(payloads)
-    staged = []  # (index, key, family, params, spec, result, frames)
+    staged = []  # (index, key, family, params, spec, result, state)
     for index, payload in enumerate(payloads):
         key, family, params, run_seed, options, trace_dir, profile_dir = payload
         if profile_dir is not None:
@@ -231,9 +247,9 @@ def execute_search_block(payloads: "List[Tuple]") -> "List[Evaluation]":
             continue
         spec = get_space(family).to_spec(params, run_seed)
         trace = unit_trace_path(trace_dir, key) if trace_dir is not None else None
-        result, frames = run_spec(spec, options, trace=trace, trace_id=key)
-        staged.append((index, key, family, params, spec, result, frames))
-    scored = [entry for entry in staged if entry[6]]
+        result, state = _run_spec(spec, options, trace=trace, trace_id=key)
+        staged.append((index, key, family, params, spec, result, state))
+    scored = [entry for entry in staged if entry[6].last_record is not None]
     scores = safety_robustness_many([entry[6] for entry in scored]) if scored else []
     score_by_index = {entry[0]: value for entry, value in zip(scored, scores)}
     for index, key, family, params, spec, result, _ in staged:

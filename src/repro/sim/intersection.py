@@ -43,6 +43,10 @@ _LOOKAHEAD_STEPS = 30
 #: Lateral half-width of the lane corridor around a route (m).
 _CORRIDOR_HALF_WIDTH = 2.5
 
+#: Float-error slack of :meth:`Route.first_in_corridor`'s skip (m): the
+#: computed distances sit within ~1e-13 m of exact on this map.
+_CORRIDOR_SKIP_SLACK = 1e-9
+
 #: The last lookahead table, per thread: one immutable ``(route, s,
 #: points)`` tuple, read once and replaced whole.  Routes are shared by
 #: every thread of a process and the service runs two jobs at once on
@@ -162,11 +166,25 @@ class Route:
     def first_in_corridor(self, s: float, point: Vec2, first: int, last: int) -> Optional[int]:
         """Smallest ``k`` in ``first..last`` whose lookahead point
         (:meth:`points_ahead`) lies within :data:`_CORRIDOR_HALF_WIDTH` of
-        ``point``; ``None`` when ``point`` is outside the corridor there."""
+        ``point``; ``None`` when ``point`` is outside the corridor there.
+
+        Lookahead entries ``k`` and ``k + j`` are at most ``j`` m apart
+        (the chord is no longer than the arc; clamped entries coincide),
+        so a point ``d`` m from entry ``k`` is more than the half-width
+        from entries ``k + 1 .. k + floor(d - half-width - slack)``, and
+        the scan skips them: it returns the same ``k`` as a full scan.
+        """
         ahead = self.points_ahead(s)
-        for k in range(first, last + 1):
-            if point.distance_to(ahead[k - 1]) <= _CORRIDOR_HALF_WIDTH:
+        half_width = _CORRIDOR_HALF_WIDTH
+        skip_offset = half_width + _CORRIDOR_SKIP_SLACK
+        k = first
+        while k <= last:
+            d = point.distance_to(ahead[k - 1])
+            if d <= half_width:
                 return k
+            # d > half-width, so d - skip_offset > -1 and int() floors it
+            # (to 0 in the slack band).
+            k += 1 + int(d - skip_offset)
         return None
 
     def heading_at(self, s: float) -> float:

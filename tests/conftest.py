@@ -6,7 +6,7 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
-from repro.core import Role, RoleContext, RoleKind, RoleResult, Verdict
+from repro.core import EventBus, Role, RoleContext, RoleKind, RoleResult, Verdict
 from repro.env.interface import EnvironmentInterface
 from repro.sim import Approach, IntersectionMap, Movement
 
@@ -93,6 +93,17 @@ def constant_generator(action: Any, name: str = "Generator") -> ScriptedRole:
         name=name,
         kind=RoleKind.GENERATOR,
     )
+
+
+def collect_events(controller: Any) -> EventBus:
+    """A logging bus subscribed to ``controller``'s bus before its run.
+
+    Controllers from ``build_controller`` keep no event log; the returned
+    bus keeps every event the controller publishes, in order.
+    """
+    collector = EventBus()
+    controller.events.subscribe(collector.publish)
+    return collector
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,19 @@ class TestLog:
         assert len(bus.log) == 1
 
 
+class TestHeard:
+    def test_a_logging_bus_is_heard(self):
+        assert EventBus().heard
+
+    def test_an_unlogged_bus_is_heard_only_while_subscribed(self):
+        bus = EventBus(keep_log=False)
+        assert not bus.heard
+        unsubscribe = bus.subscribe(lambda event: None)
+        assert bus.heard
+        unsubscribe()
+        assert not bus.heard
+
+
 class TestLogCap:
     def test_unbounded_by_default(self):
         bus = EventBus()

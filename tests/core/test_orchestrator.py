@@ -8,6 +8,7 @@ from repro.core import (
     OnVerdict,
     OrchestrationController,
     OrchestratorConfig,
+    ResilienceConfig,
     RoleExecutionError,
     RoleGraph,
     RoleKind,
@@ -249,3 +250,50 @@ class TestEventsAndScores:
         controller = OrchestrationController([constant_generator("go")], env)
         result = controller.run()
         assert result.metrics.role_timings()["Generator"]["calls"] == 3
+
+
+class ContextProbe(ScriptedRole):
+    """Records the context object and the deadline it carried."""
+
+    def __init__(self, seen, name, kind=RoleKind.CUSTOM, data=None):
+        super().__init__([RoleResult(data=data or {})], name=name, kind=kind)
+        self.seen = seen
+
+    def execute(self, context):
+        self.seen.append((context.iteration, self.name, context, context.deadline_ms))
+        return super().execute(context)
+
+
+class TestRoleContext:
+    def test_one_context_per_tick_with_each_roles_deadline(self):
+        seen = []
+        roles = [
+            ContextProbe(seen, "Generator", RoleKind.GENERATOR, {"action": "go"}),
+            ContextProbe(seen, "Monitor", RoleKind.SAFETY_MONITOR),
+            ContextProbe(seen, "Oracle", RoleKind.PERFORMANCE_ORACLE),
+        ]
+        config = OrchestratorConfig(
+            resilience=ResilienceConfig(
+                deadline_ms=500.0, role_deadlines_ms={"Monitor": 250.0}
+            )
+        )
+        OrchestrationController(roles, StubEnvironment(steps=3), config).run()
+        assert [(i, name, deadline) for i, name, _, deadline in seen] == [
+            (i, name, deadline)
+            for i in range(3)
+            for name, deadline in (
+                ("Generator", 500.0), ("Monitor", 250.0), ("Oracle", 500.0)
+            )
+        ]
+        for tick in range(3):
+            contexts = {id(context) for i, _, context, _ in seen if i == tick}
+            assert len(contexts) == 1
+
+    def test_no_deadline_without_resilience(self):
+        seen = []
+        roles = [
+            ContextProbe(seen, "Generator", RoleKind.GENERATOR, {"action": "go"}),
+            ContextProbe(seen, "Monitor", RoleKind.SAFETY_MONITOR),
+        ]
+        OrchestrationController(roles, StubEnvironment(steps=2)).run()
+        assert [deadline for *_, deadline in seen] == [None] * 4

@@ -128,6 +128,34 @@ class TestHistory:
         recent = list(state.recent(2))
         assert [r.world_state["signal"] for r in recent] == [2, 3]
 
+    def test_recent_zero_is_empty(self):
+        state = StateManager()
+        self._run_iterations(state, [1, 2, 3])
+        assert list(state.recent(0)) == []
+
+    def test_recent_negative_count_rejected(self):
+        state = StateManager()
+        self._run_iterations(state, [1, 2, 3])
+        with pytest.raises(ValueError, match="non-negative"):
+            state.recent(-1)
+
+    def test_recent_beyond_history_returns_all(self):
+        state = StateManager()
+        self._run_iterations(state, [1, 2, 3])
+        assert [r.iteration for r in state.recent(10)] == [0, 1, 2]
+
+    def test_run_history_is_the_whole_run(self):
+        state = StateManager(history_limit=5)
+        self._run_iterations(state, [1, 2, 3, 4, 5])
+        assert [r.iteration for r in state.run_history()] == [0, 1, 2, 3, 4]
+        assert StateManager().run_history() == []
+
+    def test_run_history_refuses_a_truncated_history(self):
+        state = StateManager(history_limit=3)
+        self._run_iterations(state, [1, 2, 3, 4, 5])
+        with pytest.raises(StateError, match="starts at iteration 2"):
+            state.run_history()
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
     def test_history_signal_round_trip(self, values):
         state = StateManager(history_limit=None)

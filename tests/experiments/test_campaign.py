@@ -1,11 +1,17 @@
 """Tests for campaign wiring and experiment generators (small seed sets)."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from repro.core import RoleKind
+from repro.core import EventKind, OrchestrationController, RoleKind
+from repro.core import orchestrator as orchestrator_module
 from repro.experiments import CampaignOptions, build_controller, run_once, run_suite
 from repro.experiments import fig4, gridlock, table2
+from repro.roles import fault_injector
 from repro.sim import ScenarioType, build_scenario
+from tests.conftest import collect_events
 
 
 class TestBuildController:
@@ -71,6 +77,85 @@ class TestRunOnce:
     def test_nominal_injects_nothing(self):
         outcome = run_once(ScenarioType.NOMINAL, 0)
         assert outcome.faults_injected == 0
+
+
+@pytest.fixture
+def event_constructions(monkeypatch):
+    """Counts every ``Event`` the orchestrator constructs."""
+    built = []
+    event_type = orchestrator_module.Event
+
+    def counting_event(*args, **kwargs):
+        built.append(args[0] if args else kwargs["kind"])
+        return event_type(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator_module, "Event", counting_event)
+    return built
+
+
+#: A run that publishes every optional event kind the campaign can emit
+#: deterministically: faults, violations, recoveries, retries, breaker
+#: skips and degraded-mode changes, and action holds.
+RESILIENT = (ScenarioType.GHOST_ATTACK, 0, CampaignOptions(breaker=True, crash_window=(5, 15)))
+
+
+class TestUnheardEvents:
+    def test_campaign_controllers_keep_no_log(self):
+        controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
+        assert not controller.config.keep_event_log
+        assert not controller.events.heard
+
+    def test_no_event_is_built_when_nothing_listens(self, event_constructions):
+        scenario, seed, options = RESILIENT
+        controller = build_controller(build_scenario(scenario, seed), options)
+        result = controller.run()
+        assert result.iterations > 0 and result.metrics.faults
+        assert event_constructions == []
+        assert controller.events.log == []
+
+    def test_run_once_builds_no_event(self, event_constructions):
+        outcome = run_once(*RESILIENT)
+        assert outcome.stl_robustness is not None
+        assert event_constructions == []
+
+    def test_a_subscriber_receives_what_a_logging_bus_keeps(
+        self, event_constructions, monkeypatch
+    ):
+        scenario, seed, options = RESILIENT
+        spec = build_scenario(scenario, seed)
+        unheard = build_controller(spec, options)
+        received = collect_events(unheard)
+        # Ghost ids come from a process-wide counter; restart it per run.
+        monkeypatch.setattr(fault_injector, "_ghost_ids", itertools.count(-1, -1))
+        unheard.run()
+        twin = build_controller(spec, options)
+        logging = OrchestrationController(
+            twin.graph,
+            twin.environment,
+            dataclasses.replace(twin.config, keep_event_log=True),
+        )
+        monkeypatch.setattr(fault_injector, "_ghost_ids", itertools.count(-1, -1))
+        logging.run()
+        expected = logging.events.log
+        kinds = {event.kind for event in expected}
+        assert {
+            EventKind.FAULT_INJECTED,
+            EventKind.VIOLATION_DETECTED,
+            EventKind.RECOVERY_ACTIVATED,
+            EventKind.ROLE_RETRIED,
+            EventKind.DEGRADED_MODE_ENTERED,
+            EventKind.ACTION_HELD,
+            EventKind.RUN_TERMINATED,
+        } <= kinds
+        assert len(received.log) == len(expected) == len(event_constructions) // 2
+        for got, want in zip(received.log, expected):
+            assert (got.kind, got.iteration, got.time, got.role) == (
+                want.kind, want.iteration, want.time, want.role
+            )
+            # A role's measured latency is the one wall-clock field.
+            assert {k: v for k, v in got.payload.items() if k != "elapsed_s"} == {
+                k: v for k, v in want.payload.items() if k != "elapsed_s"
+            }
 
 
 class TestSuiteAndGenerators:

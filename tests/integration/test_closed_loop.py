@@ -5,6 +5,7 @@ import pytest
 from repro.core import EventKind, Verdict
 from repro.experiments import CampaignOptions, build_controller, run_once
 from repro.sim import Maneuver, ScenarioType, build_scenario
+from tests.conftest import collect_events
 
 
 class TestScenarioSmoke:
@@ -33,16 +34,18 @@ class TestPaperWorkflow:
 
     def test_attack_chain_security_to_injector_to_generator(self):
         controller = build_controller(build_scenario(ScenarioType.GHOST_ATTACK, 0))
+        events = collect_events(controller)
         controller.run()
         # Evidence trail: faults were injected and the monitor reacted.
-        assert controller.events.events_of_kind(EventKind.VIOLATION_DETECTED)
+        assert events.events_of_kind(EventKind.VIOLATION_DETECTED)
         faults = controller.metrics.faults
         assert faults and all(f.kind == "ghost_obstacle" for f in faults)
 
     def test_recovery_override_uses_emergency_brake(self):
         controller = build_controller(build_scenario(ScenarioType.GHOST_ATTACK, 0))
+        events = collect_events(controller)
         controller.run()
-        recoveries = controller.events.events_of_kind(EventKind.RECOVERY_ACTIVATED)
+        recoveries = events.events_of_kind(EventKind.RECOVERY_ACTIVATED)
         assert recoveries
         assert all(e.payload["action"] == Maneuver.EMERGENCY_BRAKE.value for e in recoveries)
 

@@ -30,7 +30,12 @@ from repro.obs.trace import (
     verify_trace,
 )
 from repro.sim import ScenarioType
-from tests.conftest import ScriptedRole, StubEnvironment, constant_generator
+from tests.conftest import (
+    ScriptedRole,
+    StubEnvironment,
+    collect_events,
+    constant_generator,
+)
 
 
 def assert_events_match_log(trace, log):
@@ -268,8 +273,9 @@ class TestDiscovery:
 # schema v2: one iteration record per tick, expanded back on load
 # ----------------------------------------------------------------------
 @pytest.fixture
-def built_controllers(monkeypatch):
-    """Every controller ``run_once`` builds, in build order."""
+def built_events(monkeypatch):
+    """The events of every controller ``run_once`` builds, in build order:
+    a logging bus (:func:`collect_events`) subscribed as it is built."""
     from repro.experiments import campaign
 
     built = []
@@ -277,7 +283,7 @@ def built_controllers(monkeypatch):
 
     def capture(*args, **kwargs):
         controller = build(*args, **kwargs)
-        built.append(controller)
+        built.append(collect_events(controller))
         return controller
 
     monkeypatch.setattr(campaign, "build_controller", capture)
@@ -293,11 +299,11 @@ class TestSchemaV2:
         assert kinds.count("span") == 1
 
     @pytest.mark.parametrize("scenario", list(ScenarioType), ids=lambda s: s.value)
-    def test_run_once_trace_matches_bus_log(self, scenario, tmp_path, built_controllers):
+    def test_run_once_trace_matches_bus_log(self, scenario, tmp_path, built_events):
         path = tmp_path / "run.trace.jsonl"
         run_once(scenario, 0, trace=path)
         trace = load_trace(path)
-        assert_events_match_log(trace, built_controllers[-1].events.log)
+        assert_events_match_log(trace, built_events[-1].log)
         assert verify_trace(trace) == (True, [])
 
     @pytest.mark.parametrize(
@@ -330,11 +336,11 @@ class TestSchemaV2:
         ids=["breaker", "deadlines"],
     )
     def test_resilient_run_trace_matches_bus_log(
-        self, scenario, options, expected, tmp_path, built_controllers
+        self, scenario, options, expected, tmp_path, built_events
     ):
         path = tmp_path / "run.trace.jsonl"
         run_once(scenario, 0, options, trace=path)
-        log = built_controllers[-1].events.log
+        log = built_events[-1].log
         assert expected <= {event.kind for event in log}
         trace = load_trace(path)
         assert_events_match_log(trace, log)

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.geom import Vec2
+from repro.sim.intersection import _CORRIDOR_HALF_WIDTH
 from repro.sim import (
     APPROACH_LENGTH,
     INTERSECTION_HALF_SIZE,
@@ -149,6 +150,67 @@ class TestLookaheadTable:
         assert route.first_in_corridor(5.0, on_lane, 13, 25) is None
         beside = Vec2(on_lane.x + 3.0, on_lane.y)
         assert route.first_in_corridor(5.0, beside, 1, 30) is None
+
+
+def full_corridor_scan(route, s, point, first, last):
+    """Reference for ``Route.first_in_corridor``: every entry, in order."""
+    ahead = route.points_ahead(s)
+    for k in range(first, last + 1):
+        if point.distance_to(ahead[k - 1]) <= _CORRIDOR_HALF_WIDTH:
+            return k
+    return None
+
+
+def corridor_probe_points(route, s):
+    """Points on the route, far from it, and within 1e-12 m of the
+    corridor's edge around every lookahead entry."""
+    ahead = route.points_ahead(s)
+    points = list(ahead)
+    points += [route.point_at(s + k + 0.5) for k in range(0, 31, 3)]
+    points += [Vec2(p.x + 40.0, p.y - 35.0) for p in ahead[::7]]
+    for k, entry in enumerate(ahead, start=1):
+        heading = route.heading_at(s + float(k))
+        # Along the path (where the skip's bound is tight), back along
+        # it, and to either side.
+        for turn in (0.0, math.pi, math.pi / 2.0, -math.pi / 2.0):
+            direction = Vec2.unit(heading + turn)
+            for delta in (-1e-12, 0.0, 1e-12):
+                points.append(entry + direction * (_CORRIDOR_HALF_WIDTH + delta))
+    return points
+
+
+class TestCorridorSkip:
+    """``first_in_corridor`` skips entries a distance bound rules out;
+    it must return exactly what the full scan returns."""
+
+    @pytest.mark.parametrize("first,last", [(1, 25), (2, 30)])
+    def test_matches_the_full_scan_on_every_route(self, intersection_map, first, last):
+        checked = hits = 0
+        for route in intersection_map.routes:
+            for s in (-3.0, 0.0, route.length / 2.0, route.length - 12.5,
+                      route.length - 0.5, route.length + 4.0):
+                for point in corridor_probe_points(route, s):
+                    expected = full_corridor_scan(route, s, point, first, last)
+                    assert route.first_in_corridor(s, point, first, last) == expected, (
+                        route.approach, route.movement, s, point
+                    )
+                    checked += 1
+                    hits += expected is not None
+        assert len(intersection_map.routes) == 12
+        assert hits and hits < checked  # both outcomes exercised
+
+    def test_far_point_reads_few_entries(self, intersection_map):
+        route = intersection_map.route(Approach.SOUTH, Movement.STRAIGHT)
+        reads = []
+
+        class CountingPoint(Vec2):
+            def distance_to(self, other):
+                reads.append(other)
+                return super().distance_to(other)
+
+        far = route.point_at(20.0) + Vec2(30.0, 0.0)
+        assert route.first_in_corridor(5.0, CountingPoint(far.x, far.y), 2, 30) is None
+        assert len(reads) <= 2
 
 
 class TestConflicts:
