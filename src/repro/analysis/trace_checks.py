@@ -50,25 +50,6 @@ def safety_robustness(run: RecordedRun, period: float = 0.1) -> float:
     return evaluate(formula, _run_trace(run, sorted(formula.variables()), period))[0]
 
 
-def safety_robustness_many(
-    runs: "Sequence[RecordedRun]", period: float = 0.1
-) -> List[float]:
-    """Batched :func:`safety_robustness`: one stacked STL pass over N runs.
-
-    Groups the runs' traces by length and evaluates each rectangular stack
-    in a single vectorized pass (:mod:`repro.stl.batch`), which is
-    bit-identical per run to the scalar evaluator — block-dispatched
-    search campaigns score their whole block this way without changing
-    any artifact byte.
-    """
-    formula = parse(SAFETY_FORMULA)
-    variables = sorted(formula.variables())
-    traces = [_run_trace(run, variables, period) for run in runs]
-    from ..stl.batch import robustness_many
-
-    return robustness_many(formula, traces)
-
-
 @dataclass(frozen=True)
 class PropertyVerdict:
     """Outcome of checking one property against a recorded trace."""

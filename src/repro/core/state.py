@@ -177,18 +177,6 @@ class StateManager:
         """The newest archived iteration (``None`` before the first)."""
         return self._history[-1] if self._history else None
 
-    def history_signal(self, key: str) -> List[float]:
-        """Extract a numeric world-state series from history (for STL).
-
-        Skips iterations where the key was absent or non-numeric.
-        """
-        series: List[float] = []
-        for record in self._history:
-            value = record.world_state.get(key)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                series.append(float(value))
-        return series
-
     def run_history(self) -> List[IterationRecord]:
         """Every archived iteration of the run, oldest first.
 

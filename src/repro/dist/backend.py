@@ -8,8 +8,8 @@ work units, run them somewhere, and settle one
 :class:`ExecutionContext` the engine hands over.  Two backends ship:
 
 * :class:`~repro.dist.local.LocalPoolBackend` — the reference backend:
-  the forked ``ProcessPoolExecutor`` (with serial fallback and block
-  dispatch) that used to live inside the engine;
+  the forked ``ProcessPoolExecutor`` (with serial fallback) that used to
+  live inside the engine;
 * :class:`~repro.dist.queue.QueueBackend` — N "host" worker processes
   fed from a durable on-disk work queue (claim files, heartbeats, lease
   reclaim, exactly-once outcome journaling — see
@@ -49,7 +49,6 @@ class ExecutionContext:
 
     Attributes:
         fn: the per-unit worker callable (module-level, picklable).
-        block_fn: optional block worker for ``block_size > 1`` dispatch.
         policy: the engine's :class:`~repro.exec.engine.EnginePolicy`.
         settle: deliver one settled record; the engine journals, traces
             and emits progress from here.  Must be called exactly once
@@ -82,7 +81,6 @@ class ExecutionContext:
     check_cancelled: Callable[[], None]
     record_retry: Callable[[str, int], None]
     sleep: Callable[[float], None] = time.sleep
-    block_fn: Optional[Callable[[Any], Any]] = None
     cancellable: bool = False
     profiler: Optional[PhaseProfiler] = None
     hotspot_spec: Optional[Callable[[WorkUnit], Tuple[str, str, int]]] = None

@@ -3,10 +3,10 @@
 This is the execution half that used to live inside
 :class:`~repro.exec.engine.CampaignEngine`, re-homed behind the
 :class:`~repro.dist.backend.ExecutorBackend` interface with identical
-behaviour: per-unit SIGALRM deadlines, bounded retries with exponential
-backoff, block dispatch (``block_size > 1``) with per-unit failover, and
-``BrokenProcessPool`` recovery by pool rebuild.  ``jobs=1`` (or a
-platform without ``fork``) runs everything in-process, deterministically.
+behaviour: each unit is one worker call under its own SIGALRM deadline,
+with bounded retries and exponential backoff, and ``BrokenProcessPool``
+recovery by pool rebuild.  ``jobs=1`` (or a platform without ``fork``)
+runs everything in-process, deterministically.
 """
 
 from __future__ import annotations
@@ -15,27 +15,13 @@ import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..exec.blocks import plan_blocks
-from ..exec.engine import (
-    EnginePolicy,
-    TaskRecord,
-    _block_entry,
-    _call_with_deadline,
-    _fork_available,
-    _task_entry,
-)
+from ..exec.engine import EnginePolicy, TaskRecord, _fork_available, _task_entry
 from ..exec.work import WorkUnit
 from .backend import ExecutionContext, ExecutorBackend, error_record
 
 __all__ = ["LocalPoolBackend"]
-
-
-def _block_timeout(policy: EnginePolicy, size: int) -> "float | None":
-    if policy.timeout_s is None:
-        return None
-    return policy.timeout_s * size
 
 
 class LocalPoolBackend(ExecutorBackend):
@@ -56,152 +42,12 @@ class LocalPoolBackend(ExecutorBackend):
     def execute(
         self, pending: Sequence[WorkUnit], ctx: ExecutionContext
     ) -> None:
-        pending = list(pending)
-        use_pool = ctx.policy.jobs > 1 and _fork_available()
-        if pending and ctx.policy.block_size > 1 and ctx.hotspot_spec is None:
-            # Hotspot capture stays per-unit: its cProfile files are
-            # keyed by unit, which block dispatch cannot honour.
-            pending = self._run_blocks(pending, ctx, use_pool)
-        if pending:
-            if use_pool:
-                self._run_pool(pending, ctx)
-            else:
-                self._run_serial(pending, ctx)
-
-    # ------------------------------------------------------------------
-    # block execution (block_size > 1)
-    # ------------------------------------------------------------------
-    def _settle_block_outcomes(
-        self,
-        block: Sequence[WorkUnit],
-        outcomes: Any,
-        worker: str,
-        ctx: ExecutionContext,
-        leftovers: List[WorkUnit],
-    ) -> None:
-        """Settle a block's successes; queue everything else for per-unit runs."""
-        by_key = {o.key: o for o in outcomes}
-        for unit in block:
-            outcome = by_key.get(unit.key)
-            if outcome is None or not outcome.ok:
-                leftovers.append(unit)
-                continue
-            if ctx.profiler is not None:
-                ctx.profiler.record("engine.worker_run", outcome.elapsed_s)
-            ctx.settle(
-                TaskRecord(
-                    key=unit.key,
-                    status="ok",
-                    attempts=1,
-                    elapsed_s=outcome.elapsed_s,
-                    worker=worker,
-                    result=outcome.result,
-                )
-            )
-
-    def _run_blocks(
-        self,
-        pending: Sequence[WorkUnit],
-        ctx: ExecutionContext,
-        use_pool: bool,
-    ) -> List[WorkUnit]:
-        """Dispatch pending units in blocks; return units still needing
-        per-unit execution (in-block failures, dead/timed-out blocks)."""
-        blocks = plan_blocks(pending, ctx.policy.block_size)
-        leftovers: List[WorkUnit] = []
-        if use_pool:
-            self._run_blocks_pool(blocks, ctx, leftovers)
+        if not pending:
+            return
+        if ctx.policy.jobs > 1 and _fork_available():
+            self._run_pool(pending, ctx)
         else:
-            self._run_blocks_serial(blocks, ctx, leftovers)
-        return leftovers
-
-    def _run_blocks_serial(
-        self,
-        blocks: Sequence[Sequence[WorkUnit]],
-        ctx: ExecutionContext,
-        leftovers: List[WorkUnit],
-    ) -> None:
-        from ..exec.blocks import execute_block
-
-        for block in blocks:
-            ctx.check_cancelled()
-            worker = ctx.block_fn if ctx.block_fn is not None else ctx.fn
-            payload = (worker, [(u.key, u.payload) for u in block])
-            try:
-                outcomes = _call_with_deadline(
-                    execute_block, payload, _block_timeout(ctx.policy, len(block))
-                )
-            except Exception:  # noqa: BLE001 - block fails over to per-unit
-                leftovers.extend(block)
-                continue
-            self._settle_block_outcomes(block, outcomes, "main", ctx, leftovers)
-
-    def _run_blocks_pool(
-        self,
-        blocks: Sequence[Sequence[WorkUnit]],
-        ctx: ExecutionContext,
-        leftovers: List[WorkUnit],
-    ) -> None:
-        """One-shot block fan-out: no block-level retries, no pool rebuild.
-
-        Any block that fails wholesale (timeout, dead worker, broken pool)
-        just drains its members into ``leftovers``; the caller's per-unit
-        pool path owns retries and pool recovery.
-        """
-        context = multiprocessing.get_context("fork")
-        executor = ProcessPoolExecutor(
-            max_workers=ctx.policy.jobs, mp_context=context
-        )
-        in_flight: "Dict[Future, Sequence[WorkUnit]]" = {}
-        profiler = ctx.profiler
-
-        def submit(block: Sequence[WorkUnit]) -> None:
-            worker = ctx.block_fn if ctx.block_fn is not None else ctx.fn
-            payload = (worker, [(u.key, u.payload) for u in block])
-            timeout_s = _block_timeout(ctx.policy, len(block))
-            if profiler is not None:
-                import pickle
-
-                with profiler.phase("engine.pickle"):
-                    pickle.dumps(payload)
-                with profiler.phase("engine.dispatch"):
-                    future = executor.submit(_block_entry, payload, timeout_s)
-            else:
-                future = executor.submit(_block_entry, payload, timeout_s)
-            in_flight[future] = block
-
-        try:
-            for block in blocks:
-                submit(block)
-            while in_flight:
-                ctx.check_cancelled()
-                timeout = 0.25 if ctx.cancellable else None
-                done, _ = wait(
-                    list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                pool_broken = False
-                for future in done:
-                    block = in_flight.pop(future)
-                    try:
-                        outcomes, worker = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        leftovers.extend(block)
-                    except Exception:  # noqa: BLE001 - fails over to per-unit
-                        leftovers.extend(block)
-                    else:
-                        self._settle_block_outcomes(
-                            block, outcomes, worker, ctx, leftovers
-                        )
-                if pool_broken:
-                    # The remaining futures are doomed with the pool; drain
-                    # every unsettled block to the per-unit path, which
-                    # builds a fresh pool of its own.
-                    for block in in_flight.values():
-                        leftovers.extend(block)
-                    in_flight.clear()
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
+            self._run_serial(pending, ctx)
 
     # ------------------------------------------------------------------
     # serial (in-process) execution
@@ -262,24 +108,30 @@ class LocalPoolBackend(ExecutorBackend):
         profiler = ctx.profiler
 
         def submit(unit: WorkUnit, attempts: int) -> None:
-            if profiler is not None:
-                # The executor pickles the call in a feeder thread where it
-                # cannot be observed; measure an equivalent payload dump
-                # here so serialization cost shows up in the breakdown.
-                import pickle
+            call = (
+                _task_entry, ctx.fn, unit.payload, policy.timeout_s,
+                ctx.unit_hotspot_spec(unit),
+            )
+            try:
+                if profiler is None:
+                    future = executor.submit(*call)
+                else:
+                    # The executor pickles the call in a feeder thread where
+                    # it cannot be observed; measure an equivalent payload
+                    # dump here so serialization cost shows up in the
+                    # breakdown.
+                    import pickle
 
-                with profiler.phase("engine.pickle"):
-                    pickle.dumps(unit.payload)
-                with profiler.phase("engine.dispatch"):
-                    future = executor.submit(
-                        _task_entry, ctx.fn, unit.payload, policy.timeout_s,
-                        ctx.unit_hotspot_spec(unit),
-                    )
-            else:
-                future = executor.submit(
-                    _task_entry, ctx.fn, unit.payload, policy.timeout_s,
-                    ctx.unit_hotspot_spec(unit),
-                )
+                    with profiler.phase("engine.pickle"):
+                        pickle.dumps(unit.payload)
+                    with profiler.phase("engine.dispatch"):
+                        future = executor.submit(*call)
+            except BrokenProcessPool as exc:
+                # A worker died while units were still being handed out:
+                # this attempt fails over like every unit the dead pool
+                # stranded (retry on a rebuilt pool), not the campaign.
+                future = Future()
+                future.set_exception(exc)
             in_flight[future] = (unit, attempts)
 
         def retry_or_fail(unit: WorkUnit, attempts: int, exc: BaseException) -> None:

@@ -4,15 +4,14 @@
 (``python -m repro.dist worker``) that share nothing but the on-disk
 :class:`~repro.dist.spool.Spool`.  The coordinator:
 
-* enqueues pending units as task files (blocks of ``block_size``
-  members; requeues are always singletons) and spawns/reuses the worker
-  fleet;
+* enqueues each pending unit as one task file (retries and reclaims
+  get a fresh task) and spawns/reuses the worker fleet;
 * consumes per-host outcome journals incrementally (complete lines
   only) and settles each unit **exactly once** — a key that already
   settled is counted as a dedup, not settled again, so the
   reclaim-vs-slow-worker race can never double a result;
 * expires the lease of any claim whose worker died or whose heartbeat
-  went stale, releases the claim and requeues the unsettled members;
+  went stale, releases the claim and requeues its unit if unsettled;
 * bounds requeues per unit: past ``max_requeues`` the unit is
   quarantined as a ``PoisonUnit`` error outcome (journaled evidence in
   ``quarantine.jsonl``) instead of crash-looping the fleet forever;
@@ -42,7 +41,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..exec.blocks import plan_blocks
 from ..exec.engine import EnginePolicy, TaskError, TaskRecord
 from ..exec.work import WorkUnit, fingerprint
 from ..obs.telemetry import TelemetryRegistry
@@ -87,7 +85,7 @@ class QueueBackend(ExecutorBackend):
             removed on ``close``.  A durable spool is what lets obs
             tooling audit the run afterwards.
         lease_timeout_s: heartbeat staleness past which a claim's lease
-            is expired and its unsettled members reclaimed.
+            is expired and its unit, if unsettled, reclaimed.
         heartbeat_s: worker heartbeat interval (must be well under the
             lease timeout).
         poll_s: coordinator/worker poll interval.
@@ -173,33 +171,24 @@ class QueueBackend(ExecutorBackend):
         )
         encode = self._picklable_encode(ctx)
         units = {u.key: u for u in pending}
-        # task name -> member keys, for lease reclaim
-        task_members: "Dict[str, List[str]]" = {}
+        # task name -> the unit key it carries, for lease reclaim
+        task_keys: "Dict[str, str]" = {}
         settled: "set[str]" = set()
         attempts: "Dict[str, int]" = {}
         requeues: "Dict[str, int]" = {}
         retry_due: "List[Tuple[float, WorkUnit]]" = []
 
-        def enqueue(members: "Sequence[WorkUnit]", fn: Any = None) -> None:
-            # Requeues (retries, reclaims) are always singletons running
-            # the plain per-unit fn, matching the local backend's
-            # block-failover semantics.
+        def enqueue(unit: WorkUnit) -> None:
             self._seq += 1
-            name = "{:06d}-{}".format(
-                self._seq, fingerprint([u.key for u in members])[:12]
-            )
+            name = "{:06d}-{}".format(self._seq, fingerprint(unit.key)[:12])
             self.spool.enqueue(
-                name,
-                [(u.key, u.payload) for u in members],
-                fn if fn is not None else ctx.fn,
-                ctx.policy.timeout_s,
+                name, unit.key, unit.payload, ctx.fn, ctx.policy.timeout_s,
                 encode=encode,
             )
-            task_members[name] = [u.key for u in members]
+            task_keys[name] = unit.key
 
-        block_fn = ctx.block_fn if ctx.block_fn is not None else ctx.fn
-        for block in plan_blocks(pending, ctx.policy.block_size):
-            enqueue(block, block_fn if len(block) > 1 else ctx.fn)
+        for unit in pending:
+            enqueue(unit)
         if self.manage_workers:
             self._ensure_fleet()
         # The fleet stays up across execute() calls (the search driver
@@ -208,12 +197,11 @@ class QueueBackend(ExecutorBackend):
         # units settle.
         while len(settled) < len(units):
             progressed = self._drain_outcomes(
-                ctx, units, settled, attempts, requeues, task_members,
-                retry_due, enqueue,
+                ctx, units, settled, attempts, task_keys, retry_due
             )
             progressed |= self._requeue_due(retry_due, enqueue)
             progressed |= self._reclaim_expired(
-                ctx, units, settled, requeues, task_members, enqueue
+                ctx, units, settled, requeues, task_keys, enqueue
             )
             if self.manage_workers:
                 self._manage_fleet(len(settled) < len(units))
@@ -272,10 +260,8 @@ class QueueBackend(ExecutorBackend):
         units: "Dict[str, WorkUnit]",
         settled: "set[str]",
         attempts: "Dict[str, int]",
-        requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         retry_due: "List[Tuple[float, WorkUnit]]",
-        enqueue: Any,
     ) -> bool:
         progressed = False
         for host in self.spool.outcome_hosts():
@@ -292,8 +278,7 @@ class QueueBackend(ExecutorBackend):
                 if not isinstance(record, dict):
                     continue
                 progressed |= self._consume_outcome(
-                    record, ctx, units, settled, attempts, requeues,
-                    task_members, retry_due, enqueue,
+                    record, ctx, units, settled, attempts, task_keys, retry_due
                 )
         return progressed
 
@@ -304,49 +289,37 @@ class QueueBackend(ExecutorBackend):
         units: "Dict[str, WorkUnit]",
         settled: "set[str]",
         attempts: "Dict[str, int]",
-        requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         retry_due: "List[Tuple[float, WorkUnit]]",
-        enqueue: Any,
     ) -> bool:
+        task_name = record.get("task")
+        if not isinstance(task_name, str):
+            task_name = None
         if record.get("kind") == "task_failure":
             # The worker claimed the task but could not even read it
-            # (unpicklable payload); route every still-unsettled member
-            # through the normal error/retry path.
-            task_name = record.get("task")
-            members = task_members.get(task_name, []) if isinstance(
-                task_name, str
-            ) else []
-            progressed = False
-            for key in list(members):
-                if key in settled:
-                    continue
-                progressed |= self._consume_outcome(
-                    {
-                        "kind": "task",
-                        "key": key,
-                        "task": task_name,
-                        "status": "error",
-                        "worker": record.get("worker"),
-                        "error": record.get("error") or "task unreadable",
-                        "error_type": record.get("error_type") or "TaskUnreadable",
-                    },
-                    ctx, units, settled, attempts, requeues,
-                    task_members, retry_due, enqueue,
-                )
-            return progressed
+            # (unpicklable payload); route its unit through the normal
+            # error/retry path.
+            record = dict(
+                record,
+                key=task_keys.get(task_name) if task_name else None,
+                status="error",
+                error=record.get("error") or "task unreadable",
+                error_type=record.get("error_type") or "TaskUnreadable",
+            )
         key = record.get("key")
         if not isinstance(key, str) or key not in units:
             return False  # stale line from an earlier execute() call
+        # Whatever the outcome says, its task is done: a retry runs under
+        # a new task, so the old one must not stay claimable.
+        self._retire(task_name, task_keys)
         if key in settled:
             # The reclaim-vs-slow-worker race: the unit already settled
             # (first outcome wins); this late duplicate is evidence the
             # dedup did its job, not a second result.
             self._bump(ctx, "dist.outcomes_deduped")
             return False
-        task_name = record.get("task")
+        attempts[key] = attempts.get(key, 0) + 1
         if record.get("status") == "ok":
-            attempts[key] = attempts.get(key, 0) + 1
             ctx.settle(
                 TaskRecord(
                     key=key,
@@ -358,17 +331,14 @@ class QueueBackend(ExecutorBackend):
                 )
             )
             settled.add(key)
-            self._retire_if_done(task_name, task_members, settled)
             return True
         # task-level error: bounded by the engine's retry policy
-        attempts[key] = attempts.get(key, 0) + 1
         if attempts[key] <= ctx.policy.max_retries:
             ctx.record_retry(key, attempts[key])
             self._bump(ctx, "dist.units_requeued")
             retry_due.append(
                 (time.monotonic() + ctx.backoff(attempts[key]), units[key])
             )
-            self._retire_if_done(task_name, task_members, settled, force_key=key)
             return True
         error = TaskError(
             key=key,
@@ -387,34 +357,15 @@ class QueueBackend(ExecutorBackend):
             )
         )
         settled.add(key)
-        self._retire_if_done(task_name, task_members, settled)
         return True
 
-    def _retire_if_done(
-        self,
-        task_name: "Optional[Any]",
-        task_members: "Dict[str, List[str]]",
-        settled: "set[str]",
-        force_key: "Optional[str]" = None,
+    def _retire(
+        self, task_name: "Optional[str]", task_keys: "Dict[str, str]"
     ) -> None:
-        """Delete a task file + claim once every member is accounted for.
-
-        A member that went to the retry queue counts as accounted-for via
-        ``force_key``: its re-execution happens under a *new* singleton
-        task, so the old block must not stay claimable.
-        """
-        if not isinstance(task_name, str):
-            return
-        members = task_members.get(task_name)
-        if members is None:
-            return
-        if force_key is not None:
-            members = [k for k in members if k != force_key]
-            task_members[task_name] = members
-        if all(k in settled for k in members):
+        """Delete a consumed task's file and claim."""
+        if task_name is not None and task_keys.pop(task_name, None) is not None:
             self.spool.remove_task(task_name)
             self.spool.release_claim(task_name)
-            task_members.pop(task_name, None)
 
     def _requeue_due(
         self,
@@ -427,7 +378,7 @@ class QueueBackend(ExecutorBackend):
             return False
         retry_due[:] = [entry for entry in retry_due if entry[0] > now]
         for _, unit in due:
-            enqueue([unit], None)
+            enqueue(unit)
         return True
 
     # ------------------------------------------------------------------
@@ -451,34 +402,32 @@ class QueueBackend(ExecutorBackend):
         units: "Dict[str, WorkUnit]",
         settled: "set[str]",
         requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         enqueue: Any,
     ) -> bool:
         progressed = False
         for task_name in self.spool.claimed_names():
-            members = task_members.get(task_name)
-            if members is None:
+            key = task_keys.get(task_name)
+            if key is None:
                 continue  # stale claim from an earlier campaign
             claim = self.spool.read_claim(task_name)
             if claim is None or not self._lease_expired(claim, task_name):
                 continue
             self._bump(ctx, "dist.leases_expired")
-            # Outcomes the dying worker journaled before the kill are
-            # consumed on the next drain; reclaim only what is unsettled
-            # *now* — drain first so the window is as small as the race
-            # itself (the dedup guard covers whatever remains).
-            self.spool.remove_task(task_name)
-            self.spool.release_claim(task_name)
-            unsettled = [k for k in members if k not in settled]
-            task_members.pop(task_name, None)
-            for key in unsettled:
-                requeues[key] = requeues.get(key, 0) + 1
-                if requeues[key] > self.max_requeues:
-                    self._quarantine(ctx, units[key], requeues[key], settled)
-                else:
-                    self._bump(ctx, "dist.units_reclaimed")
-                    enqueue([units[key]], None)
+            # An outcome the dying worker journaled before the kill is
+            # consumed on the next drain; reclaim only if the unit is
+            # unsettled *now* — drain first so the window is as small as
+            # the race itself (the dedup guard covers whatever remains).
+            self._retire(task_name, task_keys)
             progressed = True
+            if key in settled:
+                continue
+            requeues[key] = requeues.get(key, 0) + 1
+            if requeues[key] > self.max_requeues:
+                self._quarantine(ctx, units[key], requeues[key], settled)
+            else:
+                self._bump(ctx, "dist.units_reclaimed")
+                enqueue(units[key])
         return progressed
 
     def _quarantine(

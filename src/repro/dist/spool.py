@@ -8,7 +8,7 @@ over a shared filesystem between real machines:
 ```
 <spool>/
   spool.json          manifest: kind/schema, host count, audit pointers
-  tasks/              one pickled task file per enqueued dispatch
+  tasks/              one pickled task file per enqueued unit
   claims/<task>.claim exclusive claim (O_CREAT|O_EXCL) by one host
   hearts/<host>.json  worker heartbeat, freshness via mtime
   outcomes/<host>.jsonl  append-only per-host outcome journal
@@ -26,7 +26,7 @@ Protocol invariants the helpers here enforce:
 * **task files are atomic** — written to a temp name and ``os.replace``d
   in, so a worker never observes a half-written pickle;
 * **outcome journals are append-only and torn-tail safe** — one JSON
-  line per settled member, flushed and fsynced; readers consume
+  line per executed task, flushed and fsynced; readers consume
   *complete* lines only (byte offsets + ``rpartition(b"\\n")``), so a
   worker SIGKILLed mid-append never corrupts the coordinator's view;
 * **heartbeats are cheap liveness** — an atomically-replaced file whose
@@ -40,7 +40,7 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..jsonutil import dumps as strict_dumps
 
@@ -151,18 +151,19 @@ class Spool:
     def enqueue(
         self,
         name: str,
-        members: "Sequence[Tuple[str, Any]]",
+        key: str,
+        payload: Any,
         fn: Callable[[Any], Any],
         timeout_s: Optional[float],
         encode: "Optional[Callable[[Any], Any]]" = None,
     ) -> None:
-        """Write one task file: a block of (key, payload) members plus the
-        worker callable (module-level, hence picklable), the result
-        encode hook (``None`` = results are JSON-ready) and the
-        per-member deadline."""
+        """Write one task file: one unit's key and payload plus the worker
+        callable (module-level, hence picklable), the result encode hook
+        (``None`` = results are JSON-ready) and the unit's deadline."""
         task = {
             "name": name,
-            "members": list(members),
+            "key": key,
+            "payload": payload,
             "fn": fn,
             "timeout_s": timeout_s,
             "encode": encode,

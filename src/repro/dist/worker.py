@@ -1,13 +1,13 @@
 """The host worker loop behind ``python -m repro.dist worker``.
 
 One worker process per simulated "host": it polls the spool for
-unclaimed task files, claims one exclusively, executes every member
-through :func:`~repro.exec.blocks.execute_block` under a SIGALRM
-deadline, and appends one outcome line per member to its own journal at
-``outcomes/<host>.jsonl``.  Crash-consistency is the coordinator's
-problem by design — a worker holds no state the spool does not: if it is
-SIGKILLed mid-task, its heartbeat goes stale, the coordinator expires
-the claim and requeues the unsettled members.
+unclaimed task files, claims one exclusively, calls ``fn(payload)`` for
+the task's one unit under a SIGALRM deadline, and appends one outcome
+line to its own journal at ``outcomes/<host>.jsonl``.
+Crash-consistency is the coordinator's problem by design — a worker
+holds no state the spool does not: if it is SIGKILLed mid-task, its
+heartbeat goes stale, the coordinator expires the claim and requeues
+the unit.
 
 The worker appends outcomes *before* deleting anything and never touches
 the task or claim files of a finished task — the coordinator consumes
@@ -24,9 +24,8 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..exec.blocks import execute_block
 from ..exec.engine import _call_with_deadline
 from .spool import Spool, TaskUnreadable
 
@@ -47,64 +46,40 @@ def alias_main_module(module_name: str) -> None:
     sys.modules["__main__"] = importlib.import_module(module_name)
 
 
-def _member_outcomes(
-    task: "Dict[str, Any]", host: str, claim_fp: str
-) -> "List[Dict[str, Any]]":
-    """Execute one claimed task; one journal-shaped outcome per member."""
-    members: "List[Tuple[str, Any]]" = task["members"]
-    fn = task["fn"]
+def _outcome(task: "Dict[str, Any]", host: str, claim_fp: str) -> "Dict[str, Any]":
+    """Execute one claimed task; its journal-shaped outcome line."""
     # Results cross the host boundary as JSON, so the coordinator ships
     # its (module-level, picklable) encode hook along with the task;
     # ``None`` means results are JSON-ready as-is.
     encode = task.get("encode") or (lambda value: value)
-    timeout_s = task.get("timeout_s")
-    deadline = None if timeout_s is None else timeout_s * len(members)
-    base = {"kind": "task", "worker": host, "claim": claim_fp, "task": task["name"]}
+    base = {
+        "kind": "task",
+        "worker": host,
+        "claim": claim_fp,
+        "task": task["name"],
+        "key": task["key"],
+        "attempts": 1,
+    }
+    started = time.perf_counter()
     try:
-        outcomes = _call_with_deadline(
-            execute_block, (fn, list(members)), deadline
+        result = _call_with_deadline(
+            task["fn"], task["payload"], task.get("timeout_s")
         )
-    except BaseException as exc:  # noqa: BLE001 - wholesale block failure
-        # Timeout or infrastructure failure: every member gets an error
-        # outcome; the coordinator's retry budget decides what happens next.
-        return [
-            dict(
-                base,
-                key=key,
-                status="error",
-                attempts=1,
-                elapsed_s=0.0,
-                error=str(exc) or repr(exc),
-                error_type=type(exc).__name__,
-            )
-            for key, _ in members
-        ]
-    records = []
-    for outcome in outcomes:
-        if outcome.ok:
-            records.append(
-                dict(
-                    base,
-                    key=outcome.key,
-                    status="ok",
-                    attempts=1,
-                    elapsed_s=round(outcome.elapsed_s, 6),
-                    result=encode(outcome.result),
-                )
-            )
-        else:
-            records.append(
-                dict(
-                    base,
-                    key=outcome.key,
-                    status="error",
-                    attempts=1,
-                    elapsed_s=round(outcome.elapsed_s, 6),
-                    error=outcome.message,
-                    error_type=outcome.error_type,
-                )
-            )
-    return records
+    except Exception as exc:  # noqa: BLE001 - tasks are user code
+        # The coordinator's retry budget decides what happens next.
+        return dict(
+            base,
+            status="error",
+            elapsed_s=round(time.perf_counter() - started, 6),
+            error=str(exc) or repr(exc),
+            error_type=type(exc).__name__,
+        )
+    return dict(
+        base,
+        status="ok",
+        elapsed_s=round(time.perf_counter() - started, 6),
+        result=encode(result),
+    )
 
 
 def run_worker(
@@ -145,9 +120,9 @@ def run_worker(
                 try:
                     task = spool.read_task(name)
                 except TaskUnreadable as exc:
-                    # Can't even learn the member keys, so journal a
+                    # Can't even learn the unit's key, so journal a
                     # keyless task_failure; the coordinator maps it back
-                    # to the members it enqueued and fails/retries them.
+                    # to the unit it enqueued and fails/retries it.
                     spool.append_outcome(
                         host,
                         {
@@ -173,11 +148,10 @@ def run_worker(
                 time.sleep(poll_s)
                 continue
             name, task, claim_fp = claimed
-            for record in _member_outcomes(task, host, claim_fp):
-                spool.append_outcome(host, record)
+            spool.append_outcome(host, _outcome(task, host, claim_fp))
             executed += 1
             # The coordinator retires the task/claim after consuming the
-            # outcomes; leaving them in place keeps the claim as the
+            # outcome; leaving them in place keeps the claim as the
             # "in flight or done, not re-claimable" marker.
             if once:
                 return executed

@@ -62,7 +62,6 @@ from ..obs.profile import (
 )
 from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import EngineTracer
-from .blocks import execute_block
 from .journal import RunJournal, check_spec_fingerprint, load_journal
 from .progress import (
     CAMPAIGN_FINISHED,
@@ -116,20 +115,12 @@ class EnginePolicy:
             thread; elsewhere tasks run undeadlined.
         max_retries: extra attempts after the first failure.
         retry_backoff_s: base backoff, doubled per subsequent attempt.
-        block_size: units executed per worker dispatch.  ``1`` (default)
-            dispatches per unit; larger values amortize dispatch/journal
-            overhead over short tasks via :mod:`repro.exec.blocks`.  A
-            block's deadline is ``timeout_s * block members``; any member
-            that fails inside a block — or whose whole block dies — is
-            re-run through the per-unit retry path, so fault tolerance is
-            unchanged.
     """
 
     jobs: int = 1
     timeout_s: Optional[float] = None
     max_retries: int = 2
     retry_backoff_s: float = 0.05
-    block_size: int = 1
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -138,8 +129,6 @@ class EnginePolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
 
 
 @dataclass(frozen=True)
@@ -255,19 +244,6 @@ def _task_entry(
     return result, f"pid{os.getpid()}", time.perf_counter() - started
 
 
-def _block_entry(
-    payload: Any, timeout_s: Optional[float]
-) -> "Tuple[Any, str]":
-    """(member outcomes, worker id) for one block dispatch.
-
-    The deadline covers the whole block — callers scale ``timeout_s`` by
-    the member count — and a block-level timeout/crash sends every member
-    back to the per-unit retry path.
-    """
-    outcomes = _call_with_deadline(execute_block, payload, timeout_s)
-    return outcomes, f"pid{os.getpid()}"
-
-
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -338,14 +314,9 @@ class CampaignEngine:
         hotspot_top_n: int = 0,
         spec_fingerprint: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
-        block_fn: Optional[Callable[[Any], Any]] = None,
         backend: "Optional[ExecutorBackend]" = None,
     ) -> None:
         self.fn = fn
-        # Optional block worker (``__block_worker__ = True``): runs a whole
-        # block's payloads in one call when block_size > 1; per-unit
-        # execution (and retry fallback) always uses ``fn``.
-        self.block_fn = block_fn
         self.policy = policy or EnginePolicy()
         self.backend = backend
         self.encode = encode or (lambda value: value)
@@ -417,7 +388,6 @@ class CampaignEngine:
             if pending:
                 ctx = ExecutionContext(
                     fn=self.fn,
-                    block_fn=self.block_fn,
                     policy=self.policy,
                     settle=self._make_settler(
                         records, journal, summary, len(units), started

@@ -549,7 +549,6 @@ def execute_suite(
     options: Optional[CampaignOptions] = None,
     *,
     jobs: int = 1,
-    block_size: int = 1,
     journal: "str | Path | None" = None,
     resume: bool = False,
     timeout_s: Optional[float] = None,
@@ -567,10 +566,7 @@ def execute_suite(
 
     Every (scenario, seed) pair becomes one :class:`WorkUnit`; results come
     back grouped per scenario in seed order, identical for any ``jobs``
-    value.  ``block_size`` > 1 dispatches runs in blocks of that many per
-    worker call (see :mod:`repro.exec.blocks`), amortizing engine overhead
-    over short runs; results, journal records and the canonical report are
-    identical to per-unit dispatch.  A failed task (after retries) raises
+    value.  A failed task (after retries) raises
     :class:`~repro.exec.CampaignExecutionError` once the campaign settles —
     the engine never aborts mid-flight, so all other runs still complete
     and journal.
@@ -612,12 +608,7 @@ def execute_suite(
         backend = None
     engine = CampaignEngine(
         execute_campaign_unit,
-        EnginePolicy(
-            jobs=jobs,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            block_size=block_size,
-        ),
+        EnginePolicy(jobs=jobs, timeout_s=timeout_s, max_retries=max_retries),
         encode=_encode_outcome,
         decode=_decode_outcome,
         journal=journal,
@@ -650,7 +641,6 @@ def run_suite(
     options: Optional[CampaignOptions] = None,
     *,
     jobs: int = 1,
-    block_size: int = 1,
     journal: "str | Path | None" = None,
     resume: bool = False,
     progress: "ProgressHook | str | None" = "auto",
@@ -672,7 +662,6 @@ def run_suite(
         seeds,
         options,
         jobs=jobs,
-        block_size=block_size,
         journal=journal,
         resume=resume,
         progress=progress,
@@ -694,12 +683,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--block-size", type=int, default=1, metavar="N",
-        help="runs executed per worker dispatch (1 = per-run dispatch); "
-        "larger blocks amortize engine overhead over short runs without "
-        "changing results",
-    )
     parser.add_argument("--journal", type=Path, default=None)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(
@@ -777,7 +760,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         seeds=tuple(range(args.seeds)),
         options=options,
         jobs=args.jobs,
-        block_size=args.block_size,
         journal=args.journal,
         resume=args.resume,
         trace=args.trace,

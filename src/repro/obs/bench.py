@@ -58,7 +58,6 @@ class Workload:
     scenarios: Tuple[str, ...]
     seeds: Tuple[int, ...]
     jobs: int = 1
-    block_size: int = 1
     deadline_ms: Optional[float] = None
     breaker: bool = False
     quick: bool = False
@@ -82,7 +81,6 @@ class Workload:
             "scenarios": list(self.scenarios),
             "seeds": list(self.seeds),
             "jobs": self.jobs,
-            "block_size": self.block_size,
             "deadline_ms": self.deadline_ms,
             "breaker": self.breaker,
         }
@@ -102,15 +100,6 @@ WORKLOADS: Dict[str, Workload] = {
             scenarios=("nominal",),
             seeds=(0, 1),
             jobs=1,
-            quick=True,
-        ),
-        Workload(
-            name="smoke-batch",
-            description="2 nominal runs in one dispatch block — block-path tripwire",
-            scenarios=("nominal",),
-            seeds=(0, 1),
-            jobs=1,
-            block_size=2,
             quick=True,
         ),
         Workload(
@@ -224,7 +213,6 @@ def _run_campaign_pass(
             workload.seeds,
             options,
             jobs=effective_jobs,
-            block_size=workload.block_size,
             progress=None,
             profile=profile_dir,
             backend=workload.backend,

@@ -29,8 +29,6 @@ from ..sim.intersection import Route
 from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot
 from ..sim.scenario import AttackKind
 
-_ghost_ids = itertools.count(-1, -1)
-
 
 @dataclass(frozen=True)
 class InjectionRecord:
@@ -71,10 +69,12 @@ class GhostObstacleFault(FaultModel):
 
     kind = "ghost_obstacle"
 
-    def __init__(self, distance_ahead: float = 12.0) -> None:
+    def __init__(self, distance_ahead: float = 12.0, object_id: int = -1) -> None:
         if distance_ahead <= 0.0:
             raise ValueError(f"distance_ahead must be positive, got {distance_ahead}")
         self.distance_ahead = distance_ahead
+        # Negative, so a ghost never collides with a real vehicle's id.
+        self.object_id = object_id
         self._ghost: Optional[PerceivedObject] = None
 
     def reset(self) -> None:
@@ -86,7 +86,7 @@ class GhostObstacleFault(FaultModel):
             # ("near the intersection entry", §IV.C).
             ghost_s = ego_s + self.distance_ahead
             self._ghost = PerceivedObject(
-                object_id=next(_ghost_ids),
+                object_id=self.object_id,
                 kind=ObjectKind.VEHICLE,
                 position=route.point_at(ghost_s),
                 velocity=Vec2.zero(),
@@ -298,6 +298,7 @@ class FaultPipeline:
         self._faults: Dict[str, FaultModel] = {}
         self._rng = random.Random(seed)
         self._records: List[InjectionRecord] = []
+        self._ghost_ids = itertools.count(-1, -1)
 
     def arm(self, fault: FaultModel) -> None:
         """Activate a fault (replaces any active fault of the same kind)."""
@@ -314,12 +315,17 @@ class FaultPipeline:
     def active_kinds(self) -> List[str]:
         return sorted(self._faults)
 
+    def next_ghost_id(self) -> int:
+        """A fresh ghost object id: ``-1``, ``-2``, ... within one run."""
+        return next(self._ghost_ids)
+
     def reset(self, seed: Optional[int] = None) -> None:
-        """Fresh run: clear faults, records and re-seed."""
+        """Fresh run: clear faults and records, restart ghost ids, re-seed."""
         for fault in self._faults.values():
             fault.reset()
         self._faults.clear()
         self._records.clear()
+        self._ghost_ids = itertools.count(-1, -1)
         if seed is not None:
             self._rng = random.Random(seed)
 
@@ -391,7 +397,12 @@ class FaultInjectorRole(Role):
             if GhostObstacleFault.kind not in self.pipeline.active_kinds:
                 # Higher intensity = ghost closer to the ego.
                 distance = 18.0 - 8.0 * max(0.0, min(1.0, intensity))
-                self.pipeline.arm(GhostObstacleFault(distance_ahead=distance))
+                self.pipeline.arm(
+                    GhostObstacleFault(
+                        distance_ahead=distance,
+                        object_id=self.pipeline.next_ghost_id(),
+                    )
+                )
             self.pipeline.disarm(TrajectorySpoofFault.kind)
         elif directive is AttackKind.TRAJECTORY_SPOOF:
             if TrajectorySpoofFault.kind not in self.pipeline.active_kinds:

@@ -46,11 +46,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--jobs", type=int, default=1, help="evaluation fan-out")
     parser.add_argument(
-        "--block-size", type=int, default=1, metavar="N",
-        help="evaluations per worker dispatch (1 = per-candidate); larger "
-        "blocks amortize engine overhead without changing artifacts",
-    )
-    parser.add_argument(
         "--backend", default="local", choices=("local", "queue"),
         help="evaluation backend: 'local' (in-process pool) or 'queue' "
         "(multi-host work queue under <out>/spool); artifacts are "
@@ -146,7 +141,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "grid_points": args.grid_points,
             "bins": args.bins,
             "jobs": args.jobs,
-            "block_size": args.block_size,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
             "hosts": args.hosts,
@@ -172,7 +166,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             "max_counterexamples": args.max_counterexamples,
             "bins": args.bins,
             "jobs": args.jobs,
-            "block_size": args.block_size,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
             "hosts": args.hosts,

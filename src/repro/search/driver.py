@@ -49,7 +49,6 @@ from .objective import (
     candidate_key,
     decode_evaluation,
     encode_evaluation,
-    execute_search_block,
     execute_search_unit,
     search_unit,
 )
@@ -88,9 +87,6 @@ class SearchConfig:
             cell).
         bins: coverage-map bins per float dimension.
         jobs: evaluation fan-out width.
-        block_size: evaluations executed per worker dispatch (1 = per-
-            candidate dispatch); larger blocks amortize engine overhead
-            without changing any artifact (see :mod:`repro.exec.blocks`).
         timeout_s: per-evaluation engine deadline.
     """
 
@@ -110,7 +106,6 @@ class SearchConfig:
     max_counterexamples: int = 3
     bins: int = 4
     jobs: int = 1
-    block_size: int = 1
     timeout_s: Optional[float] = None
     backend: str = "local"
     hosts: int = 0
@@ -128,8 +123,6 @@ class SearchConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.elites < 1:
             raise ValueError(f"elites must be >= 1, got {self.elites}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
 
     # ------------------------------------------------------------------
     # plain-dict constructors (shared by the CLI's argparse handlers and
@@ -151,7 +144,7 @@ class SearchConfig:
         data = normalized_field_values(cls, dict(data or {}))
         for field_name in ("seed", "budget", "batch", "elites", "grid_points",
                            "minimize_rounds", "max_counterexamples", "bins",
-                           "jobs", "block_size", "hosts"):
+                           "jobs", "hosts"):
             if data.get(field_name) is not None:
                 data[field_name] = int(data[field_name])
         if data.get("warmup") is not None:
@@ -339,11 +332,7 @@ class SearchDriver:
         jobs = min(self.config.jobs, len(units))
         engine = CampaignEngine(
             execute_search_unit,
-            EnginePolicy(
-                jobs=jobs,
-                timeout_s=self.config.timeout_s,
-                block_size=self.config.block_size,
-            ),
+            EnginePolicy(jobs=jobs, timeout_s=self.config.timeout_s),
             encode=encode_evaluation,
             decode=decode_evaluation,
             journal=self.out_dir / SEARCH_JOURNAL_NAME,
@@ -351,9 +340,6 @@ class SearchDriver:
             progress=self.progress,
             spec_fingerprint=self.spec_fingerprint(),
             cancel=self.cancel,
-            # Batched STL scoring for whole blocks; bit-identical to the
-            # per-unit scorer, so artifacts do not depend on block_size.
-            block_fn=execute_search_block,
             backend=self._engine_backend(),
         )
         report = engine.run(units).raise_on_error()

@@ -278,7 +278,7 @@ SEARCH_DIR_NAME = "search"
 REPORT_NAME = "report.json"
 
 
-#: Spool directory name for queue-backend jobs (see DESIGN.md §12).
+#: Spool directory name for queue-backend jobs (see DESIGN.md §11).
 SPOOL_DIR_NAME = "spool"
 
 

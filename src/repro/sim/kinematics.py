@@ -1,16 +1,10 @@
-"""Pure longitudinal-kinematics functions shared by both simulation paths.
+"""Pure longitudinal kinematics: the simulator's one integrator.
 
-The scalar :class:`~repro.sim.vehicle.Vehicle` stepper and the vectorized
-:mod:`repro.sim.batch` stepper must stay *bit-identical*: the batched
-campaign path is only trustworthy if it reproduces the scalar reference
-byte-for-byte.  Keeping the integration arithmetic in one place — with a
-documented floating-point operation order — makes that equivalence a
-property of the code rather than of two implementations drifting in sync.
-
-Every function here is a pure ``(state) -> (state)`` map over plain floats
-(or, transparently, numpy arrays of them: the expressions use only ``+ - *
-/`` and comparisons, which evaluate element-wise with the same IEEE-754
-rounding as the scalar path).
+:class:`~repro.sim.vehicle.Vehicle` advances every vehicle — ego and
+background traffic alike — through :func:`integrate_longitudinal`, a
+pure ``(s, speed) -> (s, speed)`` map over plain floats with a
+documented floating-point operation order, so a run's trajectory is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ def integrate_longitudinal(
     would cross zero speed inside the step, the vehicle advances by the
     exact stopping distance and comes to rest.
 
-    Floating-point contract (the batch stepper mirrors this order):
+    Floating-point contract (pinned run digests depend on this order):
 
     * ``new_speed = speed + acceleration * dt``
     * moving:   ``s + (speed + new_speed) / 2.0 * dt``
@@ -41,15 +35,3 @@ def integrate_longitudinal(
         return s, 0.0
     return s + (speed + new_speed) / 2.0 * dt, new_speed
 
-
-def stopping_accel(speed: float, distance: float, max_decel: float) -> float:
-    """Deceleration (<= 0) that stops within ``distance``, capped at ``max_decel``.
-
-    The shared form of the traffic controller's stop-at-entry profile:
-    ``v^2 / (2 d)`` clamped to the physical braking limit.  ``distance``
-    must be positive (callers clamp); a non-positive speed needs no braking.
-    """
-    if speed <= 0.0:
-        return 0.0
-    required = speed * speed / (2.0 * distance)
-    return -min(required, max_decel)

@@ -1,8 +1,6 @@
 """Tests for the StateManager blackboard."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core import RoleResult, StateManager, StateError, Verdict
 
@@ -108,20 +106,6 @@ class TestHistory:
         assert len(state.history) == 3
         assert state.history[0].world_state["signal"] == 3
 
-    def test_history_signal_skips_non_numeric(self):
-        state = StateManager()
-        self._run_iterations(state, [1.0, 2.0])
-        assert state.history_signal("signal") == [1.0, 2.0]
-        assert state.history_signal("label") == []
-        assert state.history_signal("missing") == []
-
-    def test_history_signal_excludes_booleans(self):
-        state = StateManager()
-        state.begin_iteration(0, 0.0)
-        state.update_world_state({"flag": True})
-        state.finish_iteration(None, "")
-        assert state.history_signal("flag") == []
-
     def test_recent_returns_tail(self):
         state = StateManager()
         self._run_iterations(state, [1, 2, 3])
@@ -155,12 +139,6 @@ class TestHistory:
         self._run_iterations(state, [1, 2, 3, 4, 5])
         with pytest.raises(StateError, match="starts at iteration 2"):
             state.run_history()
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
-    def test_history_signal_round_trip(self, values):
-        state = StateManager(history_limit=None)
-        self._run_iterations(state, values)
-        assert state.history_signal("signal") == [float(v) for v in values]
 
 
 class TestScratch:

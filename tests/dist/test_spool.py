@@ -18,7 +18,7 @@ from .dist_tasks import square
 class TestClaims:
     def test_claim_is_exclusive(self, tmp_path):
         spool = Spool(tmp_path).ensure()
-        spool.enqueue("t0", [("k0", 2)], square, None)
+        spool.enqueue("t0", "k0", 2, square, None)
         first = spool.try_claim("t0", "host0")
         assert first is not None
         assert spool.try_claim("t0", "host1") is None
@@ -28,7 +28,7 @@ class TestClaims:
 
     def test_release_reopens_claim(self, tmp_path):
         spool = Spool(tmp_path).ensure()
-        spool.enqueue("t0", [("k0", 2)], square, None)
+        spool.enqueue("t0", "k0", 2, square, None)
         assert spool.try_claim("t0", "host0")
         assert spool.claimable() == []
         spool.release_claim("t0")
@@ -37,9 +37,9 @@ class TestClaims:
 
     def test_task_round_trip(self, tmp_path):
         spool = Spool(tmp_path).ensure()
-        spool.enqueue("t0", [("k0", 2), ("k1", 3)], square, 1.5)
+        spool.enqueue("t0", "k0", 2, square, 1.5)
         task = spool.read_task("t0")
-        assert task["members"] == [("k0", 2), ("k1", 3)]
+        assert (task["key"], task["payload"]) == ("k0", 2)
         assert task["fn"] is square
         assert task["timeout_s"] == 1.5
         spool.remove_task("t0")

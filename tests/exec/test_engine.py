@@ -199,6 +199,29 @@ class TestFaultTolerance:
         assert report.summary.retries >= 1
 
     @pytest.mark.skipif(not _fork_available(), reason="needs forked worker pool")
+    def test_pool_broken_mid_submission_fails_over(self, monkeypatch):
+        # A worker can die while later units are still being handed out;
+        # the submit that finds the pool broken must not abort the run.
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.dist import local
+
+        submits = []
+
+        class BreaksOnSecondSubmit(local.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(local, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        report = CampaignEngine(square, policy(jobs=2), progress=None).run(_units(4))
+        assert report.results() == [i * i for i in range(4)]
+        assert report.summary.errors == 0
+        assert report.summary.retries >= 1
+
+    @pytest.mark.skipif(not _fork_available(), reason="needs forked worker pool")
     def test_permanently_dying_worker_becomes_task_error(self):
         report = CampaignEngine(
             die_always, policy(jobs=2, max_retries=1), progress=None

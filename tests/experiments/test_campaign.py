@@ -1,7 +1,6 @@
 """Tests for campaign wiring and experiment generators (small seed sets)."""
 
 import dataclasses
-import itertools
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.core import EventKind, OrchestrationController, RoleKind
 from repro.core import orchestrator as orchestrator_module
 from repro.experiments import CampaignOptions, build_controller, run_once, run_suite
 from repro.experiments import fig4, gridlock, table2
-from repro.roles import fault_injector
 from repro.sim import ScenarioType, build_scenario
 from tests.conftest import collect_events
 
@@ -119,14 +117,12 @@ class TestUnheardEvents:
         assert event_constructions == []
 
     def test_a_subscriber_receives_what_a_logging_bus_keeps(
-        self, event_constructions, monkeypatch
+        self, event_constructions
     ):
         scenario, seed, options = RESILIENT
         spec = build_scenario(scenario, seed)
         unheard = build_controller(spec, options)
         received = collect_events(unheard)
-        # Ghost ids come from a process-wide counter; restart it per run.
-        monkeypatch.setattr(fault_injector, "_ghost_ids", itertools.count(-1, -1))
         unheard.run()
         twin = build_controller(spec, options)
         logging = OrchestrationController(
@@ -134,7 +130,6 @@ class TestUnheardEvents:
             twin.environment,
             dataclasses.replace(twin.config, keep_event_log=True),
         )
-        monkeypatch.setattr(fault_injector, "_ghost_ids", itertools.count(-1, -1))
         logging.run()
         expected = logging.events.log
         kinds = {event.kind for event in expected}
@@ -156,6 +151,27 @@ class TestUnheardEvents:
             assert {k: v for k, v in got.payload.items() if k != "elapsed_s"} == {
                 k: v for k, v in want.payload.items() if k != "elapsed_s"
             }
+
+
+class TestGhostIds:
+    def test_identical_runs_publish_identical_fault_details(self):
+        # Ghost ids are per run, so what ran earlier in the process (job
+        # count, service job mix) cannot leak into a run's evidence.
+        spec = build_scenario(ScenarioType.GHOST_ATTACK, 0)
+        details = []
+        for _ in range(2):
+            controller = build_controller(spec)
+            trail = collect_events(controller)
+            controller.run()
+            details.append(
+                [
+                    event.payload["detail"]
+                    for event in trail.log
+                    if event.kind is EventKind.FAULT_INJECTED
+                ]
+            )
+        assert details[0] == details[1]
+        assert details[0][0].startswith("ghost vehicle #-1 ")
 
 
 class TestSuiteAndGenerators:

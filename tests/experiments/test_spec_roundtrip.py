@@ -15,7 +15,9 @@ from repro.experiments.campaign import (
     options_digest,
     write_campaign_report,
 )
+from repro.experiments.campaign import main as campaign_main
 from repro.llm.surrogate import SurrogateConfig
+from repro.search.cli import main as search_main
 from repro.search.driver import SearchConfig
 from repro.sim.scenario import ScenarioType
 
@@ -116,6 +118,28 @@ class TestSearchConfigRoundTrip:
     def test_validation_still_runs(self):
         with pytest.raises(ValueError, match="unknown mode"):
             SearchConfig.from_dict({"family": "congested", "mode": "wander"})
+
+
+class TestRetiredBlockSize:
+    """Block dispatch is gone; its knob is an error, not a silent no-op."""
+
+    def test_search_config_rejects_block_size(self):
+        with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['block_size'\]"):
+            SearchConfig.from_dict({"family": "congested", "block_size": 4})
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (campaign_main, ["--seeds", "1", "--block-size", "2"]),
+            (search_main, ["falsify", "--family", "pedestrian", "--block-size", "2"]),
+        ],
+        ids=["campaign", "search"],
+    )
+    def test_cli_flag_is_a_usage_error(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--block-size" in capsys.readouterr().err
 
 
 def _outcome(seed, wall=0.5, trace=None):

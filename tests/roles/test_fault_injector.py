@@ -234,6 +234,25 @@ class TestInjectorRole:
         assert result.data["injections"] >= 1
         assert context.metrics.count("faults.ghost_obstacle") >= 1
 
+    def test_ghost_ids_count_per_run(self, quiet_interface, snapshot_route_s):
+        snapshot, route, ego_s = snapshot_route_s
+        pipeline = FaultPipeline(seed=0)
+        injector = FaultInjectorRole(pipeline)
+        ghost = self._assessor_output(AttackKind.GHOST_OBSTACLE)
+        clear = self._assessor_output(AttackKind.NONE)
+
+        def ghost_id_after(output):
+            injector.execute(make_context(quiet_interface, generator_output=output))
+            out = pipeline.apply(snapshot, route, ego_s)
+            return next(o.object_id for o in out.objects if o.is_ghost)
+
+        assert ghost_id_after(ghost) == -1
+        assert ghost_id_after(ghost) == -1  # still armed: the same ghost
+        injector.execute(make_context(quiet_interface, generator_output=clear))
+        assert ghost_id_after(ghost) == -2  # re-armed in the same run
+        pipeline.reset(seed=0)
+        assert ghost_id_after(ghost) == -1  # a fresh run starts over
+
     def test_missing_assessor_is_benign(self, quiet_interface):
         pipeline = FaultPipeline(seed=0)
         injector = FaultInjectorRole(pipeline)

@@ -9,7 +9,6 @@ from repro.search.objective import (
     decode_evaluation,
     encode_evaluation,
     evaluate_spec,
-    execute_search_block,
     execute_search_unit,
     run_spec,
     search_unit,
@@ -69,21 +68,6 @@ class TestWorkerPayload:
         data = encode_evaluation(nominal_evaluation)
         assert decode_evaluation(data) == nominal_evaluation
         assert isinstance(data["params"], dict)
-
-    def test_execute_search_block_matches_per_unit(self):
-        """The batched-STL block worker is bit-identical to per-unit scoring."""
-        space = get_space("pedestrian")
-        payloads = []
-        for i, seed in enumerate((0, 1, 2)):
-            params = space.nominal_params()
-            unit = search_unit(
-                f"test:block:{i}", "pedestrian", params, seed, CampaignOptions()
-            )
-            payloads.append(unit.payload)
-        batched = execute_search_block(payloads)
-        per_unit = [execute_search_unit(p) for p in payloads]
-        assert batched == per_unit
-        assert execute_search_block.__block_worker__ is True
 
 
 class TestCandidateKey:

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.service import DONE, JobSpec, JobStore, Scheduler
+from repro.service import DONE, FAILED, JobSpec, JobStore, Scheduler
 
 from .test_scheduler import _wait_state
 
@@ -81,3 +81,31 @@ def test_campaign_job_with_seed_list_and_profile(tmp_path):
         assert final.progress_done == 2
     finally:
         scheduler.stop()
+
+
+class TestRetiredBlockSize:
+    """Specs written before block dispatch was removed are refused, loudly."""
+
+    OLD_CONFIG = dict(FALSIFY_CONFIG, block_size=4)
+
+    def test_submit_rejects_block_size(self, tmp_path):
+        scheduler = Scheduler(JobStore(tmp_path / "root"), workers=1)
+        with pytest.raises(ValueError, match="block_size"):
+            scheduler.submit(JobSpec(kind="falsify", spec={"config": self.OLD_CONFIG}))
+        assert scheduler.jobs() == []
+
+    def test_stored_job_fails_and_the_queue_moves_on(self, tmp_path):
+        # Queued by an older server, so never validated by this one.
+        store = JobStore(tmp_path / "root")
+        old = store.create(JobSpec(kind="falsify", spec={"config": self.OLD_CONFIG}))
+        behind = store.create(
+            JobSpec(kind="campaign", spec={"scenarios": ["nominal"], "seed_count": 1})
+        )
+        scheduler = Scheduler(store, workers=1, max_jobs=1).start()
+        try:
+            failed = _wait_state(scheduler, old.id, FAILED)
+            done = _wait_state(scheduler, behind.id, DONE, timeout=120.0)
+        finally:
+            scheduler.stop()
+        assert "unknown SearchConfig field(s) ['block_size']" in failed.error
+        assert done.result["total_runs"] == 1

@@ -85,6 +85,15 @@ class TestTemporal:
         )
         assert values[0] == pytest.approx(1)  # min(guard 1, y-rise 5)
 
+    def test_until_unbounded_series(self):
+        # Each step takes its best witness at or after it, guarded by x
+        # over the steps before that witness.
+        values = evaluate(
+            parse("x >= 0 U y >= 0"),
+            trace(x=[3, 1, -2, 4, 0.5], y=[-1, 1, 4, -2, 1.5]),
+        )
+        assert values == pytest.approx([1, 1, 4, 1.5, 1.5])
+
     def test_until_bounded_window(self):
         values = evaluate(
             parse("x >= 0 U[0,1] y >= 0"), trace(x=[1, 1, 1], y=[-1, -1, 5])
