@@ -93,10 +93,6 @@ class OrchestrationController:
             keep_log=self.config.keep_event_log,
             max_log=self.config.event_log_limit,
         )
-        #: Optional phase profiler (:class:`repro.obs.profile.PhaseProfiler`).
-        #: ``None`` (the default) keeps profiling zero-cost: every phase
-        #: site pays one ``is not None`` check and nothing else.
-        self.profiler: Optional[Any] = None
         self._order = self.graph.execution_order()
         if not any(s.role.kind is RoleKind.GENERATOR for s in self._order):
             raise ConfigurationError(
@@ -167,16 +163,11 @@ class OrchestrationController:
             self._publish(
                 EventKind.RUN_TERMINATED, iteration, payload={"reason": reason.value, **info}
             )
-        if self.profiler is None:
-            final_world_state = self._snapshot_world_state()
-        else:
-            with self.profiler.phase("orchestrator.snapshot"):
-                final_world_state = self._snapshot_world_state()
         return OrchestrationResult(
             reason=reason,
             iterations=iteration,
             metrics=self.metrics,
-            final_world_state=final_world_state,
+            final_world_state=self._snapshot_world_state(),
             environment_info=info,
             wall_time_s=wall_clock.perf_counter() - started,
         )
@@ -202,16 +193,11 @@ class OrchestrationController:
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> bool:
         env = self.environment
-        profiler = self.profiler
         self.state.begin_iteration(iteration, env.time)
         self._publish(EventKind.ITERATION_STARTED, iteration)
 
         # Step 3: state update.
-        if profiler is None:
-            self.state.update_world_state(env.observe())
-        else:
-            with profiler.phase("sim.observe"):
-                self.state.update_world_state(env.observe())
+        self.state.update_world_state(env.observe())
         self._publish(EventKind.STATE_UPDATED, iteration)
 
         # Steps 4-5: generation and dependability assessment, in order.
@@ -229,61 +215,40 @@ class OrchestrationController:
             violation |= self._execute_role(scheduled, context)
 
         # Steps 6-7: feedback processing, decision and adaptation.
-        if profiler is None:
-            action, source = self._decide_action()
-        else:
-            with profiler.phase("orchestrator.decide"):
-                action, source = self._decide_action()
+        action, source = self._decide_action()
 
         # Containment: never hand the environment a missing decision when
         # an action-hold policy is configured — re-issue the last executed
         # action (bounded), then the configured safe action.
         if self.resilience is not None:
-            resilience_timer = (
-                profiler.phase("orchestrator.resilience") if profiler is not None else None
-            )
-            if resilience_timer is not None:
-                resilience_timer.__enter__()
-            try:
-                if action is None:
-                    hold = self.resilience.hold
-                    action, policy = hold.fill()
-                    held = policy == HOLD
-                    source = "action-hold" if held else "safe-action"
-                    self.metrics.record_hold(held)
-                    if self.events.heard:
-                        self._publish(
-                            EventKind.ACTION_HELD,
-                            iteration,
-                            payload={
-                                "policy": policy,
-                                "action": self._describe_action(action),
-                                "consecutive_holds": hold.consecutive_holds,
-                            },
-                        )
-                else:
-                    self.resilience.hold.note_executed(action)
-            finally:
-                if resilience_timer is not None:
-                    resilience_timer.__exit__(None, None, None)
+            if action is None:
+                hold = self.resilience.hold
+                action, policy = hold.fill()
+                held = policy == HOLD
+                source = "action-hold" if held else "safe-action"
+                self.metrics.record_hold(held)
+                if self.events.heard:
+                    self._publish(
+                        EventKind.ACTION_HELD,
+                        iteration,
+                        payload={
+                            "policy": policy,
+                            "action": self._describe_action(action),
+                            "consecutive_holds": hold.consecutive_holds,
+                        },
+                    )
+            else:
+                self.resilience.hold.note_executed(action)
 
         # Step 8: action execution.
-        if profiler is None:
-            env.apply_action(action)
-        else:
-            with profiler.phase("sim.apply_action"):
-                env.apply_action(action)
+        env.apply_action(action)
         if self.events.heard:
             self._publish(
                 EventKind.ACTION_EXECUTED,
                 iteration,
                 payload={"action": self._describe_action(action), "source": source},
             )
-        if profiler is None:
-            env.advance()
-        else:
-            with profiler.phase("sim.step"):
-                env.advance()
+        env.advance()
 
         # Step 9: metrics logging.
         self.state.finish_iteration(executed_action=action, action_source=source)
@@ -403,8 +368,6 @@ class OrchestrationController:
         faults_before = len(self.metrics.faults)
         error: Optional[BaseException] = None
         result: Optional[RoleResult] = None
-        profiler = self.profiler
-        cpu_started = wall_clock.process_time() if profiler is not None else 0.0
         started = wall_clock.perf_counter()
         for attempt in range(retries + 1):
             try:
@@ -427,10 +390,6 @@ class OrchestrationController:
                 if backoff > 0:
                     wall_clock.sleep(backoff)
         elapsed = wall_clock.perf_counter() - started
-        if profiler is not None:
-            profiler.record(
-                f"role.{role.name}", elapsed, wall_clock.process_time() - cpu_started
-            )
 
         if error is not None:
             if not absorb_errors and not self.config.continue_on_role_error:

@@ -32,14 +32,12 @@ byte-identical across backends:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..exec.engine import EnginePolicy, TaskError, TaskRecord
 from ..exec.work import WorkUnit
-from ..obs.profile import PhaseProfiler
 from ..obs.telemetry import TelemetryRegistry
 
 
@@ -58,14 +56,8 @@ class ExecutionContext:
             engine's cancel hook fired; poll between settles.
         record_retry: report one retry (key, attempts-so-far); the
             engine counts it and emits the ``task_retry`` event.
-        sleep: back-off sleep, attributed to ``engine.retry_wait`` when
-            the engine is profiling.
         cancellable: whether a cancel hook is armed at all — backends
             use bounded waits instead of blocking forever when it is.
-        profiler: the engine's phase profiler (``None`` when the
-            campaign is not profiled).
-        hotspot_spec: per-unit cProfile capture spec builder, or
-            ``None`` when hotspot capture is disarmed.
         encode: result -> JSON-ready value (journal/byte-boundary form).
         decode: inverse of ``encode``.
         telemetry: the engine tracer's registry when the campaign is
@@ -80,10 +72,7 @@ class ExecutionContext:
     settle: Callable[[TaskRecord], None]
     check_cancelled: Callable[[], None]
     record_retry: Callable[[str, int], None]
-    sleep: Callable[[float], None] = time.sleep
     cancellable: bool = False
-    profiler: Optional[PhaseProfiler] = None
-    hotspot_spec: Optional[Callable[[WorkUnit], Tuple[str, str, int]]] = None
     encode: Callable[[Any], Any] = lambda value: value
     decode: Callable[[Any], Any] = lambda value: value
     telemetry: Optional[TelemetryRegistry] = None
@@ -92,11 +81,6 @@ class ExecutionContext:
 
     def backoff(self, attempts: int) -> float:
         return self.policy.retry_backoff_s * (2 ** (attempts - 1))
-
-    def unit_hotspot_spec(self, unit: WorkUnit) -> "Optional[Tuple[str, str, int]]":
-        if self.hotspot_spec is None:
-            return None
-        return self.hotspot_spec(unit)
 
 
 def error_record(
@@ -130,8 +114,6 @@ class ExecutorBackend:
 
     #: Registry/CLI name; subclasses override.
     name = "abstract"
-    #: Whether per-unit cProfile hotspot capture can be honoured.
-    supports_hotspots = False
 
     def plan(self, policy: EnginePolicy) -> "Tuple[str, int]":
         """``(mode, effective_jobs)`` for the campaign summary."""

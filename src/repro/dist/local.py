@@ -33,7 +33,6 @@ class LocalPoolBackend(ExecutorBackend):
     """
 
     name = "local"
-    supports_hotspots = True
 
     def plan(self, policy: EnginePolicy) -> "Tuple[str, int]":
         use_pool = policy.jobs > 1 and _fork_available()
@@ -64,21 +63,16 @@ class LocalPoolBackend(ExecutorBackend):
                 attempt_started = time.perf_counter()
                 try:
                     result, worker, elapsed = _task_entry(
-                        ctx.fn, unit.payload, policy.timeout_s,
-                        ctx.unit_hotspot_spec(unit),
+                        ctx.fn, unit.payload, policy.timeout_s
                     )
                 except Exception as exc:  # noqa: BLE001 - tasks are user code
                     elapsed = time.perf_counter() - attempt_started
                     if attempts <= policy.max_retries:
                         ctx.record_retry(unit.key, attempts)
-                        ctx.sleep(ctx.backoff(attempts))
+                        time.sleep(ctx.backoff(attempts))
                         continue
                     ctx.settle(error_record(unit.key, attempts, exc, elapsed))
                     break
-                if ctx.profiler is not None:
-                    # Executed successes only, so the count matches the
-                    # pool path and jobs=1 vs jobs=N stays comparable.
-                    ctx.profiler.record("engine.worker_run", elapsed)
                 ctx.settle(
                     TaskRecord(
                         key=unit.key,
@@ -105,27 +99,11 @@ class LocalPoolBackend(ExecutorBackend):
         in_flight: Dict[Future, Tuple[WorkUnit, int]] = {}
         retry_queue: List[Tuple[float, WorkUnit, int]] = []  # (due, unit, attempts)
 
-        profiler = ctx.profiler
-
         def submit(unit: WorkUnit, attempts: int) -> None:
-            call = (
-                _task_entry, ctx.fn, unit.payload, policy.timeout_s,
-                ctx.unit_hotspot_spec(unit),
-            )
             try:
-                if profiler is None:
-                    future = executor.submit(*call)
-                else:
-                    # The executor pickles the call in a feeder thread where
-                    # it cannot be observed; measure an equivalent payload
-                    # dump here so serialization cost shows up in the
-                    # breakdown.
-                    import pickle
-
-                    with profiler.phase("engine.pickle"):
-                        pickle.dumps(unit.payload)
-                    with profiler.phase("engine.dispatch"):
-                        future = executor.submit(*call)
+                future = executor.submit(
+                    _task_entry, ctx.fn, unit.payload, policy.timeout_s
+                )
             except BrokenProcessPool as exc:
                 # A worker died while units were still being handed out:
                 # this attempt fails over like every unit the dead pool
@@ -155,7 +133,7 @@ class LocalPoolBackend(ExecutorBackend):
                     submit(unit, attempts)
                 if not in_flight:
                     if retry_queue:
-                        ctx.sleep(
+                        time.sleep(
                             max(0.0, min(e[0] for e in retry_queue) - time.monotonic())
                         )
                     continue
@@ -181,8 +159,6 @@ class LocalPoolBackend(ExecutorBackend):
                     except Exception as exc:  # noqa: BLE001 - tasks are user code
                         retry_or_fail(unit, attempts, exc)
                     else:
-                        if profiler is not None:
-                            profiler.record("engine.worker_run", elapsed)
                         ctx.settle(
                             TaskRecord(
                                 key=unit.key,

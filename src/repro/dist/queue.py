@@ -101,7 +101,6 @@ class QueueBackend(ExecutorBackend):
     """
 
     name = "queue"
-    supports_hotspots = False
 
     def __init__(
         self,
@@ -146,11 +145,6 @@ class QueueBackend(ExecutorBackend):
     ) -> None:
         if self._closed:
             raise RuntimeError("QueueBackend is closed")
-        if ctx.hotspot_spec is not None:
-            raise ValueError(
-                "per-unit hotspot capture is not supported by the queue "
-                "backend (use --backend local for profiling runs)"
-            )
         pending = list(pending)
         if not pending:
             return

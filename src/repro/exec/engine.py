@@ -52,14 +52,6 @@ from typing import (
     Tuple,
 )
 
-from ..obs.profile import (
-    ENGINE_PROFILE_NAME,
-    PhaseProfiler,
-    capture_hotspots,
-    merge_profile_dir,
-    unit_profile_path,
-    write_profile,
-)
 from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import EngineTracer
 from .journal import RunJournal, check_spec_fingerprint, load_journal
@@ -167,9 +159,6 @@ class ExecutionReport:
     summary: CampaignSummary
     #: Engine telemetry registry — populated only for traced campaigns.
     telemetry: Optional[TelemetryRegistry] = None
-    #: Profile directory — populated only for profiled campaigns; the
-    #: merged breakdown lives at ``<profile_dir>/profile.json``.
-    profile_dir: Optional[Path] = None
 
     def record_map(self) -> Dict[str, TaskRecord]:
         return {r.key: r for r in self.records}
@@ -218,29 +207,11 @@ def _call_with_deadline(
 
 
 def _task_entry(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    timeout_s: Optional[float],
-    hotspot_spec: "Optional[Tuple[str, str, int]]" = None,
+    fn: Callable[[Any], Any], payload: Any, timeout_s: Optional[float]
 ) -> "Tuple[Any, str, float]":
-    """(result, worker id, elapsed seconds) for one attempt.
-
-    ``hotspot_spec`` = ``(path, key, top_n)`` arms per-unit
-    :mod:`cProfile` capture: the task runs under the profiler and its
-    top-N hotspot rows are written as JSON to ``path`` (a ``units/``
-    profile file the parent's merge step folds in).  Wall time then
-    includes the profiler's own overhead — hotspot capture is a
-    diagnostic mode, not a throughput mode.
-    """
+    """(result, worker id, elapsed seconds) for one attempt."""
     started = time.perf_counter()
-    if hotspot_spec is None:
-        result = _call_with_deadline(fn, payload, timeout_s)
-    else:
-        path, key, top_n = hotspot_spec
-        result, rows = _call_with_deadline(
-            lambda p: capture_hotspots(fn, p, top_n=top_n), payload, timeout_s
-        )
-        write_profile(path, PhaseProfiler(), key=key, kind="hotspots", hotspots=rows)
+    result = _call_with_deadline(fn, payload, timeout_s)
     return result, f"pid{os.getpid()}", time.perf_counter() - started
 
 
@@ -269,16 +240,6 @@ class CampaignEngine:
             spans to ``<trace>/engine.trace.jsonl`` and writes a
             deterministic ``manifest.json`` merging per-unit run traces at
             campaign end.  ``None`` (default) writes nothing.
-        profile: campaign profile directory; when set, the engine
-            attributes its own time to ``engine.*`` phases
-            (``dispatch``/``pickle``/``worker_run``/``retry_wait``),
-            writes them to ``<profile>/engine.profile.json`` and merges
-            every per-unit profile under ``<profile>/units/`` into
-            ``<profile>/profile.json`` at campaign end.  ``None``
-            (default) records nothing.
-        hotspot_top_n: > 0 arms per-unit :mod:`cProfile` capture (needs
-            ``profile``); each unit's top-N hotspot rows are written as
-            JSON and folded into the merged profile.
         spec_fingerprint: hash of the normalized campaign spec (options)
             that produced the units.  Recorded in the journal header;
             resuming against a journal whose header carries a *different*
@@ -310,8 +271,6 @@ class CampaignEngine:
         resume: bool = False,
         progress: "ProgressHook | str | None" = "auto",
         trace: "str | Path | None" = None,
-        profile: "str | Path | None" = None,
-        hotspot_top_n: int = 0,
         spec_fingerprint: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
         backend: "Optional[ExecutorBackend]" = None,
@@ -326,14 +285,7 @@ class CampaignEngine:
         self.spec_fingerprint = spec_fingerprint
         self.cancel = cancel
         self.trace_dir = Path(trace) if trace is not None else None
-        self.profile_dir = Path(profile) if profile is not None else None
-        if hotspot_top_n < 0:
-            raise ValueError(f"hotspot_top_n must be >= 0, got {hotspot_top_n}")
-        if hotspot_top_n and self.profile_dir is None:
-            raise ValueError("hotspot_top_n requires a profile directory")
-        self.hotspot_top_n = hotspot_top_n
         self._tracer: Optional[EngineTracer] = None
-        self._profiler: Optional[PhaseProfiler] = None
         self.progress: Optional[ProgressHook]
         if progress == "auto":
             self.progress = default_progress_hook()
@@ -362,7 +314,6 @@ class CampaignEngine:
         if self.trace_dir is not None:
             self._tracer = EngineTracer(self.trace_dir)
             self._tracer.campaign_started(len(units), summary.jobs, summary.mode)
-        self._profiler = PhaseProfiler() if self.profile_dir is not None else None
         self._emit(ProgressEvent(kind=CAMPAIGN_STARTED, total=len(units)))
 
         try:
@@ -394,12 +345,7 @@ class CampaignEngine:
                     ),
                     check_cancelled=self._check_cancelled,
                     record_retry=self._make_retry_recorder(summary),
-                    sleep=self._sleep,
                     cancellable=self.cancel is not None,
-                    profiler=self._profiler,
-                    hotspot_spec=(
-                        self._hotspot_spec if self.hotspot_top_n > 0 else None
-                    ),
                     encode=self.encode,
                     decode=self.decode,
                     telemetry=(
@@ -436,29 +382,18 @@ class CampaignEngine:
             )
             telemetry = self._tracer.telemetry
             self._tracer = None
-        if self._profiler is not None:
-            write_profile(
-                self.profile_dir / ENGINE_PROFILE_NAME,
-                self._profiler,
-                key="campaign",
-                kind="engine",
-            )
-            merge_profile_dir(self.profile_dir)
-            self._profiler = None
         return ExecutionReport(
             records=[records[u.key] for u in units],
             summary=summary,
             telemetry=telemetry,
-            profile_dir=self.profile_dir,
         )
 
     def _abandon_observers(self) -> None:
-        """Close the tracer's file and drop the profiler without writing
-        footers/manifests — the next (resumed) run rewrites them whole."""
+        """Close the tracer's file without writing footers/manifests —
+        the next (resumed) run rewrites them whole."""
         if self._tracer is not None:
             self._tracer.writer.close()
             self._tracer = None
-        self._profiler = None
 
     def _check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
@@ -598,20 +533,4 @@ class CampaignEngine:
             )
 
         return record_retry
-
-    def _hotspot_spec(self, unit: WorkUnit) -> "Optional[Tuple[str, str, int]]":
-        if self.hotspot_top_n <= 0:
-            return None
-        # A distinct key suffix keeps the hotspot file from colliding with
-        # the unit profile the task function itself may write.
-        path = unit_profile_path(self.profile_dir, unit.key + "#hotspots")
-        return (str(path), unit.key, self.hotspot_top_n)
-
-    def _sleep(self, seconds: float) -> None:
-        """Back-off sleep, attributed to ``engine.retry_wait`` when profiling."""
-        if self._profiler is None:
-            time.sleep(seconds)
-        else:
-            with self._profiler.phase("engine.retry_wait"):
-                time.sleep(seconds)
 

@@ -34,7 +34,6 @@ from ..exec import (
 from ..jsonutil import dumps as strict_dumps
 from ..llm.planner import LLMPlanner
 from ..llm.surrogate import SurrogateConfig
-from ..obs.profile import PhaseProfiler, unit_profile_path, write_profile
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..roles.fault_injector import FaultInjectorRole, FaultPipeline
 from ..roles.generator import LLMGeneratorRole, RuleBasedPlannerRole
@@ -309,25 +308,15 @@ def run_once(
     *,
     trace: "str | Path | None" = None,
     trace_id: Optional[str] = None,
-    profile: "str | Path | None" = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> RunOutcome:
     """Run one seeded scenario through the full assurance loop.
 
     ``trace`` names a file to record the run into (JSONL, see
     :mod:`repro.obs.trace`); ``trace_id`` labels it (defaults to
     ``"<scenario>:<seed>"``).  Without ``trace`` nothing is recorded.
-
-    ``profile`` names a file to write the run's phase profile to (see
-    :mod:`repro.obs.profile`); ``profiler`` arms an existing
-    :class:`~repro.obs.profile.PhaseProfiler` instead (the caller keeps
-    the instance; nothing is written).  Without either, profiling stays
-    disarmed and the loop pays nothing.
     """
     spec = build_scenario(scenario_type, seed)
     controller = build_controller(spec, options)
-    if profile is not None and profiler is None:
-        profiler = PhaseProfiler()
     recorder: Optional[TraceRecorder] = None
     if trace is not None:
         recorder = TraceRecorder(
@@ -335,8 +324,6 @@ def run_once(
             trace_id=trace_id or f"{scenario_type.value}:{seed}",
             meta={"scenario": scenario_type.value, "seed": seed},
         ).attach(controller)
-        recorder.profiler = profiler
-    controller.profiler = profiler
     try:
         result = controller.run()
     except BaseException:
@@ -351,19 +338,7 @@ def run_once(
     # The offline STL check reads the run's history, its one per-tick store.
     stl_rho: Optional[float] = None
     if controller.state.last_record is not None:
-        if profiler is None:
-            stl_rho = safety_robustness(controller.state)
-        else:
-            with profiler.phase("stl.robustness"):
-                stl_rho = safety_robustness(controller.state)
-
-    if profile is not None and profiler is not None:
-        write_profile(
-            profile,
-            profiler,
-            key=trace_id or f"{scenario_type.value}:{seed}",
-            kind="unit",
-        )
+        stl_rho = safety_robustness(controller.state)
 
     metrics = result.metrics
     safety_flags = [
@@ -433,46 +408,34 @@ def campaign_unit(
     seed: int,
     options: Optional[CampaignOptions] = None,
     trace_dir: "str | Path | None" = None,
-    profile_dir: "str | Path | None" = None,
 ) -> WorkUnit:
     """One schedulable campaign run as an engine work unit.
 
-    With ``trace_dir`` (``profile_dir``) the payload carries the campaign
-    trace (profile) directory; the worker derives its own per-unit file
-    path from the unit key, so the file layout is identical for any job
-    count.
+    With ``trace_dir`` the payload carries the campaign trace directory;
+    the worker derives its own per-unit file path from the unit key, so
+    the file layout is identical for any job count.
     """
     key = unit_key(scenario_type, seed, options)
     payload: Tuple = (scenario_type.value, seed, options)
-    if trace_dir is not None or profile_dir is not None:
-        payload = payload + (str(trace_dir) if trace_dir is not None else None,)
-    if profile_dir is not None:
-        payload = payload + (str(profile_dir),)
+    if trace_dir is not None:
+        payload = payload + (str(trace_dir),)
     return WorkUnit(key=key, payload=payload)
 
 
 def execute_campaign_unit(payload: "Tuple") -> RunOutcome:
     """Engine worker entry: run one seeded scenario (module-level, picklable).
 
-    Accepts the historical 3-tuple ``(scenario, seed, options)``, the
-    traced 4-tuple with a trailing campaign trace directory, and the
-    profiled 5-tuple whose last element is the campaign profile directory.
+    Accepts the historical 3-tuple ``(scenario, seed, options)`` and the
+    traced 4-tuple with a trailing campaign trace directory.
     """
     scenario_value, seed, options = payload[:3]
     trace_dir = payload[3] if len(payload) > 3 else None
-    profile_dir = payload[4] if len(payload) > 4 else None
     scenario_type = ScenarioType(scenario_value)
     key = unit_key(scenario_type, seed, options)
     trace: Optional[Path] = None
     if trace_dir is not None:
         trace = unit_trace_path(trace_dir, key)
-    profile: Optional[Path] = None
-    if profile_dir is not None:
-        profile = unit_profile_path(profile_dir, key)
-    return run_once(
-        scenario_type, seed, options,
-        trace=trace, trace_id=key, profile=profile,
-    )
+    return run_once(scenario_type, seed, options, trace=trace, trace_id=key)
 
 
 def _encode_outcome(outcome: RunOutcome) -> Dict[str, object]:
@@ -555,8 +518,6 @@ def execute_suite(
     max_retries: int = 2,
     progress: "ProgressHook | str | None" = "auto",
     trace: "str | Path | None" = None,
-    profile: "str | Path | None" = None,
-    hotspot_top_n: int = 0,
     cancel: Optional[Callable[[], bool]] = None,
     backend: "str | Any | None" = None,
     hosts: int = 0,
@@ -577,13 +538,6 @@ def execute_suite(
     ``<trace>/manifest.json`` merges them (``python -m repro.obs
     summarize <trace>`` reads the lot).
 
-    ``profile`` names a campaign profile directory: each run writes its
-    orchestration-phase profile under ``<profile>/units/``, the engine
-    records dispatch-side ``engine.*`` phases, and everything merges into
-    ``<profile>/profile.json`` (``python -m repro.obs profile <profile>``
-    renders it).  ``hotspot_top_n`` > 0 additionally captures per-run
-    cProfile hotspots.
-
     ``backend`` selects where the runs execute: ``None``/``"local"`` is
     the historical single-host pool, ``"queue"`` shards the campaign
     over ``hosts`` worker processes fed from the on-disk ``spool``
@@ -593,7 +547,7 @@ def execute_suite(
     through as-is (and is *not* closed here — the caller owns it).
     """
     units = [
-        campaign_unit(scenario_type, seed, options, trace_dir=trace, profile_dir=profile)
+        campaign_unit(scenario_type, seed, options, trace_dir=trace)
         for scenario_type in scenario_types
         for seed in seeds
     ]
@@ -615,8 +569,6 @@ def execute_suite(
         resume=resume,
         progress=progress,
         trace=trace,
-        profile=profile,
-        hotspot_top_n=hotspot_top_n,
         spec_fingerprint=campaign_spec_fingerprint(options),
         cancel=cancel,
         backend=backend,
@@ -645,7 +597,6 @@ def run_suite(
     resume: bool = False,
     progress: "ProgressHook | str | None" = "auto",
     trace: "str | Path | None" = None,
-    profile: "str | Path | None" = None,
 ) -> Dict[ScenarioType, List[RunOutcome]]:
     """Run the full campaign: every scenario across every seed.
 
@@ -653,9 +604,8 @@ def run_suite(
     defaults reproduce that.  ``jobs`` fans the runs out over a process
     pool (results are identical to serial), ``journal`` checkpoints every
     settled run to a JSONL file, ``resume`` replays a prior journal so
-    only missing runs execute, ``trace`` records the campaign into a
-    trace directory, and ``profile`` records a phase-profile directory
-    (see :func:`execute_suite`).
+    only missing runs execute, and ``trace`` records the campaign into a
+    trace directory (see :func:`execute_suite`).
     """
     results, _ = execute_suite(
         scenario_types,
@@ -666,7 +616,6 @@ def run_suite(
         resume=resume,
         progress=progress,
         trace=trace,
-        profile=profile,
     )
     return results
 
@@ -706,16 +655,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "through `python -m repro.service`)",
     )
     parser.add_argument(
-        "--profile", type=Path, default=None, metavar="DIR",
-        help="record per-run phase profiles into DIR and merge them into "
-        "DIR/profile.json (inspect with `python -m repro.obs profile DIR`)",
-    )
-    parser.add_argument(
-        "--hotspots", type=int, default=0, metavar="N",
-        help="with --profile: capture per-run cProfile hotspots, keeping "
-        "the top N functions by cumulative time (0 disables)",
-    )
-    parser.add_argument(
         "--backend", default="local", choices=("local", "queue"),
         help="executor backend: 'local' runs in this process (pool for "
         "--jobs > 1), 'queue' shards runs over --hosts worker processes "
@@ -741,10 +680,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     args = parser.parse_args(argv)
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
-    if args.hotspots and args.profile is None:
-        parser.error("--hotspots requires --profile")
-    if args.hotspots and args.backend != "local":
-        parser.error("--hotspots requires --backend local")
     if (args.hosts or args.spool is not None) and args.backend != "queue":
         parser.error("--hosts/--spool require --backend queue")
     from ..obs import configure_logging
@@ -763,8 +698,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         journal=args.journal,
         resume=args.resume,
         trace=args.trace,
-        profile=args.profile,
-        hotspot_top_n=args.hotspots,
         backend=args.backend,
         hosts=args.hosts,
         spool=args.spool,
@@ -791,8 +724,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         print(f"report written to {args.report}", file=sys.stderr)
     if args.trace is not None:
         print(f"traces written to {args.trace}", file=sys.stderr)
-    if args.profile is not None:
-        print(f"phase profile written to {args.profile}/profile.json", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from ..roles.fault_injector import (
     SensorNoiseFault,
     TrajectorySpoofFault,
 )
-from ..obs.profile import PhaseProfiler, unit_profile_path, write_profile
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..roles.generator import LLMGeneratorRole
 from ..roles.performance_oracle import IntersectionPerformanceOracle
@@ -104,13 +103,11 @@ def _run(
     trace: "str | Path | None" = None,
     trace_id: str = "run",
     resilience: Optional[Dict[str, object]] = None,
-    profile: "str | Path | None" = None,
 ):
     """One run with the given fault kind armed for the whole scenario.
 
     ``resilience`` carries the optional ``deadline_ms``/``breaker``/
     ``crash_window`` knobs (JSON-friendly so it survives the journal).
-    ``profile`` names a per-run phase-profile JSON file to write.
     """
     spec = build_scenario(scenario, seed)
     pipeline = FaultPipeline(seed=seed)
@@ -158,16 +155,9 @@ def _run(
         if trace is not None
         else None
     )
-    profiler = PhaseProfiler() if profile is not None else None
-    if profiler is not None:
-        controller.profiler = profiler
-        if recorder is not None:
-            recorder.profiler = profiler
     result = controller.run()
     if recorder is not None:
         recorder.finalize(result.metrics)
-    if profiler is not None:
-        write_profile(Path(profile), profiler, key=trace_id, kind="unit")
     info = result.environment_info
     return {
         "flagged": bool(result.metrics.violations_of("safety")),
@@ -183,20 +173,17 @@ def execute_cell(payload: "Tuple") -> Dict[str, object]:
     """Engine worker entry: one (scenario, seed, fault-label) run.
 
     Accepts the historical 3-tuple payload, the traced 4-tuple with a
-    trailing campaign trace directory (or ``None``), the resilient
-    5-tuple whose last element is the resilience options dict, and the
-    profiled 6-tuple adding a campaign profile directory (or ``None``).
+    trailing campaign trace directory (or ``None``), and the resilient
+    5-tuple whose last element is the resilience options dict.
     """
     scenario_value, seed, label = payload[:3]
     trace_dir = payload[3] if len(payload) > 3 else None
     resilience = payload[4] if len(payload) > 4 else None
-    profile_dir = payload[5] if len(payload) > 5 else None
     key = f"{scenario_value}:{seed}:{label}"
     trace = unit_trace_path(trace_dir, key) if trace_dir is not None else None
-    profile = unit_profile_path(profile_dir, key) if profile_dir is not None else None
     return _run(
         ScenarioType(scenario_value), seed, FAULT_FACTORIES[label],
-        trace=trace, trace_id=key, resilience=resilience, profile=profile,
+        trace=trace, trace_id=key, resilience=resilience,
     )
 
 
@@ -208,7 +195,6 @@ def generate(
     journal: "str | Path | None" = None,
     resume: bool = False,
     trace: "str | Path | None" = None,
-    profile: "str | Path | None" = None,
     deadline_ms: Optional[float] = None,
     breaker: bool = False,
     crash_window: Optional[Tuple[int, int]] = None,
@@ -218,9 +204,6 @@ def generate(
     ``deadline_ms``/``breaker``/``crash_window`` arm the orchestrator's
     resilience layer for every cell; the journal key gains a ``:res-...``
     suffix so resilient sweeps never collide with historical journals.
-    ``profile`` names a campaign profile directory: each cell writes a
-    phase profile under ``<profile>/units/`` and the engine merges them
-    into ``<profile>/profile.json``.
     """
     resilience: Optional[Dict[str, object]] = None
     key_suffix = ""
@@ -240,12 +223,10 @@ def generate(
         # Positional payload slots: later slots force earlier ones to
         # exist (None-filled) so execute_cell can index by position.
         payload: Tuple = (scenario.value, seed, label)
-        if trace is not None or resilience is not None or profile is not None:
+        if trace is not None or resilience is not None:
             payload = payload + (str(trace) if trace is not None else None,)
-        if resilience is not None or profile is not None:
+        if resilience is not None:
             payload = payload + (resilience,)
-        if profile is not None:
-            payload = payload + (str(profile),)
         return payload
 
     units = [
@@ -263,7 +244,6 @@ def generate(
         journal=journal,
         resume=resume,
         trace=trace,
-        profile=profile,
     )
     cells = engine.run(units).raise_on_error().results()
 
@@ -315,11 +295,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="record JSONL run + engine traces into DIR",
     )
     parser.add_argument(
-        "--profile", type=Path, default=None, metavar="DIR",
-        help="record per-cell phase profiles into DIR, merged into "
-        "DIR/profile.json (inspect with `python -m repro.obs profile DIR`)",
-    )
-    parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-role wall-clock deadline budget",
     )
@@ -346,7 +321,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             journal=args.journal,
             resume=args.resume,
             trace=args.trace,
-            profile=args.profile,
             deadline_ms=args.deadline_ms,
             breaker=args.breaker,
         )

@@ -36,7 +36,6 @@ def run_evaluation(
     journal: "str | Path | None" = None,
     resume: bool = False,
     trace: "str | Path | None" = None,
-    profile: "str | Path | None" = None,
     execution: "Optional[list] | None" = None,
 ) -> str:
     """Run the campaign once and render all per-campaign artifacts.
@@ -46,9 +45,7 @@ def run_evaluation(
     live in the :class:`~repro.exec.ExecutionReport`, appended to the
     ``execution`` list when one is supplied.  ``trace`` records every run
     (plus engine dispatch telemetry) into a trace directory readable by
-    ``python -m repro.obs summarize``; ``profile`` records per-run phase
-    profiles merged into ``<profile>/profile.json`` (readable by
-    ``python -m repro.obs profile``).
+    ``python -m repro.obs summarize``.
     """
     results, exec_report = execute_suite(
         table2.SCENARIO_ORDER,
@@ -58,7 +55,6 @@ def run_evaluation(
         journal=journal,
         resume=resume,
         trace=trace,
-        profile=profile,
     )
     if execution is not None:
         execution.append(exec_report)
@@ -130,14 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "(inspect with `python -m repro.obs summarize DIR`)",
     )
     parser.add_argument(
-        "--profile",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="record per-run phase profiles into DIR, merged into "
-        "DIR/profile.json (inspect with `python -m repro.obs profile DIR`)",
-    )
-    parser.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -171,14 +159,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         journal=args.journal,
         resume=args.resume,
         trace=args.trace,
-        profile=args.profile,
         execution=execution,
     )
     print(report)
     if execution:
         print(execution[-1].summary.render(), file=sys.stderr)
-    if args.profile is not None:
-        print(f"phase profile written to {args.profile}/profile.json", file=sys.stderr)
 
 
 if __name__ == "__main__":

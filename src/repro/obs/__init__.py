@@ -11,12 +11,6 @@ durable and queryable across every layer:
   deterministic campaign manifest merging per-worker trace files.
 * :mod:`repro.obs.telemetry` — a picklable registry of counters, gauges
   and log-linear histograms, mergeable across worker processes.
-* :mod:`repro.obs.profile` — the phase profiler: attributes wall/CPU
-  time to orchestration and engine phases, merges worker profiles like
-  telemetry, and optionally captures per-unit ``cProfile`` hotspots.
-* :mod:`repro.obs.bench` — pinned benchmark workloads emitting
-  schema-versioned ``BENCH_<workload>.json`` snapshots, plus the
-  regression gate that compares two of them.
 * :mod:`repro.obs.metrics` — Prometheus text exposition over the
   telemetry registry (rendering, parsing, validation, ``metrics.json``
   snapshots); what ``GET /v1/metrics`` serves.
@@ -26,11 +20,16 @@ durable and queryable across every layer:
 * :mod:`repro.obs.top` — the live fleet dashboard (``obs top``) over a
   running service or a trace directory.
 * :mod:`repro.obs.cli` — the ``python -m repro.obs`` command
-  (``summarize`` / ``tail`` / ``diff`` / ``query`` / ``top`` /
-  ``profile`` / ``bench`` / ``regress``): recomputes dependability
-  counts from the raw event records and cross-checks them against each
-  run's recorded metrics summary, making traced campaigns
-  self-certifying.
+  (``summarize`` / ``tail`` / ``diff`` / ``query`` / ``top``):
+  recomputes dependability counts from the raw event records and
+  cross-checks them against each run's recorded metrics summary, making
+  traced campaigns self-certifying.
+
+Where a run's time goes is read from the same evidence: every tick
+record carries each role's latency, and ``obs summarize`` prints their
+distribution.  Layer-by-layer timing is the repository benchmark's job
+(``perfbench/run.py --trace 1``), and per-function time comes from
+``python -m cProfile`` over a ``--jobs 1`` campaign.
 
 Library modules log under the ``repro.*`` logger hierarchy (the stdlib
 :mod:`logging` module); :func:`configure_logging` is the one-call switch
@@ -42,30 +41,6 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .bench import (
-    BENCH_SCHEMA_VERSION,
-    WORKLOADS,
-    Workload,
-    compare_bench,
-    load_bench,
-    regress,
-    run_workload,
-    write_bench,
-)
-from .profile import (
-    ENGINE_PROFILE_NAME,
-    MERGED_PROFILE_NAME,
-    PROFILE_SCHEMA_VERSION,
-    PROFILE_SUFFIX,
-    PhaseProfiler,
-    PhaseStat,
-    capture_hotspots,
-    load_profile,
-    merge_profile_dir,
-    render_profile,
-    unit_profile_path,
-    write_profile,
-)
 from .index import (
     INDEX_FILE_NAME,
     INDEX_SCHEMA_VERSION,
@@ -131,9 +106,7 @@ def configure_logging(level: "int | str" = logging.INFO, stream=None) -> logging
 
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "Counter",
-    "ENGINE_PROFILE_NAME",
     "ENGINE_TRACE_NAME",
     "EXPOSITION_CONTENT_TYPE",
     "EngineTracer",
@@ -142,50 +115,32 @@ __all__ = [
     "INDEX_FILE_NAME",
     "INDEX_SCHEMA_VERSION",
     "MANIFEST_NAME",
-    "MERGED_PROFILE_NAME",
     "METRICS_FILE_NAME",
     "METRICS_SCHEMA_VERSION",
-    "PROFILE_SCHEMA_VERSION",
-    "PROFILE_SUFFIX",
-    "PhaseProfiler",
-    "PhaseStat",
     "TRACE_SCHEMA_VERSION",
     "TRACE_SUFFIX",
     "TelemetryRegistry",
     "TraceData",
     "TraceRecorder",
     "TraceWriter",
-    "WORKLOADS",
-    "Workload",
     "aggregate_counts",
     "build_row",
-    "capture_hotspots",
-    "compare_bench",
     "configure_logging",
     "discover_traces",
     "index_rows",
-    "load_bench",
     "load_metrics_json",
-    "load_profile",
     "load_run_traces",
     "load_trace",
-    "merge_profile_dir",
     "parse_exposition",
     "recompute_counts",
     "refresh_index",
-    "regress",
     "render_exposition",
-    "render_profile",
-    "run_workload",
     "safe_trace_name",
     "trace_controller",
-    "unit_profile_path",
     "unit_trace_path",
     "validate_exposition",
     "verify_index",
     "verify_trace",
-    "write_bench",
     "write_manifest",
     "write_metrics_json",
-    "write_profile",
 ]

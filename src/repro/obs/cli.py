@@ -1,5 +1,5 @@
 """The observability CLI:
-``python -m repro.obs {summarize,tail,diff,query,top,profile,bench,regress}``.
+``python -m repro.obs {summarize,tail,diff,query,top}``.
 
 ``summarize``
     Recompute violation/fault/recovery/iteration counts from a trace's
@@ -16,7 +16,8 @@
 ``diff``
     Compare two traces or campaign trace directories: count deltas and
     per-role latency deltas — serial vs parallel, before vs after a
-    change.  Exits 0 when counts are identical, 2 on drift.
+    change.  Exits 0 when counts are identical, 2 on drift, 1 when A
+    or B names no trace.
 ``query``
     The cross-run trace query engine: scan a trace tree (or a whole
     service root) into a schema-versioned index — one row per run with
@@ -29,15 +30,10 @@
     Live fleet dashboard over a running service (``--root``/``--url``:
     queue, slots, per-job progress and throughput, rolling violation
     counts) or over a trace directory in batch mode (``--dir``).
-``profile``
-    Render a phase profile (``*.profile.json`` file or ``--profile``
-    campaign directory): where the wall time went, phase by phase.
-``bench``
-    Run pinned benchmark workloads and emit ``BENCH_<workload>.json``
-    performance snapshots.
-``regress``
-    Gate a current BENCH snapshot against a committed baseline; exits 2
-    when throughput regressed beyond tolerance.
+
+``summarize``, ``tail``, ``diff`` and ``query`` given a path that names
+no trace file or directory print an error and exit 1; ``tail --follow``
+waits for the path to appear instead.
 """
 
 from __future__ import annotations
@@ -514,100 +510,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0 if identical_counts else 2
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .profile import (
-        MERGED_PROFILE_NAME,
-        load_profile,
-        merge_profile_dir,
-        render_profile,
-    )
-
-    path = Path(args.path)
-    # A service job directory keeps its profiles under <job>/profile.
-    from .trace import JOB_FILE_NAME
-
-    if path.is_dir() and (path / JOB_FILE_NAME).exists():
-        path = path / "profile"
-        if not path.is_dir():
-            print(
-                f"{args.path} is a job directory without a profile/ "
-                "(submit the job with \"profile\": true)",
-                file=sys.stderr,
-            )
-            return 1
-    if path.is_dir():
-        merged = path / MERGED_PROFILE_NAME
-        if not merged.is_file():
-            merge_profile_dir(path)
-        data = load_profile(merged)
-    else:
-        data = load_profile(path)
-    if args.json:
-        print(strict_dumps(data, indent=2, sort_keys=True))
-    else:
-        print(render_profile(data, timing=not args.no_timing))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import WORKLOADS, render_bench, run_workload, write_bench
-
-    if args.list:
-        for w in WORKLOADS.values():
-            marker = " [quick]" if w.quick else ""
-            print(f"{w.name:<16} jobs={w.jobs:<2} {w.description}{marker}")
-        return 0
-    if args.workloads:
-        unknown = sorted(set(args.workloads) - set(WORKLOADS))
-        if unknown:
-            print(f"unknown workload(s): {', '.join(unknown)}", file=sys.stderr)
-            print(f"known: {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-            return 1
-        selected = [WORKLOADS[n] for n in args.workloads]
-    elif args.all:
-        selected = list(WORKLOADS.values())
-    else:
-        # Default (and --quick): the CI tripwire pair.
-        selected = [w for w in WORKLOADS.values() if w.quick]
-    for workload in selected:
-        payload = run_workload(workload, repeat=args.repeat, jobs=args.jobs)
-        path = write_bench(payload, args.out)
-        print(render_bench(payload))
-        print(f"wrote {path}", file=sys.stderr)
-        print()
-    return 0
-
-
-def cmd_regress(args: argparse.Namespace) -> int:
-    from .bench import regress
-
-    comparisons, code = regress(
-        args.baseline,
-        args.current,
-        args.tolerance_pct,
-        workloads=args.workloads or None,
-    )
-    if not comparisons:
-        print("no comparable BENCH workloads found", file=sys.stderr)
-        return code
-    for comp in comparisons:
-        print(f"workload {comp.workload}:")
-        for err in comp.errors:
-            print(f"  INCOMPARABLE {err}")
-        for delta in comp.deltas:
-            print(f"  {delta}")
-        for regression in comp.regressions:
-            print(f"  REGRESSION {regression}")
-    print()
-    if code == 2:
-        print(f"FAIL: regression beyond ±{args.tolerance_pct:g}% tolerance")
-    elif code == 1:
-        print("NOT COMPARABLE: baseline and current do not measure the same work")
-    else:
-        print(f"OK: within ±{args.tolerance_pct:g}% tolerance")
-    return code
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -645,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes:\n"
             "  0  counts identical between A and B (clean)\n"
+            "  1  A or B names no trace file or directory\n"
             "  2  count drift — iterations, violations, faults, or recoveries "
             "differ\n"
             "Timing deltas are informational only and never affect the exit "
@@ -726,75 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N refreshes (default: until Ctrl-C)",
     )
     p.set_defaults(fn=cmd_top)
-
-    p = sub.add_parser(
-        "profile", help="render a phase profile file or campaign profile dir"
-    )
-    p.add_argument(
-        "path", type=Path,
-        help="a *.profile.json file or a --profile campaign directory",
-    )
-    p.add_argument(
-        "--no-timing", action="store_true",
-        help="counts only (deterministic across jobs=1 vs jobs=N)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser(
-        "bench", help="run pinned workloads, emit BENCH_<workload>.json"
-    )
-    p.add_argument(
-        "workloads", nargs="*", metavar="WORKLOAD",
-        help="workload names (default: the quick set)",
-    )
-    p.add_argument("--list", action="store_true", help="list known workloads")
-    p.add_argument(
-        "--quick", action="store_true",
-        help="run the quick CI set (also the default with no names)",
-    )
-    p.add_argument("--all", action="store_true", help="run every workload")
-    p.add_argument(
-        "--out", type=Path, default=Path("."),
-        help="directory for BENCH_*.json files (default: cwd)",
-    )
-    p.add_argument(
-        "--repeat", type=int, default=1,
-        help="passes per workload; keep the best (noise damping)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="override the workload's pinned job count",
-    )
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "regress", help="gate current BENCH files against a baseline",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "exit codes:\n"
-            "  0  every gated metric within tolerance (identical inputs "
-            "always pass)\n"
-            "  1  nothing comparable — no common workloads, or run/iteration "
-            "counts differ\n"
-            "  2  at least one throughput metric regressed beyond tolerance"
-        ),
-    )
-    p.add_argument(
-        "baseline", type=Path, help="BENCH file or directory of BENCH_*.json"
-    )
-    p.add_argument(
-        "current", type=Path, help="BENCH file or directory of BENCH_*.json"
-    )
-    p.add_argument(
-        "--tolerance-pct", type=float, default=10.0,
-        help="allowed adverse move per metric, in percent (default 10)",
-    )
-    p.add_argument(
-        "--workload", dest="workloads", action="append", default=[],
-        help="only gate this workload (repeatable)",
-    )
-    p.set_defaults(fn=cmd_regress)
     return parser
 
 
@@ -802,6 +636,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except FileNotFoundError as exc:
+        # Raised by trace/source discovery for a path that does not exist.
+        print(f"obs: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream pager/head closed the pipe mid-print; exit quietly
         # (replace stdout with devnull so interpreter teardown stays silent).

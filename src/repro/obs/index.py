@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from ..jsonutil import dumps as strict_dumps
 from .trace import (
     JOB_FILE_NAME,
-    TRACE_SUFFIX,
     TraceData,
     _read_spool_manifest,
     discover_traces,

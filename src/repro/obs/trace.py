@@ -198,9 +198,6 @@ class TraceRecorder:
         self.trace_id = trace_id
         self.meta = dict(meta or {})
         self.telemetry = TelemetryRegistry()
-        #: Optional :class:`~repro.obs.profile.PhaseProfiler`; when armed,
-        #: every record write is attributed to the ``trace.io`` phase.
-        self.profiler: Optional[Any] = None
         self._t0 = wall_clock.perf_counter()
         self._seq = 0
         self._next_span_id = 1
@@ -218,18 +215,9 @@ class TraceRecorder:
         self._verdict_counters: Dict[str, Any] = {}
         self._latency_histograms: Dict[str, Any] = {}
 
-    def _write(self, record: Dict[str, Any]) -> None:
-        """Write one record, attributing the I/O to ``trace.io`` when a
-        phase profiler is armed (disarmed: one ``is not None`` check)."""
-        if self.profiler is None:
-            self.writer.write(record)
-        else:
-            with self.profiler.phase("trace.io"):
-                self.writer.write(record)
-
     # ------------------------------------------------------------------
     def attach(self, controller: "OrchestrationController") -> "TraceRecorder":
-        self._write(
+        self.writer.write(
             {
                 "kind": "trace_header",
                 "schema": TRACE_SCHEMA_VERSION,
@@ -268,7 +256,7 @@ class TraceRecorder:
 
         if kind is _RUN_TERMINATED and self._tick is not None:
             self._write_tick(None, self._seq - 1)
-        self._write(
+        self.writer.write(
             {
                 "kind": "event",
                 "seq": self._seq,
@@ -385,7 +373,7 @@ class TraceRecorder:
         """Write the open tick's record (``end_time`` None: unfinished)."""
         tick = self._tick
         self._tick = None
-        self._write(
+        self.writer.write(
             {
                 "kind": "iteration",
                 "iteration": tick.iteration,
@@ -404,7 +392,7 @@ class TraceRecorder:
             return
         span_id, start = self._run_span
         self._run_span = None
-        self._write(
+        self.writer.write(
             {
                 "kind": "span",
                 "span_id": span_id,
@@ -455,7 +443,7 @@ class TraceRecorder:
                 "telemetry": self.telemetry.snapshot(),
             }
         )
-        self._write(footer)
+        self.writer.write(footer)
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None

@@ -31,7 +31,7 @@ from ..experiments.campaign import CampaignOptions
 from .corpus import load_corpus, replay_entry
 from .coverage import COVERAGE_FILE_NAME, load_coverage
 from .driver import CORPUS_FILE_NAME, SearchConfig, SearchDriver
-from .space import SPACES, get_space, known_families
+from .space import SPACES, known_families
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -67,11 +67,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--trace", type=Path, default=None, metavar="DIR",
         help="also record a JSONL run trace per evaluation into DIR",
     )
-    parser.add_argument(
-        "--profile", type=Path, default=None, metavar="DIR",
-        help="record per-evaluation phase profiles into DIR and merge "
-        "them into DIR/profile.json",
-    )
     parser.add_argument("--bins", type=int, default=4, help="coverage bins per dimension")
     parser.add_argument(
         "--batch", type=int, default=8, help="candidates per engine round"
@@ -100,7 +95,6 @@ def _run_driver(args: argparse.Namespace, config: SearchConfig) -> int:
         CampaignOptions(planner=args.planner),
         out_dir=args.out,
         trace=args.trace,
-        profile=args.profile,
         resume=args.resume,
     )
     result = driver.run()

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..exec import CampaignEngine, EnginePolicy, fingerprint
 from ..experiments.campaign import CampaignOptions, normalized_field_values
 from ..jsonutil import dumps as strict_dumps
-from ..obs.profile import ENGINE_PROFILE_NAME, PhaseProfiler, merge_profile_dir, write_profile
 from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import TRACE_SCHEMA_VERSION, TraceWriter
 from ..sim.scenario import spec_to_dict
@@ -185,7 +184,6 @@ class SearchDriver:
         *,
         out_dir: "str | Path",
         trace: "str | Path | None" = None,
-        profile: "str | Path | None" = None,
         resume: bool = False,
         progress: "Any" = "auto",
         cancel: Optional[Callable[[], bool]] = None,
@@ -196,14 +194,10 @@ class SearchDriver:
         self.space: SearchSpace = get_space(config.family)
         self.out_dir = Path(out_dir)
         self.trace_dir = Path(trace) if trace is not None else None
-        self.profile_dir = Path(profile) if profile is not None else None
         self.resume = resume
         self.progress = progress
         self.rng = random.Random(f"repro.search:{config.family}:{config.seed}")
         self.telemetry = TelemetryRegistry()
-        self.profiler: Optional[PhaseProfiler] = (
-            PhaseProfiler() if profile is not None else None
-        )
         self._ordinal = 0
         self._seq = 0
         self._trace_writer: Optional[TraceWriter] = None
@@ -326,7 +320,6 @@ class SearchDriver:
                     self.config.seed,
                     self.options,
                     trace_dir=self.trace_dir,
-                    profile_dir=self.profile_dir,
                 )
             )
         jobs = min(self.config.jobs, len(units))
@@ -402,23 +395,16 @@ class SearchDriver:
         rounds = 0
         minimization_steps = 0
 
-        def profiled(phase: str):
-            if self.profiler is None:
-                return _NULL_PHASE
-            return self.profiler.phase(phase)
-
         # -------------------------------------------------- sampling
         for batch in self._sample_phase():
-            with profiled("search.sample"):
-                for params in batch:
-                    self.telemetry.counter("search.candidates").inc()
-                    self._emit(
-                        "candidate_sampled",
-                        rounds,
-                        {"round": rounds, "params": params},
-                    )
-            with profiled("search.evaluate"):
-                evaluations.extend(self._evaluate_batch(batch, rounds))
+            for params in batch:
+                self.telemetry.counter("search.candidates").inc()
+                self._emit(
+                    "candidate_sampled",
+                    rounds,
+                    {"round": rounds, "params": params},
+                )
+            evaluations.extend(self._evaluate_batch(batch, rounds))
         rounds += 1
 
         # -------------------------------------------------- descent
@@ -429,32 +415,25 @@ class SearchDriver:
                     evaluations, key=lambda e: (e.robustness, e.key)
                 )[: cfg.elites]
                 count = min(cfg.batch, cfg.budget - len(evaluations))
-                with profiled("search.sample"):
-                    batch = []
-                    for i in range(count):
-                        parent = elites[i % len(elites)]
-                        batch.append(
-                            self.space.mutate(parent.params, self.rng, scale)
-                        )
-                    for params in batch:
-                        self.telemetry.counter("search.candidates").inc()
-                        self._emit(
-                            "candidate_sampled",
-                            rounds,
-                            {"round": rounds, "params": params},
-                        )
-                with profiled("search.evaluate"):
-                    evaluations.extend(self._evaluate_batch(batch, rounds))
+                batch = []
+                for i in range(count):
+                    parent = elites[i % len(elites)]
+                    batch.append(self.space.mutate(parent.params, self.rng, scale))
+                for params in batch:
+                    self.telemetry.counter("search.candidates").inc()
+                    self._emit(
+                        "candidate_sampled",
+                        rounds,
+                        {"round": rounds, "params": params},
+                    )
+                evaluations.extend(self._evaluate_batch(batch, rounds))
                 scale = max(scale * cfg.cooling, 0.02)
                 rounds += 1
 
         # -------------------------------------------------- coverage
         coverage = CoverageMap(self.space, bins=cfg.bins)
-        with profiled("search.coverage"):
-            for evaluation in evaluations:
-                coverage.add(
-                    evaluation.params, evaluation.robustness, evaluation.collision
-                )
+        for evaluation in evaluations:
+            coverage.add(evaluation.params, evaluation.robustness, evaluation.collision)
 
         # -------------------------------------------------- counterexamples
         entries: List[CorpusEntry] = []
@@ -474,8 +453,7 @@ class SearchDriver:
                 break
         for index, evaluation in enumerate(selected):
             if cfg.minimize and cfg.mode == "falsify":
-                with profiled("search.minimize"):
-                    entry, steps, extra = self._minimize(evaluation, index, rounds)
+                entry, steps, extra = self._minimize(evaluation, index, rounds)
                 minimization_steps += steps
                 for minimized_eval in extra:
                     coverage.add(
@@ -521,21 +499,12 @@ class SearchDriver:
                 "total_cells": coverage.total_cells,
             },
         }
-        with profiled("search.io"):
-            write_corpus(entries, self.out_dir / CORPUS_FILE_NAME)
-            coverage.save(self.out_dir / COVERAGE_FILE_NAME)
-            (self.out_dir / SUMMARY_FILE_NAME).write_text(
-                strict_dumps(summary, indent=2, sort_keys=True) + "\n"
-            )
+        write_corpus(entries, self.out_dir / CORPUS_FILE_NAME)
+        coverage.save(self.out_dir / COVERAGE_FILE_NAME)
+        (self.out_dir / SUMMARY_FILE_NAME).write_text(
+            strict_dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
         self._close_trace(summary)
-        if self.profile_dir is not None and self.profiler is not None:
-            write_profile(
-                self.profile_dir / ENGINE_PROFILE_NAME,
-                self.profiler,
-                key=f"search:{cfg.family}:{cfg.seed}",
-                kind="engine",
-            )
-            merge_profile_dir(self.profile_dir)
 
         return SearchResult(
             config=cfg,
@@ -624,14 +593,3 @@ class SearchDriver:
             if not changed:
                 break
         return self._entry_for(evaluation, index, best, reverted), steps, extra
-
-
-class _NullPhase:
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhase()

@@ -25,7 +25,6 @@ from ..core.state import StateManager
 from ..env.recording import TraceFrame, TraceRecorder as RunRecorder
 from ..exec import WorkUnit, fingerprint
 from ..experiments.campaign import CampaignOptions, build_controller
-from ..obs.profile import PhaseProfiler, unit_profile_path, write_profile
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..sim.scenario import ScenarioSpec
 from ..stl import finite_robustness
@@ -65,7 +64,6 @@ def run_spec(
     *,
     trace: "str | Path | None" = None,
     trace_id: Optional[str] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> "Tuple[OrchestrationResult, List[TraceFrame]]":
     """Run an explicit spec through the full assurance loop.
 
@@ -75,9 +73,7 @@ def run_spec(
     orchestration result plus the run's world-state frames, built from its
     history (the STL evidence).
     """
-    result, state = _run_spec(
-        spec, options, trace=trace, trace_id=trace_id, profiler=profiler
-    )
+    result, state = _run_spec(spec, options, trace=trace, trace_id=trace_id)
     return result, RunRecorder(state).frames
 
 
@@ -87,7 +83,6 @@ def _run_spec(
     *,
     trace: "str | Path | None" = None,
     trace_id: Optional[str] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> "Tuple[OrchestrationResult, StateManager]":
     """:func:`run_spec` returning the run's state manager instead of
     frames: scoring reads the STL signals straight from its history."""
@@ -99,8 +94,6 @@ def _run_spec(
             trace_id=trace_id or spec.name,
             meta={"scenario": spec.scenario_type.value, "seed": spec.seed},
         ).attach(controller)
-        recorder.profiler = profiler
-    controller.profiler = profiler
     try:
         result = controller.run()
     except BaseException:
@@ -123,23 +116,13 @@ def evaluate_spec(
     options: Optional[CampaignOptions] = None,
     *,
     trace: "str | Path | None" = None,
-    profile: "str | Path | None" = None,
 ) -> Evaluation:
     """Score one candidate spec with the safety-robustness objective."""
-    profiler = PhaseProfiler() if profile is not None else None
-    result, state = _run_spec(
-        spec, options, trace=trace, trace_id=key, profiler=profiler
-    )
+    result, state = _run_spec(spec, options, trace=trace, trace_id=key)
     if state.last_record is not None:
-        if profiler is None:
-            robustness = safety_robustness(state)
-        else:
-            with profiler.phase("stl.robustness"):
-                robustness = safety_robustness(state)
+        robustness = safety_robustness(state)
     else:  # pragma: no cover - the orchestrator always completes >= 1 tick
         robustness = NO_TRACE_ROBUSTNESS
-    if profile is not None and profiler is not None:
-        write_profile(profile, profiler, key=key, kind="unit")
     info = result.environment_info
     metrics = result.metrics
     return Evaluation(
@@ -182,7 +165,6 @@ def search_unit(
     run_seed: int,
     options: Optional[CampaignOptions],
     trace_dir: "str | Path | None" = None,
-    profile_dir: "str | Path | None" = None,
 ) -> WorkUnit:
     """One schedulable candidate evaluation as an engine work unit."""
     return WorkUnit(
@@ -194,23 +176,17 @@ def search_unit(
             run_seed,
             options,
             str(trace_dir) if trace_dir is not None else None,
-            str(profile_dir) if profile_dir is not None else None,
         ),
     )
 
 
 def execute_search_unit(payload: "Tuple") -> Evaluation:
     """Engine worker entry: evaluate one candidate (module-level, picklable)."""
-    key, family, params, run_seed, options, trace_dir, profile_dir = payload
+    key, family, params, run_seed, options, trace_dir = payload
     space = get_space(family)
     spec = space.to_spec(params, run_seed)
     trace = unit_trace_path(trace_dir, key) if trace_dir is not None else None
-    profile = (
-        unit_profile_path(profile_dir, key) if profile_dir is not None else None
-    )
-    return evaluate_spec(
-        key, family, params, spec, options, trace=trace, profile=profile
-    )
+    return evaluate_spec(key, family, params, spec, options, trace=trace)
 
 
 def encode_evaluation(evaluation: Evaluation) -> Dict[str, Any]:

@@ -273,7 +273,6 @@ def known_job_kinds() -> List[str]:
 #: File names inside a job directory (see DESIGN.md §9).
 JOURNAL_NAME = "journal.jsonl"
 TRACE_DIR_NAME = "trace"
-PROFILE_DIR_NAME = "profile"
 SEARCH_DIR_NAME = "search"
 REPORT_NAME = "report.json"
 
@@ -307,7 +306,7 @@ def _campaign_parts(spec: Dict[str, Any]):
     from ..experiments.campaign import DEFAULT_SEEDS, CampaignOptions
     from ..sim.scenario import ScenarioType
 
-    known = {"scenarios", "seeds", "seed_count", "options", "trace", "profile"}
+    known = {"scenarios", "seeds", "seed_count", "options", "trace"}
     unknown = sorted(set(spec) - known)
     if unknown:
         raise ValueError(f"unknown campaign spec field(s) {unknown}")
@@ -347,7 +346,6 @@ def run_campaign_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
 
     scenarios, seeds, options = _campaign_parts(spec)
     trace = ctx.job_dir / TRACE_DIR_NAME if spec.get("trace", True) else None
-    profile = ctx.job_dir / PROFILE_DIR_NAME if spec.get("profile") else None
     backend = _job_backend(ctx)
     try:
         results, report = execute_suite(
@@ -359,7 +357,6 @@ def run_campaign_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
             resume=True,
             progress=ctx.progress,
             trace=trace,
-            profile=profile,
             cancel=ctx.cancel,
             backend=backend,
         )

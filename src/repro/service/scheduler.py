@@ -24,7 +24,7 @@ import logging
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import __version__
 from ..exec import CampaignCancelled, ProgressEvent, TelemetryProgress

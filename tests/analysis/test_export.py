@@ -2,8 +2,6 @@
 
 import csv
 
-import pytest
-
 from repro.analysis.export import FIELDS, load_jsonl, to_csv, to_jsonl
 from repro.experiments.campaign import RunOutcome
 from repro.sim import ScenarioType

@@ -27,14 +27,12 @@ class TestFactory:
     def test_local(self):
         backend = create_backend("local")
         assert isinstance(backend, LocalPoolBackend)
-        assert backend.supports_hotspots
 
     def test_queue(self, tmp_path):
         backend = create_backend("queue", hosts=3, spool=tmp_path / "spool")
         try:
             assert isinstance(backend, QueueBackend)
             assert backend.hosts == 3
-            assert not backend.supports_hotspots
         finally:
             backend.close()
 

@@ -1,7 +1,5 @@
 """Tests for the fault-robustness matrix experiment."""
 
-import pytest
-
 from repro.experiments.fault_matrix import (
     FAULT_FACTORIES,
     PresetFaultInjector,

@@ -16,7 +16,10 @@ from repro.experiments.campaign import (
     write_campaign_report,
 )
 from repro.experiments.campaign import main as campaign_main
+from repro.experiments.fault_matrix import main as fault_matrix_main
+from repro.experiments.runner import main as runner_main
 from repro.llm.surrogate import SurrogateConfig
+from repro.obs.cli import main as obs_main
 from repro.search.cli import main as search_main
 from repro.search.driver import SearchConfig
 from repro.sim.scenario import ScenarioType
@@ -120,26 +123,47 @@ class TestSearchConfigRoundTrip:
             SearchConfig.from_dict({"family": "congested", "mode": "wander"})
 
 
-class TestRetiredBlockSize:
-    """Block dispatch is gone; its knob is an error, not a silent no-op."""
+class TestRetiredInputs:
+    """Retired knobs (block dispatch, the phase profiler and the in-tree
+    bench harness) are errors, not silent no-ops."""
 
     def test_search_config_rejects_block_size(self):
         with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['block_size'\]"):
             SearchConfig.from_dict({"family": "congested", "block_size": 4})
 
     @pytest.mark.parametrize(
-        "main, argv",
+        "main, argv, refused",
         [
-            (campaign_main, ["--seeds", "1", "--block-size", "2"]),
-            (search_main, ["falsify", "--family", "pedestrian", "--block-size", "2"]),
+            (campaign_main, ["--seeds", "1", "--block-size", "2"],
+             "unrecognized arguments: --block-size"),
+            (search_main, ["falsify", "--family", "pedestrian", "--block-size", "2"],
+             "unrecognized arguments: --block-size"),
+            (campaign_main, ["--seeds", "0", "--profile", "{tmp}"],
+             "unrecognized arguments: --profile"),
+            (campaign_main, ["--seeds", "0", "--hotspots", "5"],
+             "unrecognized arguments: --hotspots"),
+            (runner_main, ["--seeds", "0", "--profile", "{tmp}"],
+             "unrecognized arguments: --profile"),
+            (fault_matrix_main, ["--seeds", "0", "--profile", "{tmp}"],
+             "unrecognized arguments: --profile"),
+            (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
+                           "--out", "{tmp}", "--profile", "{tmp}"],
+             "unrecognized arguments: --profile"),
+            (obs_main, ["profile", "{tmp}"], "invalid choice: 'profile'"),
+            (obs_main, ["bench", "--list"], "invalid choice: 'bench'"),
+            (obs_main, ["regress", "{tmp}", "{tmp}"], "invalid choice: 'regress'"),
         ],
-        ids=["campaign", "search"],
+        ids=[
+            "campaign-block-size", "search-block-size", "campaign-profile",
+            "campaign-hotspots", "runner-profile", "fault-matrix-profile",
+            "search-profile", "obs-profile", "obs-bench", "obs-regress",
+        ],
     )
-    def test_cli_flag_is_a_usage_error(self, main, argv, capsys):
+    def test_cli_flag_is_a_usage_error(self, main, argv, refused, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main([arg.format(tmp=tmp_path) for arg in argv])
         assert exit_info.value.code == 2
-        assert "--block-size" in capsys.readouterr().err
+        assert refused in capsys.readouterr().err
 
 
 def _outcome(seed, wall=0.5, trace=None):

@@ -1,7 +1,5 @@
 """Tests for constant-velocity prediction, CPA and TTC."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -1,11 +1,12 @@
-"""Tests for the ``python -m repro.obs`` CLI: summarize, tail, diff, profile."""
+"""Tests for the ``python -m repro.obs`` CLI: summarize, tail, diff, errors."""
 
 import json
+
+import pytest
 
 from repro.core import OrchestrationController, RoleKind, RoleResult, Verdict
 from repro.obs import cli as cli_module
 from repro.obs.cli import main, summarize_path
-from repro.obs.profile import PhaseProfiler, unit_profile_path, write_profile
 from repro.obs.trace import TraceWriter, trace_controller
 from tests.conftest import ScriptedRole, StubEnvironment, constant_generator
 
@@ -340,41 +341,23 @@ class TestDiff:
         assert "violations.safety" in out
 
     def test_help_documents_exit_codes(self, capsys):
-        import pytest
-
         with pytest.raises(SystemExit):
             main(["diff", "--help"])
         out = capsys.readouterr().out
         assert "exit codes" in out
+        assert "1  A or B names no trace file or directory" in out
         assert "2  count drift" in out
 
 
-class TestProfileCommand:
-    def _write_profile_dir(self, tmp_path):
-        for name, wall in (("u1", 1.0), ("u2", 2.0)):
-            profiler = PhaseProfiler()
-            profiler.record("orchestrator.decide", wall)
-            write_profile(
-                unit_profile_path(tmp_path, name), profiler, key=name, kind="unit"
-            )
-        return tmp_path
-
-    def test_renders_merged_directory(self, tmp_path, capsys):
-        profile_dir = self._write_profile_dir(tmp_path)
-        assert main(["profile", str(profile_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "units merged: 2" in out
-        assert "orchestrator.decide" in out
-
-    def test_no_timing_counts_only(self, tmp_path, capsys):
-        profile_dir = self._write_profile_dir(tmp_path)
-        assert main(["profile", str(profile_dir), "--no-timing"]) == 0
-        out = capsys.readouterr().out
-        assert "orchestrator.decide" in out
-        assert "wall s" not in out
-
-    def test_json_output(self, tmp_path, capsys):
-        profile_dir = self._write_profile_dir(tmp_path)
-        assert main(["profile", str(profile_dir), "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["phases"]["orchestrator.decide"]["count"] == 2
+class TestMissingPath:
+    @pytest.mark.parametrize(
+        "command",
+        [["summarize"], ["tail"], ["query"], ["diff", "{missing}"]],
+        ids=["summarize", "tail", "query", "diff"],
+    )
+    def test_missing_path_is_an_error_message(self, tmp_path, capsys, command):
+        missing = tmp_path / "no-such-trace"
+        argv = [arg.format(missing=missing) for arg in command] + [str(missing)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"obs: no trace file or directory at {missing}\n"

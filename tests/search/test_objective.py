@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.campaign import CampaignOptions
 from repro.search.objective import (
-    Evaluation,
     candidate_key,
     decode_evaluation,
     encode_evaluation,

@@ -54,18 +54,14 @@ def test_falsify_then_replay_by_job_id(tmp_path):
 
 
 @pytest.mark.slow
-def test_campaign_job_with_seed_list_and_profile(tmp_path):
+def test_campaign_job_with_seed_list(tmp_path):
     store = JobStore(tmp_path / "root")
     scheduler = Scheduler(store, workers=1, max_jobs=1).start()
     try:
         record = scheduler.submit(
             JobSpec(
                 kind="campaign",
-                spec={
-                    "scenarios": ["nominal"],
-                    "seeds": [0, 3],
-                    "profile": True,
-                },
+                spec={"scenarios": ["nominal"], "seeds": [0, 3]},
             )
         )
         final = _wait_state(scheduler, record.id, DONE, timeout=120.0)
@@ -74,7 +70,6 @@ def test_campaign_job_with_seed_list_and_profile(tmp_path):
         report = json.loads((job_dir / "report.json").read_text())
         seeds = [r["seed"] for r in report["scenarios"]["nominal"]["runs"]]
         assert seeds == [0, 3]
-        assert (job_dir / "profile" / "profile.json").exists()
         assert (job_dir / "trace" / "manifest.json").exists()
         # Progress made it into the persisted record.
         assert final.progress_total == 2
@@ -83,21 +78,39 @@ def test_campaign_job_with_seed_list_and_profile(tmp_path):
         scheduler.stop()
 
 
-class TestRetiredBlockSize:
-    """Specs written before block dispatch was removed are refused, loudly."""
+#: Job specs written before a field was retired, and the error naming it.
+RETIRED_SPECS = [
+    pytest.param(
+        JobSpec(kind="falsify", spec={"config": dict(FALSIFY_CONFIG, block_size=4)}),
+        "unknown SearchConfig field(s) ['block_size']",
+        id="falsify-block_size",
+    ),
+    pytest.param(
+        JobSpec(
+            kind="campaign",
+            spec={"scenarios": ["nominal"], "seed_count": 1, "profile": True},
+        ),
+        "unknown campaign spec field(s) ['profile']",
+        id="campaign-profile",
+    ),
+]
 
-    OLD_CONFIG = dict(FALSIFY_CONFIG, block_size=4)
 
-    def test_submit_rejects_block_size(self, tmp_path):
+@pytest.mark.parametrize("old_spec, message", RETIRED_SPECS)
+class TestRetiredSpecFields:
+    """Specs carrying a retired field are refused, loudly."""
+
+    def test_submit_refuses_the_field(self, tmp_path, old_spec, message):
         scheduler = Scheduler(JobStore(tmp_path / "root"), workers=1)
-        with pytest.raises(ValueError, match="block_size"):
-            scheduler.submit(JobSpec(kind="falsify", spec={"config": self.OLD_CONFIG}))
+        with pytest.raises(ValueError) as refused:
+            scheduler.submit(old_spec)
+        assert message in str(refused.value)
         assert scheduler.jobs() == []
 
-    def test_stored_job_fails_and_the_queue_moves_on(self, tmp_path):
+    def test_stored_job_fails_and_the_queue_moves_on(self, tmp_path, old_spec, message):
         # Queued by an older server, so never validated by this one.
         store = JobStore(tmp_path / "root")
-        old = store.create(JobSpec(kind="falsify", spec={"config": self.OLD_CONFIG}))
+        old = store.create(old_spec)
         behind = store.create(
             JobSpec(kind="campaign", spec={"scenarios": ["nominal"], "seed_count": 1})
         )
@@ -107,5 +120,5 @@ class TestRetiredBlockSize:
             done = _wait_state(scheduler, behind.id, DONE, timeout=120.0)
         finally:
             scheduler.stop()
-        assert "unknown SearchConfig field(s) ['block_size']" in failed.error
+        assert message in failed.error
         assert done.result["total_runs"] == 1

@@ -16,7 +16,6 @@ from repro.service import (
     QUEUED,
     RUNNING,
     JobSpec,
-    JobStore,
     Scheduler,
     register_job_kind,
     unregister_job_kind,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.service import JobRecord, JobSpec, JobStore, UnknownJob
+from repro.service import JobSpec, JobStore, UnknownJob
 from repro.service.store import EVENTS_FILE, JOB_FILE, STATE_FILE
 
 

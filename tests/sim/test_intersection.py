@@ -13,7 +13,6 @@ from repro.sim import (
     INTERSECTION_HALF_SIZE,
     LANE_OFFSET,
     Approach,
-    IntersectionMap,
     Movement,
     in_intersection_box,
 )
