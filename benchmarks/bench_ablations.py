@@ -7,8 +7,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import aggregate_suite
 from repro.experiments import CampaignOptions, run_suite
 from repro.experiments.ablations import horizon_ablation, planner_ablation

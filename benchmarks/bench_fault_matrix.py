@@ -7,8 +7,6 @@ attacks) across scenarios and asserts the expected impact ordering.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.fault_matrix import FAULT_FACTORIES, _run, generate
 from repro.sim import ScenarioType
 

@@ -8,8 +8,6 @@ STL monitors and the orchestration overhead itself.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (
     OrchestrationController,
     OrchestratorConfig,

@@ -142,20 +142,17 @@ BACKEND_CHOICES: Tuple[str, ...] = ("local", "queue")
 def create_backend(
     name: str,
     *,
-    hosts: int = 0,
+    hosts: int = 2,
     spool: "str | Path | None" = None,
     telemetry: Optional[TelemetryRegistry] = None,
-    **knobs: Any,
 ) -> ExecutorBackend:
     """Build a backend by CLI name.
 
     ``local`` ignores every distribution knob (parallelism comes from
-    ``EnginePolicy.jobs``).  ``queue`` runs ``hosts`` worker processes
-    (default: the policy's job count at plan time is *not* consulted —
-    pass ``hosts`` explicitly, 0 means 2) over the on-disk spool at
-    ``spool`` (an ephemeral temp spool when ``None``); extra keyword
-    knobs (``lease_timeout_s``, ``heartbeat_s``, ...) pass through to
-    :class:`~repro.dist.queue.QueueBackend`.
+    ``EnginePolicy.jobs``).  ``queue`` runs ``hosts`` worker processes —
+    callers pass their job count, since the queue backend never reads
+    the policy's — over the on-disk spool at ``spool`` (an ephemeral
+    temp spool when ``None``).
     """
     if name == "local":
         from .local import LocalPoolBackend
@@ -164,9 +161,7 @@ def create_backend(
     if name == "queue":
         from .queue import QueueBackend
 
-        return QueueBackend(
-            hosts=hosts or 2, spool=spool, telemetry=telemetry, **knobs
-        )
+        return QueueBackend(hosts=hosts, spool=spool, telemetry=telemetry)
     raise ValueError(
         f"unknown executor backend {name!r} (choose from {BACKEND_CHOICES})"
     )

@@ -8,14 +8,16 @@ This subsystem turns any (scenario, seed, options) sweep into
 deterministic in-process loop), guaranteeing that ``jobs=N`` reproduces
 ``jobs=1`` exactly while surviving task crashes, hangs and dead workers.
 
-* :mod:`repro.exec.work` — :class:`WorkUnit` identity and deterministic
-  :class:`ShardPlan` partitioning.
+* :mod:`repro.exec.work` — :class:`WorkUnit` identity.
 * :mod:`repro.exec.engine` — :class:`CampaignEngine`, the runner itself;
   it hands every pending unit, one worker call apiece, to a
   :mod:`repro.dist` backend.
 * :mod:`repro.exec.journal` — the JSONL run journal behind
   checkpoint/resume.
 * :mod:`repro.exec.progress` — progress hooks and the campaign summary.
+* :mod:`repro.exec.options` — :class:`ExecutionOptions`, the one set of
+  execution knobs (jobs, journal, resume, trace, backend, spool) every
+  campaign entry point takes, and the CLI flags that set them.
 """
 
 from .engine import (
@@ -35,6 +37,7 @@ from .journal import (
     check_spec_fingerprint,
     load_journal,
 )
+from .options import ExecutionOptions, add_execution_args
 from .progress import (
     CampaignSummary,
     ProgressEvent,
@@ -42,7 +45,7 @@ from .progress import (
     StderrReporter,
     TelemetryProgress,
 )
-from .work import ShardPlan, WorkUnit, check_unique_keys, fingerprint
+from .work import WorkUnit, check_unique_keys, fingerprint
 
 __all__ = [
     "CampaignCancelled",
@@ -50,19 +53,20 @@ __all__ = [
     "CampaignExecutionError",
     "CampaignSummary",
     "EnginePolicy",
+    "ExecutionOptions",
     "ExecutionReport",
     "JournalSpecMismatch",
     "JournalState",
     "ProgressEvent",
     "ProgressHook",
     "RunJournal",
-    "ShardPlan",
     "StderrReporter",
     "TelemetryProgress",
     "TaskError",
     "TaskRecord",
     "TaskTimeout",
     "WorkUnit",
+    "add_execution_args",
     "check_spec_fingerprint",
     "check_unique_keys",
     "fingerprint",

@@ -1,23 +1,17 @@
-"""Work partitioning: stable task identity and deterministic sharding.
+"""Work units: stable task identity.
 
 A campaign is a flat list of :class:`WorkUnit` — one per (scenario, seed,
 options) combination, or whatever the caller sweeps over.  Each unit
 carries a *stable key* so that results can be journaled, resumed and
 re-associated regardless of completion order, and a picklable *payload*
 the worker function consumes.
-
-:class:`ShardPlan` deterministically partitions a unit list into N
-disjoint shards (for splitting a campaign across hosts or CI jobs).  The
-assignment depends only on the unit key — never on list order, process
-hash seed or shard count internals — so the same campaign always shards
-the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
 
 def fingerprint(obj: Any, length: int = 12) -> str:
@@ -56,37 +50,3 @@ def check_unique_keys(units: Sequence[WorkUnit]) -> None:
                 f"{seen[unit.key]} and {i}"
             )
         seen[unit.key] = i
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Deterministic partition of a campaign into ``shards`` disjoint parts.
-
-    Assignment is ``sha1(key) mod shards`` — independent of unit order and
-    stable across processes, so separately-launched shards never overlap
-    and together cover every unit exactly once.
-    """
-
-    shards: int
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-
-    def shard_of(self, key: str) -> int:
-        """Shard index owning ``key``."""
-        digest = hashlib.sha1(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.shards
-
-    def select(self, units: Sequence[WorkUnit], index: int) -> List[WorkUnit]:
-        """The units belonging to shard ``index`` (original order kept)."""
-        if not 0 <= index < self.shards:
-            raise ValueError(f"shard index {index} out of range 0..{self.shards - 1}")
-        return [u for u in units if self.shard_of(u.key) == index]
-
-    def partition(self, units: Sequence[WorkUnit]) -> Tuple[List[WorkUnit], ...]:
-        """All shards at once: a tuple of ``shards`` disjoint unit lists."""
-        parts: Tuple[List[WorkUnit], ...] = tuple([] for _ in range(self.shards))
-        for unit in units:
-            parts[self.shard_of(unit.key)].append(unit)
-        return parts

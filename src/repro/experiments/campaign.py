@@ -23,17 +23,19 @@ from ..core import (
     RoleGraph,
 )
 from ..env.sim_interface import IntersectionSimInterface
+from ..dist import BACKEND_CHOICES
 from ..exec import (
-    CampaignEngine,
-    EnginePolicy,
+    ExecutionOptions,
     ExecutionReport,
     ProgressHook,
     WorkUnit,
+    add_execution_args,
     fingerprint,
 )
 from ..jsonutil import dumps as strict_dumps
 from ..llm.planner import LLMPlanner
 from ..llm.surrogate import SurrogateConfig
+from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..roles.fault_injector import FaultInjectorRole, FaultPipeline
 from ..roles.generator import LLMGeneratorRole, RuleBasedPlannerRole
@@ -411,25 +413,23 @@ def campaign_unit(
 ) -> WorkUnit:
     """One schedulable campaign run as an engine work unit.
 
-    With ``trace_dir`` the payload carries the campaign trace directory;
-    the worker derives its own per-unit file path from the unit key, so
-    the file layout is identical for any job count.
+    The payload is ``(scenario, seed, options, trace_dir)``; with a
+    ``trace_dir`` the worker derives its own per-unit file path from the
+    unit key, so the file layout is identical for any job count.
     """
     key = unit_key(scenario_type, seed, options)
-    payload: Tuple = (scenario_type.value, seed, options)
-    if trace_dir is not None:
-        payload = payload + (str(trace_dir),)
+    payload = (
+        scenario_type.value,
+        seed,
+        options,
+        str(trace_dir) if trace_dir is not None else None,
+    )
     return WorkUnit(key=key, payload=payload)
 
 
 def execute_campaign_unit(payload: "Tuple") -> RunOutcome:
-    """Engine worker entry: run one seeded scenario (module-level, picklable).
-
-    Accepts the historical 3-tuple ``(scenario, seed, options)`` and the
-    traced 4-tuple with a trailing campaign trace directory.
-    """
-    scenario_value, seed, options = payload[:3]
-    trace_dir = payload[3] if len(payload) > 3 else None
+    """Engine worker entry: run one seeded scenario (module-level, picklable)."""
+    scenario_value, seed, options, trace_dir = payload
     scenario_type = ScenarioType(scenario_value)
     key = unit_key(scenario_type, seed, options)
     trace: Optional[Path] = None
@@ -511,73 +511,45 @@ def execute_suite(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     options: Optional[CampaignOptions] = None,
     *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
     progress: "ProgressHook | str | None" = "auto",
-    trace: "str | Path | None" = None,
     cancel: Optional[Callable[[], bool]] = None,
-    backend: "str | Any | None" = None,
-    hosts: int = 0,
-    spool: "str | Path | None" = None,
+    telemetry: Optional[TelemetryRegistry] = None,
+    **execution: Any,
 ) -> "Tuple[Dict[ScenarioType, List[RunOutcome]], ExecutionReport]":
     """Run the campaign on the execution engine; return results + telemetry.
 
     Every (scenario, seed) pair becomes one :class:`WorkUnit`; results come
     back grouped per scenario in seed order, identical for any ``jobs``
-    value.  A failed task (after retries) raises
+    value or backend.  A failed task (after retries) raises
     :class:`~repro.exec.CampaignExecutionError` once the campaign settles —
     the engine never aborts mid-flight, so all other runs still complete
     and journal.
 
-    ``trace`` names a campaign trace directory: each run writes a
-    run trace under ``<trace>/units/``, the engine records dispatch
-    telemetry to ``<trace>/engine.trace.jsonl``, and a deterministic
+    ``execution`` takes the :class:`~repro.exec.ExecutionOptions` fields
+    (``jobs``, ``journal``, ``resume``, ``trace``, ``backend``,
+    ``spool``).  With ``trace`` each run writes a run trace under
+    ``<trace>/units/``, the engine records dispatch telemetry to
+    ``<trace>/engine.trace.jsonl``, and a deterministic
     ``<trace>/manifest.json`` merges them (``python -m repro.obs
-    summarize <trace>`` reads the lot).
-
-    ``backend`` selects where the runs execute: ``None``/``"local"`` is
-    the historical single-host pool, ``"queue"`` shards the campaign
-    over ``hosts`` worker processes fed from the on-disk ``spool``
-    directory (an ephemeral temp spool when unset) — results and the
-    canonical report stay byte-identical either way.  An
-    :class:`~repro.dist.backend.ExecutorBackend` instance passes
-    through as-is (and is *not* closed here — the caller owns it).
+    summarize <trace>`` reads the lot).  ``telemetry`` receives the
+    queue backend's ``dist.*`` counters.
     """
+    executor = ExecutionOptions(**execution)
     units = [
-        campaign_unit(scenario_type, seed, options, trace_dir=trace)
+        campaign_unit(scenario_type, seed, options, trace_dir=executor.trace)
         for scenario_type in scenario_types
         for seed in seeds
     ]
-    owned_backend = None
-    if isinstance(backend, str) and backend != "local":
-        from ..dist.backend import create_backend
-
-        backend = owned_backend = create_backend(
-            backend, hosts=hosts or jobs, spool=spool
-        )
-    elif backend == "local":
-        backend = None
-    engine = CampaignEngine(
+    report = executor.run(
         execute_campaign_unit,
-        EnginePolicy(jobs=jobs, timeout_s=timeout_s, max_retries=max_retries),
+        units,
         encode=_encode_outcome,
         decode=_decode_outcome,
-        journal=journal,
-        resume=resume,
-        progress=progress,
-        trace=trace,
         spec_fingerprint=campaign_spec_fingerprint(options),
+        progress=progress,
         cancel=cancel,
-        backend=backend,
-    )
-    try:
-        report = engine.run(units).raise_on_error()
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
+        telemetry=telemetry,
+    ).raise_on_error()
     outcomes = report.results()
     results: Dict[ScenarioType, List[RunOutcome]] = {}
     cursor = 0
@@ -591,49 +563,30 @@ def run_suite(
     scenario_types: Sequence[ScenarioType] = tuple(ScenarioType),
     seeds: Sequence[int] = DEFAULT_SEEDS,
     options: Optional[CampaignOptions] = None,
-    *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    progress: "ProgressHook | str | None" = "auto",
-    trace: "str | Path | None" = None,
+    **kwargs: Any,
 ) -> Dict[ScenarioType, List[RunOutcome]]:
     """Run the full campaign: every scenario across every seed.
 
     The paper's evaluation is 6 scenarios x 15 runs = 90 runs (§V); the
-    defaults reproduce that.  ``jobs`` fans the runs out over a process
-    pool (results are identical to serial), ``journal`` checkpoints every
-    settled run to a JSONL file, ``resume`` replays a prior journal so
-    only missing runs execute, and ``trace`` records the campaign into a
-    trace directory (see :func:`execute_suite`).
+    defaults reproduce that.  Keywords are :func:`execute_suite`'s
+    (``jobs``, ``journal``, ``resume``, ``trace``, ``progress``, ...);
+    only the results are returned.
     """
-    results, _ = execute_suite(
-        scenario_types,
-        seeds,
-        options,
-        jobs=jobs,
-        journal=journal,
-        resume=resume,
-        progress=progress,
-        trace=trace,
-    )
-    return results
+    return execute_suite(scenario_types, seeds, options, **kwargs)[0]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI: run the use-case campaign and print per-scenario digests.
 
     ``python -m repro.experiments.campaign [--seeds N] [--jobs N]
-    [--journal PATH] [--resume] [--trace DIR]``
+    [--journal PATH] [--resume] [--trace DIR] [--backend queue]``
     """
     import argparse
     import sys
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--journal", type=Path, default=None)
-    parser.add_argument("--resume", action="store_true")
+    add_execution_args(parser)
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-role wall-clock deadline budget; overruns are recorded "
@@ -645,24 +598,16 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "to the rule-based fallback planner",
     )
     parser.add_argument(
-        "--trace", type=Path, default=None, metavar="DIR",
-        help="record JSONL traces for every run into DIR",
-    )
-    parser.add_argument(
         "--report", type=Path, default=None, metavar="FILE",
         help="write the canonical campaign report (deterministic JSON; "
         "byte-identical for any --jobs and to the same spec submitted "
         "through `python -m repro.service`)",
     )
     parser.add_argument(
-        "--backend", default="local", choices=("local", "queue"),
+        "--backend", default="local", choices=BACKEND_CHOICES,
         help="executor backend: 'local' runs in this process (pool for "
-        "--jobs > 1), 'queue' shards runs over --hosts worker processes "
+        "--jobs > 1), 'queue' shards runs over --jobs worker processes "
         "fed from an on-disk work queue; reports are byte-identical",
-    )
-    parser.add_argument(
-        "--hosts", type=int, default=0, metavar="N",
-        help="with --backend queue: worker process count (0 = --jobs)",
     )
     parser.add_argument(
         "--spool", type=Path, default=None, metavar="DIR",
@@ -671,20 +616,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "`python -m repro.obs summarize DIR`); default is an ephemeral "
         "temp spool",
     )
-    parser.add_argument(
-        "--log-level",
-        default="WARNING",
-        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="repro.* logger level (stderr)",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal")
-    if (args.hosts or args.spool is not None) and args.backend != "queue":
-        parser.error("--hosts/--spool require --backend queue")
-    from ..obs import configure_logging
-
-    configure_logging(args.log_level)
+    execution = ExecutionOptions.from_args(
+        parser, args, backend=args.backend, spool=args.spool
+    )
 
     # Built through the same plain-dict constructor the service's JSON
     # payloads use, so both paths produce identical options (and digests).
@@ -694,13 +629,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     results, report = execute_suite(
         seeds=tuple(range(args.seeds)),
         options=options,
-        jobs=args.jobs,
-        journal=args.journal,
-        resume=args.resume,
-        trace=args.trace,
-        backend=args.backend,
-        hosts=args.hosts,
-        spool=args.spool,
+        **dataclasses.asdict(execution),
     )
     for scenario_type, outcomes in results.items():
         collisions = sum(o.collision for o in outcomes)

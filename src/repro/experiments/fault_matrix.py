@@ -10,18 +10,19 @@ the framework with, extended to the whole library.
 Run as a script::
 
     python -m repro.experiments.fault_matrix [--seeds N] [--jobs N] \
-        [--journal PATH] [--resume]
+        [--journal PATH] [--resume] [--trace DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import MeanStd, Rate
 from ..analysis.tables import render_table
-from ..exec import CampaignEngine, EnginePolicy, WorkUnit
+from ..exec import ExecutionOptions, WorkUnit, add_execution_args
 from ..core import (
     OrchestrationController,
     OrchestratorConfig,
@@ -172,13 +173,10 @@ def _run(
 def execute_cell(payload: "Tuple") -> Dict[str, object]:
     """Engine worker entry: one (scenario, seed, fault-label) run.
 
-    Accepts the historical 3-tuple payload, the traced 4-tuple with a
-    trailing campaign trace directory (or ``None``), and the resilient
-    5-tuple whose last element is the resilience options dict.
+    The payload is ``(scenario, seed, label, trace_dir, resilience)``;
+    ``trace_dir`` and the resilience options dict may be ``None``.
     """
-    scenario_value, seed, label = payload[:3]
-    trace_dir = payload[3] if len(payload) > 3 else None
-    resilience = payload[4] if len(payload) > 4 else None
+    scenario_value, seed, label, trace_dir, resilience = payload
     key = f"{scenario_value}:{seed}:{label}"
     trace = unit_trace_path(trace_dir, key) if trace_dir is not None else None
     return _run(
@@ -191,20 +189,20 @@ def generate(
     seeds: Sequence[int] = tuple(range(8)),
     scenarios: Sequence[ScenarioType] = (ScenarioType.NOMINAL, ScenarioType.CONGESTED),
     *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    trace: "str | Path | None" = None,
     deadline_ms: Optional[float] = None,
     breaker: bool = False,
     crash_window: Optional[Tuple[int, int]] = None,
+    **execution: Any,
 ) -> str:
     """Render the fault x scenario robustness matrix.
 
     ``deadline_ms``/``breaker``/``crash_window`` arm the orchestrator's
     resilience layer for every cell; the journal key gains a ``:res-...``
     suffix so resilient sweeps never collide with historical journals.
+    ``execution`` takes the :class:`~repro.exec.ExecutionOptions` fields.
     """
+    executor = ExecutionOptions(**execution)
+    trace_dir = str(executor.trace) if executor.trace is not None else None
     resilience: Optional[Dict[str, object]] = None
     key_suffix = ""
     if deadline_ms is not None or breaker or crash_window is not None:
@@ -219,33 +217,16 @@ def generate(
             + (f"-c{crash_window[0]}-{crash_window[1]}" if crash_window else "")
         )
 
-    def _payload(scenario: ScenarioType, seed: int, label: str) -> Tuple:
-        # Positional payload slots: later slots force earlier ones to
-        # exist (None-filled) so execute_cell can index by position.
-        payload: Tuple = (scenario.value, seed, label)
-        if trace is not None or resilience is not None:
-            payload = payload + (str(trace) if trace is not None else None,)
-        if resilience is not None:
-            payload = payload + (resilience,)
-        return payload
-
     units = [
         WorkUnit(
             key=f"{scenario.value}:{seed}:{label}{key_suffix}",
-            payload=_payload(scenario, seed, label),
+            payload=(scenario.value, seed, label, trace_dir, resilience),
         )
         for scenario in scenarios
         for label in FAULT_FACTORIES
         for seed in seeds
     ]
-    engine = CampaignEngine(
-        execute_cell,
-        EnginePolicy(jobs=jobs),
-        journal=journal,
-        resume=resume,
-        trace=trace,
-    )
-    cells = engine.run(units).raise_on_error().results()
+    cells = executor.run(execute_cell, units).raise_on_error().results()
 
     rows: List[List[str]] = []
     cursor = 0
@@ -287,13 +268,7 @@ def generate(
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--journal", type=Path, default=None)
-    parser.add_argument("--resume", action="store_true")
-    parser.add_argument(
-        "--trace", type=Path, default=None, metavar="DIR",
-        help="record JSONL run + engine traces into DIR",
-    )
+    add_execution_args(parser)
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-role wall-clock deadline budget",
@@ -302,27 +277,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "--breaker", action="store_true",
         help="guard the Generator with retry + circuit breaker",
     )
-    parser.add_argument(
-        "--log-level",
-        default="WARNING",
-        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="repro.* logger level (stderr)",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal")
-    from ..obs import configure_logging
-
-    configure_logging(args.log_level)
+    execution = ExecutionOptions.from_args(parser, args)
     print(
         generate(
             seeds=tuple(range(args.seeds)),
-            jobs=args.jobs,
-            journal=args.journal,
-            resume=args.resume,
-            trace=args.trace,
             deadline_ms=args.deadline_ms,
             breaker=args.breaker,
+            **dataclasses.asdict(execution),
         )
     )
 

@@ -10,19 +10,19 @@ run is replayed with recovery disabled, and the four cells of the
 Run as a script::
 
     python -m repro.experiments.recovery [--seeds N] [--jobs N] \
-        [--journal PATH] [--resume]
+        [--journal PATH] [--resume] [--trace DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.stats import Rate
 from ..analysis.tables import render_table
-from ..exec import CampaignEngine, EnginePolicy
+from ..exec import ExecutionOptions, add_execution_args
 from ..sim.scenario import ScenarioType
 from .campaign import (
     DEFAULT_SEEDS,
@@ -69,45 +69,40 @@ def measure(
     scenarios: Sequence[ScenarioType] = SCENARIO_ORDER,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     options: Optional[CampaignOptions] = None,
-    *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    trace: "str | Path | None" = None,
+    **execution: Any,
 ) -> List[CounterfactualPair]:
     """Run every (scenario, seed) twice: with and without recovery.
 
-    Both passes go through one engine campaign: 2 x scenarios x seeds
-    work units, interleaved (with, without) so the pairs re-assemble by
-    position whatever order the pool finishes them in.  ``trace`` records
-    both passes into one campaign trace directory.
+    Both arms are ``options`` with ``use_recovery`` set on and off, so
+    every other option reaches both.  Both passes go through one engine
+    campaign: 2 x scenarios x seeds work units, interleaved (with,
+    without) so the pairs re-assemble by position whatever order the
+    pool finishes them in.  ``execution`` takes the
+    :class:`~repro.exec.ExecutionOptions` fields; ``trace`` records both
+    passes into one campaign trace directory.
     """
+    executor = ExecutionOptions(**execution)
     base = options or CampaignOptions()
     variants = tuple(
-        CampaignOptions(
-            use_recovery=use_recovery,
-            planner=base.planner,
-            surrogate_config=base.surrogate_config,
-            monitor_horizon_s=base.monitor_horizon_s,
-        )
+        dataclasses.replace(base, use_recovery=use_recovery)
         for use_recovery in (True, False)
     )
     units = [
-        campaign_unit(scenario, seed, variant, trace_dir=trace)
+        campaign_unit(scenario, seed, variant, trace_dir=executor.trace)
         for scenario in scenarios
         for seed in seeds
         for variant in variants
     ]
-    engine = CampaignEngine(
-        execute_campaign_unit,
-        EnginePolicy(jobs=jobs),
-        encode=_encode_outcome,
-        decode=_decode_outcome,
-        journal=journal,
-        resume=resume,
-        trace=trace,
+    outcomes = (
+        executor.run(
+            execute_campaign_unit,
+            units,
+            encode=_encode_outcome,
+            decode=_decode_outcome,
+        )
+        .raise_on_error()
+        .results()
     )
-    outcomes = engine.run(units).raise_on_error().results()
     pairs: List[CounterfactualPair] = []
     cursor = 0
     for scenario in scenarios:
@@ -123,23 +118,12 @@ def generate(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     options: Optional[CampaignOptions] = None,
     pairs: Optional[List[CounterfactualPair]] = None,
-    *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    trace: "str | Path | None" = None,
+    **execution: Any,
 ) -> str:
-    """Render the recovery-effectiveness tables."""
+    """Render the recovery-effectiveness tables (measuring ``pairs``
+    with :func:`measure` when not given)."""
     if pairs is None:
-        pairs = measure(
-            scenarios,
-            seeds,
-            options,
-            jobs=jobs,
-            journal=journal,
-            resume=resume,
-            trace=trace,
-        )
+        pairs = measure(scenarios, seeds, options, **execution)
 
     per_scenario: Dict[ScenarioType, List[CounterfactualPair]] = {}
     for pair in pairs:
@@ -194,32 +178,12 @@ def generate(
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--journal", type=Path, default=None)
-    parser.add_argument("--resume", action="store_true")
-    parser.add_argument(
-        "--trace", type=Path, default=None, metavar="DIR",
-        help="record JSONL run + engine traces into DIR",
-    )
-    parser.add_argument(
-        "--log-level",
-        default="WARNING",
-        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="repro.* logger level (stderr)",
-    )
+    add_execution_args(parser)
     args = parser.parse_args(argv)
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal")
-    from ..obs import configure_logging
-
-    configure_logging(args.log_level)
+    execution = ExecutionOptions.from_args(parser, args)
     print(
         generate(
-            seeds=tuple(range(args.seeds)),
-            jobs=args.jobs,
-            journal=args.journal,
-            resume=args.resume,
-            trace=args.trace,
+            seeds=tuple(range(args.seeds)), **dataclasses.asdict(execution)
         )
     )
 

@@ -1,63 +1,57 @@
 """One-shot evaluation runner: regenerate every table and figure.
 
 ``python -m repro.experiments.runner [--seeds N] [--out DIR] [--jobs N]
-[--journal PATH] [--resume]`` executes the full campaign once and renders
-Table II, Fig. 4, the gridlock analysis and a summary — reusing the same
-90 runs for everything, as the paper does.  ``--jobs`` fans the runs out
-over the :mod:`repro.exec` process pool (the report is identical to a
-serial run), ``--journal`` checkpoints each finished run to a JSONL file
-and ``--resume`` restarts an interrupted campaign from it, executing only
-the missing runs.  The recovery counterfactual (which needs a second,
-recovery-less pass) and the ablations have their own modules.
+[--journal PATH] [--resume] [--trace DIR]`` executes the full campaign
+once and renders Table II, Fig. 4, the gridlock analysis and a summary —
+reusing the same 90 runs for everything, as the paper does.  ``--jobs``
+fans the runs out over the :mod:`repro.exec` process pool (the report
+is identical to a serial run), ``--journal`` checkpoints each finished
+run to a JSONL file and ``--resume`` restarts an interrupted campaign
+from it, executing only the missing runs.  The recovery counterfactual
+(which needs a second, recovery-less pass) and the ablations have their
+own modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import aggregate_suite
 from ..analysis.tables import render_table
-from ..exec import ExecutionReport
-from ..obs import configure_logging
+from ..exec import ExecutionOptions, add_execution_args
 from ..sim.scenario import ScenarioType
 from . import fig4, gridlock, table2
-from .campaign import DEFAULT_SEEDS, CampaignOptions, execute_suite
+from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, execute_suite
 
 
 def run_evaluation(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     options: Optional[CampaignOptions] = None,
     out_dir: Optional[Path] = None,
-    *,
-    jobs: int = 1,
-    journal: "str | Path | None" = None,
-    resume: bool = False,
-    trace: "str | Path | None" = None,
-    execution: "Optional[list] | None" = None,
+    **execution: Any,
 ) -> str:
     """Run the campaign once and render all per-campaign artifacts.
 
     The report is deterministic (identical for any ``jobs`` value and
-    across reruns of the same seeds); wall-clock and worker telemetry
-    live in the :class:`~repro.exec.ExecutionReport`, appended to the
-    ``execution`` list when one is supplied.  ``trace`` records every run
-    (plus engine dispatch telemetry) into a trace directory readable by
-    ``python -m repro.obs summarize``.
+    across reruns of the same seeds).  ``execution`` takes
+    :func:`~repro.experiments.campaign.execute_suite`'s keywords
+    (``jobs``, ``journal``, ``resume``, ``trace``, ...).
     """
-    results, exec_report = execute_suite(
-        table2.SCENARIO_ORDER,
-        seeds,
-        options,
-        jobs=jobs,
-        journal=journal,
-        resume=resume,
-        trace=trace,
-    )
-    if execution is not None:
-        execution.append(exec_report)
+    results, _ = execute_suite(table2.SCENARIO_ORDER, seeds, options, **execution)
+    return render_evaluation(results, seeds, out_dir)
+
+
+def render_evaluation(
+    results: "Dict[ScenarioType, List[RunOutcome]]",
+    seeds: Sequence[int],
+    out_dir: Optional[Path] = None,
+) -> str:
+    """Table II, Fig. 4, the gridlock analysis and per-run averages for
+    one campaign's results; also written to ``<out_dir>/evaluation.txt``."""
     aggregates = aggregate_suite(results)
 
     sections = [
@@ -106,25 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
-    )
-    parser.add_argument(
-        "--journal", type=Path, default=None, help="JSONL run journal path"
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay finished runs from --journal; execute only missing ones",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="record JSONL run + engine traces into DIR "
-        "(inspect with `python -m repro.obs summarize DIR`)",
-    )
+    add_execution_args(parser)
     parser.add_argument(
         "--deadline-ms",
         type=float,
@@ -139,31 +115,18 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="guard the Generator with retry + circuit breaker degrading "
         "to the rule-based fallback planner",
     )
-    parser.add_argument(
-        "--log-level",
-        default="WARNING",
-        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="repro.* logger level (stderr)",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal")
-    configure_logging(args.log_level)
+    execution = ExecutionOptions.from_args(parser, args)
 
-    execution: "list[ExecutionReport]" = []
-    report = run_evaluation(
-        seeds=tuple(range(args.seeds)),
-        options=CampaignOptions(deadline_ms=args.deadline_ms, breaker=args.breaker),
-        out_dir=args.out,
-        jobs=args.jobs,
-        journal=args.journal,
-        resume=args.resume,
-        trace=args.trace,
-        execution=execution,
+    seeds = tuple(range(args.seeds))
+    results, exec_report = execute_suite(
+        table2.SCENARIO_ORDER,
+        seeds,
+        CampaignOptions(deadline_ms=args.deadline_ms, breaker=args.breaker),
+        **dataclasses.asdict(execution),
     )
-    print(report)
-    if execution:
-        print(execution[-1].summary.render(), file=sys.stderr)
+    print(render_evaluation(results, seeds, args.out))
+    print(exec_report.summary.render(), file=sys.stderr)
 
 
 if __name__ == "__main__":

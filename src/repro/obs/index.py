@@ -334,6 +334,9 @@ def verify_index(
     mirroring the ``obs summarize`` contract.
     """
     root = Path(root)
+    # A missing root raises FileNotFoundError here, before the index
+    # next to it is looked up: a mistyped path is not index drift.
+    on_disk = {rel: (path, job) for rel, path, job in discover_sources(root)}
     index_path = Path(index_path) if index_path is not None else default_index_path(root)
     if not index_path.exists():
         return False, [f"no index at {index_path} (run `obs query` first)"]
@@ -342,7 +345,6 @@ def verify_index(
     except IndexError_ as exc:
         return False, [str(exc)]
     indexed = index.get("files", {})
-    on_disk = {rel: (path, job) for rel, path, job in discover_sources(root)}
     problems: List[str] = []
     for rel in sorted(set(indexed) | set(on_disk)):
         if rel not in indexed:

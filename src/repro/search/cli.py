@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..dist import BACKEND_CHOICES
 from ..experiments.campaign import CampaignOptions
 from .corpus import load_corpus, replay_entry
 from .coverage import COVERAGE_FILE_NAME, load_coverage
@@ -46,14 +47,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--jobs", type=int, default=1, help="evaluation fan-out")
     parser.add_argument(
-        "--backend", default="local", choices=("local", "queue"),
+        "--backend", default="local", choices=BACKEND_CHOICES,
         help="evaluation backend: 'local' (in-process pool) or 'queue' "
-        "(multi-host work queue under <out>/spool); artifacts are "
-        "identical either way",
-    )
-    parser.add_argument(
-        "--hosts", type=int, default=0, metavar="N",
-        help="with --backend queue: worker process count (0 = --jobs)",
+        "(--jobs host workers over a work queue under <out>/spool); "
+        "artifacts are identical either way",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("search-out"),
@@ -137,7 +134,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "jobs": args.jobs,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
-            "hosts": args.hosts,
         }
     )
     return _run_driver(args, config)
@@ -162,7 +158,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             "jobs": args.jobs,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
-            "hosts": args.hosts,
         }
     )
     return _run_driver(args, config)

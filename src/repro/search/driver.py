@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..dist import BACKEND_CHOICES, create_backend
 from ..exec import CampaignEngine, EnginePolicy, fingerprint
 from ..experiments.campaign import CampaignOptions, normalized_field_values
 from ..jsonutil import dumps as strict_dumps
@@ -85,8 +86,10 @@ class SearchConfig:
         max_counterexamples: corpus cap (worst first, one per coverage
             cell).
         bins: coverage-map bins per float dimension.
-        jobs: evaluation fan-out width.
+        jobs: evaluation fan-out width (local pool processes, or queue
+            backend host workers).
         timeout_s: per-evaluation engine deadline.
+        backend: executor backend (``"local"`` or ``"queue"``).
     """
 
     family: str
@@ -107,10 +110,9 @@ class SearchConfig:
     jobs: int = 1
     timeout_s: Optional[float] = None
     backend: str = "local"
-    hosts: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("local", "queue"):
+        if self.backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.mode not in ("explore", "falsify"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -143,7 +145,7 @@ class SearchConfig:
         data = normalized_field_values(cls, dict(data or {}))
         for field_name in ("seed", "budget", "batch", "elites", "grid_points",
                            "minimize_rounds", "max_counterexamples", "bins",
-                           "jobs", "hosts"):
+                           "jobs"):
             if data.get(field_name) is not None:
                 data[field_name] = int(data[field_name])
         if data.get("warmup") is not None:
@@ -212,11 +214,9 @@ class SearchDriver:
         if self.config.backend == "local":
             return None
         if self._backend is None:
-            from ..dist.backend import create_backend
-
             self._backend = create_backend(
                 self.config.backend,
-                hosts=self.config.hosts or self.config.jobs,
+                hosts=self.config.jobs,
                 spool=self.out_dir / "spool",
                 telemetry=self.telemetry,
             )

@@ -31,6 +31,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
+from ..dist import BACKEND_CHOICES
 from ..jsonutil import dumps as strict_dumps
 from .api import serve
 from .client import ServiceClient, ServiceError
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum concurrently running jobs",
     )
     p.add_argument(
-        "--backend", default="local", choices=("local", "queue"),
+        "--backend", default="local", choices=BACKEND_CHOICES,
         help="engine executor backend: 'local' (in-process pool) or "
         "'queue' (each job shards over its slot allocation as spooled "
         "host workers under <job_dir>/spool)",

@@ -281,26 +281,6 @@ REPORT_NAME = "report.json"
 SPOOL_DIR_NAME = "spool"
 
 
-def _job_backend(ctx: JobContext):
-    """Build the job's executor backend, or ``None`` for the local pool.
-
-    A ``queue`` job shards its units over ``ctx.jobs`` host workers
-    spooled under the job directory — the spool survives as the job's
-    distributed-execution audit trail (``obs summarize <job_dir>/spool``).
-    The caller owns the returned backend and must ``close()`` it.
-    """
-    if ctx.backend in ("", "local", None):
-        return None
-    from ..dist import create_backend
-
-    return create_backend(
-        ctx.backend,
-        hosts=ctx.jobs,
-        spool=ctx.job_dir / SPOOL_DIR_NAME,
-        telemetry=ctx.telemetry,
-    )
-
-
 def _campaign_parts(spec: Dict[str, Any]):
     """Decode a campaign job payload into (scenarios, seeds, options)."""
     from ..experiments.campaign import DEFAULT_SEEDS, CampaignOptions
@@ -340,29 +320,29 @@ def run_campaign_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     journal is simply new, after a server crash the engine replays every
     settled run and executes only what is missing — so the final
     ``report.json`` is byte-identical to an uninterrupted run (and to the
-    ``repro.experiments.campaign`` CLI at the same spec).
+    ``repro.experiments.campaign`` CLI at the same spec).  A ``queue``
+    job shards its units over ``ctx.jobs`` host workers spooled under the
+    job directory — the spool survives as the job's distributed-execution
+    audit trail (``obs summarize <job_dir>/spool``).
     """
     from ..experiments.campaign import execute_suite, write_campaign_report
 
     scenarios, seeds, options = _campaign_parts(spec)
     trace = ctx.job_dir / TRACE_DIR_NAME if spec.get("trace", True) else None
-    backend = _job_backend(ctx)
-    try:
-        results, report = execute_suite(
-            scenarios,
-            seeds,
-            options,
-            jobs=ctx.jobs,
-            journal=ctx.job_dir / JOURNAL_NAME,
-            resume=True,
-            progress=ctx.progress,
-            trace=trace,
-            cancel=ctx.cancel,
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    results, report = execute_suite(
+        scenarios,
+        seeds,
+        options,
+        jobs=ctx.jobs,
+        journal=ctx.job_dir / JOURNAL_NAME,
+        resume=True,
+        progress=ctx.progress,
+        trace=trace,
+        cancel=ctx.cancel,
+        backend=ctx.backend,
+        spool=ctx.job_dir / SPOOL_DIR_NAME if ctx.backend == "queue" else None,
+        telemetry=ctx.telemetry,
+    )
     report_path = write_campaign_report(results, ctx.job_dir / REPORT_NAME, options)
     summary = report.summary
     return {
@@ -406,8 +386,7 @@ def run_falsify_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
         {
             **(spec.get("config") or {}),
             "jobs": ctx.jobs,
-            "backend": ctx.backend or "local",
-            "hosts": ctx.jobs,
+            "backend": ctx.backend,
         }
     )
     options = CampaignOptions.from_dict(spec.get("options"))

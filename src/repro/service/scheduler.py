@@ -27,6 +27,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
+from ..dist import BACKEND_CHOICES
 from ..exec import CampaignCancelled, ProgressEvent, TelemetryProgress
 from ..obs.metrics import METRICS_FILE_NAME, write_metrics_json
 from ..obs.telemetry import TelemetryRegistry
@@ -97,8 +98,10 @@ class Scheduler:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
-        if backend not in ("local", "queue"):
-            raise ValueError(f"unknown backend {backend!r} (want local|queue)")
+        if backend not in BACKEND_CHOICES:
+            raise ValueError(
+                f"unknown backend {backend!r} (choose from {BACKEND_CHOICES})"
+            )
         self.store = store
         self.workers = workers
         self.max_jobs = max_jobs

@@ -1,8 +1,8 @@
-"""Tests for WorkUnit identity and deterministic sharding."""
+"""Tests for WorkUnit identity and key fingerprints."""
 
 import pytest
 
-from repro.exec import ShardPlan, WorkUnit, check_unique_keys, fingerprint
+from repro.exec import WorkUnit, check_unique_keys, fingerprint
 
 
 def units(n):
@@ -30,42 +30,3 @@ class TestFingerprint:
 
     def test_length(self):
         assert len(fingerprint("abc", length=8)) == 8
-
-
-class TestShardPlan:
-    def test_partition_is_disjoint_cover(self):
-        us = units(97)
-        parts = ShardPlan(shards=4).partition(us)
-        assert len(parts) == 4
-        recombined = [u for part in parts for u in part]
-        assert sorted(u.key for u in recombined) == sorted(u.key for u in us)
-        seen = set()
-        for part in parts:
-            keys = {u.key for u in part}
-            assert not keys & seen
-            seen |= keys
-
-    def test_assignment_independent_of_order(self):
-        us = units(50)
-        plan = ShardPlan(shards=3)
-        forward = plan.partition(us)
-        backward = plan.partition(list(reversed(us)))
-        for i in range(3):
-            assert {u.key for u in forward[i]} == {u.key for u in backward[i]}
-
-    def test_select_matches_partition(self):
-        us = units(40)
-        plan = ShardPlan(shards=5)
-        parts = plan.partition(us)
-        for i in range(5):
-            assert plan.select(us, i) == parts[i]
-
-    def test_single_shard_is_identity(self):
-        us = units(7)
-        assert ShardPlan(shards=1).select(us, 0) == us
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardPlan(shards=0)
-        with pytest.raises(ValueError):
-            ShardPlan(shards=2).select(units(3), 2)

@@ -1,8 +1,12 @@
 """Tests for the remaining experiment artifact generators."""
 
+import dataclasses
+
 import pytest
 
+from repro.exec import load_journal
 from repro.experiments import recovery, runner, table1
+from repro.experiments.campaign import CampaignOptions, unit_key
 from repro.experiments.recovery import CounterfactualPair
 from repro.sim import ScenarioType
 
@@ -59,6 +63,18 @@ class TestRecoveryCounterfactuals:
             ScenarioType.NOMINAL, 0, outcome(False, 0), outcome(False, 0)
         )
         assert not idle.prevented and not idle.recovery_engaged
+
+    def test_options_reach_both_arms(self, tmp_path):
+        options = CampaignOptions(breaker=True, recovery_strategy="replan")
+        journal = tmp_path / "journal.jsonl"
+        recovery.measure(
+            scenarios=(ScenarioType.NOMINAL,), seeds=(0,), options=options,
+            journal=journal,
+        )
+        assert list(load_journal(journal).tasks) == [
+            unit_key(ScenarioType.NOMINAL, 0, dataclasses.replace(options, use_recovery=arm))
+            for arm in (True, False)
+        ]
 
     def test_generate_renders(self, pairs):
         text = recovery.generate(

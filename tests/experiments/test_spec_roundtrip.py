@@ -7,21 +7,26 @@ import json
 
 import pytest
 
+from repro.exec import load_journal
+from repro.experiments import fault_matrix
 from repro.experiments.campaign import (
     CampaignOptions,
     RunOutcome,
     build_campaign_report,
     campaign_spec_fingerprint,
     options_digest,
+    unit_key,
     write_campaign_report,
 )
 from repro.experiments.campaign import main as campaign_main
 from repro.experiments.fault_matrix import main as fault_matrix_main
+from repro.experiments.recovery import main as recovery_main
 from repro.experiments.runner import main as runner_main
 from repro.llm.surrogate import SurrogateConfig
 from repro.obs.cli import main as obs_main
 from repro.search.cli import main as search_main
-from repro.search.driver import SearchConfig
+from repro.search.driver import SearchConfig, SearchDriver
+from repro.search.objective import candidate_key
 from repro.sim.scenario import ScenarioType
 
 
@@ -124,12 +129,16 @@ class TestSearchConfigRoundTrip:
 
 
 class TestRetiredInputs:
-    """Retired knobs (block dispatch, the phase profiler and the in-tree
-    bench harness) are errors, not silent no-ops."""
+    """Retired knobs (block dispatch, the phase profiler, the in-tree
+    bench harness and ``--hosts``) are errors, not silent no-ops."""
 
     def test_search_config_rejects_block_size(self):
         with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['block_size'\]"):
             SearchConfig.from_dict({"family": "congested", "block_size": 4})
+
+    def test_search_config_rejects_hosts(self):
+        with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['hosts'\]"):
+            SearchConfig.from_dict({"family": "congested", "hosts": 2})
 
     @pytest.mark.parametrize(
         "main, argv, refused",
@@ -152,11 +161,17 @@ class TestRetiredInputs:
             (obs_main, ["profile", "{tmp}"], "invalid choice: 'profile'"),
             (obs_main, ["bench", "--list"], "invalid choice: 'bench'"),
             (obs_main, ["regress", "{tmp}", "{tmp}"], "invalid choice: 'regress'"),
+            (campaign_main, ["--seeds", "0", "--backend", "queue", "--hosts", "2"],
+             "unrecognized arguments: --hosts"),
+            (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
+                           "--out", "{tmp}", "--backend", "queue", "--hosts", "2"],
+             "unrecognized arguments: --hosts"),
         ],
         ids=[
             "campaign-block-size", "search-block-size", "campaign-profile",
             "campaign-hotspots", "runner-profile", "fault-matrix-profile",
             "search-profile", "obs-profile", "obs-bench", "obs-regress",
+            "campaign-hosts", "search-hosts",
         ],
     )
     def test_cli_flag_is_a_usage_error(self, main, argv, refused, tmp_path, capsys):
@@ -164,6 +179,55 @@ class TestRetiredInputs:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert exit_info.value.code == 2
         assert refused in capsys.readouterr().err
+
+
+class TestExecutionFlags:
+    """The execution flags are validated in one place: a combination no
+    run can honour is a usage error on every campaign CLI."""
+
+    @pytest.mark.parametrize(
+        "main",
+        [campaign_main, runner_main, recovery_main, fault_matrix_main],
+        ids=["campaign", "runner", "recovery", "fault-matrix"],
+    )
+    def test_resume_without_journal_is_a_usage_error(self, main, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "0", "--resume"])
+        assert exit_info.value.code == 2
+        assert "--resume requires --journal" in capsys.readouterr().err
+
+    def test_spool_without_queue_backend_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            campaign_main(["--seeds", "0", "--spool", str(tmp_path / "spool")])
+        assert exit_info.value.code == 2
+        assert "--spool requires --backend queue" in capsys.readouterr().err
+
+
+class TestPinnedIdentities:
+    def test_journal_keys_and_spec_fingerprints_keep_their_values(self, tmp_path):
+        # Resume handles: a journal written by an earlier version must
+        # still resume, so the values themselves are pinned.
+        assert unit_key(ScenarioType.NOMINAL, 0) == "nominal:0:ddcf3b906d75"
+        assert campaign_spec_fingerprint(None) == "38740e6788c9"
+        driver = SearchDriver(
+            SearchConfig(family="pedestrian", seed=0), CampaignOptions(),
+            out_dir=tmp_path / "search",
+        )
+        assert driver.spec_fingerprint() == "a7631d940a26"
+        assert (
+            candidate_key("pedestrian", 0, 0, {"a": 1.0})
+            == "search:pedestrian:0:00000:013446df8fd1"
+        )
+        # A journaled, traced, resilient sweep fills every payload slot.
+        journal = tmp_path / "matrix.jsonl"
+        fault_matrix.generate(
+            seeds=(0,), scenarios=(ScenarioType.NOMINAL,), deadline_ms=100.0,
+            breaker=True, journal=journal, trace=tmp_path / "trace",
+        )
+        keys = list(load_journal(journal).tasks)
+        assert keys[0] == "nominal:0:none:res-d100.0-b1"
+        assert len(keys) == len(fault_matrix.FAULT_FACTORIES)
+        assert len(list((tmp_path / "trace" / "units").iterdir())) == len(keys)
 
 
 def _outcome(seed, wall=0.5, trace=None):

@@ -352,8 +352,8 @@ class TestDiff:
 class TestMissingPath:
     @pytest.mark.parametrize(
         "command",
-        [["summarize"], ["tail"], ["query"], ["diff", "{missing}"]],
-        ids=["summarize", "tail", "query", "diff"],
+        [["summarize"], ["tail"], ["query"], ["query", "--verify"], ["diff", "{missing}"]],
+        ids=["summarize", "tail", "query", "query-verify", "diff"],
     )
     def test_missing_path_is_an_error_message(self, tmp_path, capsys, command):
         missing = tmp_path / "no-such-trace"

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from repro.experiments.campaign import build_campaign_report, execute_suite
 from repro.service import DONE, FAILED, JobSpec, JobStore, Scheduler
+from repro.sim.scenario import ScenarioType
 
 from .test_scheduler import _wait_state
 
@@ -74,6 +76,27 @@ def test_campaign_job_with_seed_list(tmp_path):
         # Progress made it into the persisted record.
         assert final.progress_total == 2
         assert final.progress_done == 2
+    finally:
+        scheduler.stop()
+
+
+@pytest.mark.slow
+def test_queue_backend_campaign_job(tmp_path):
+    # A queue-backend server spools each campaign job under its job
+    # directory, one host worker per slot, and writes the serial report.
+    store = JobStore(tmp_path / "root")
+    scheduler = Scheduler(store, workers=2, max_jobs=1, backend="queue").start()
+    try:
+        record = scheduler.submit(
+            JobSpec(kind="campaign", spec={"scenarios": ["nominal"], "seeds": [0, 1]}, jobs=2)
+        )
+        _wait_state(scheduler, record.id, DONE, timeout=120.0)
+        job_dir = store.job_dir(record.id)
+        serial, _ = execute_suite([ScenarioType.NOMINAL], (0, 1), progress=None)
+        report = json.loads((job_dir / "report.json").read_text())
+        assert report == json.loads(json.dumps(build_campaign_report(serial)))
+        assert json.loads((job_dir / "spool" / "spool.json").read_text())["hosts"] == 2
+        assert "dist_hosts_live" in scheduler.telemetry.gauges
     finally:
         scheduler.stop()
 

@@ -3,9 +3,9 @@
 An import that nothing reads costs every worker its load time and
 misleads the reader about what a module depends on; deleting a feature
 tends to leave such imports behind.  Each non-package module under
-``src/repro`` is parsed with :mod:`ast`: an imported name must occur as
-a name somewhere in the module, or inside a string constant (a quoted
-annotation, an ``__all__`` entry).
+``src/repro`` and ``benchmarks/`` is parsed with :mod:`ast`: an imported
+name must occur as a name somewhere in the module, or inside a string
+constant (a quoted annotation, an ``__all__`` entry).
 """
 
 import ast
@@ -13,7 +13,8 @@ import re
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = (ROOT / "src" / "repro", ROOT / "benchmarks")
 
 
 def imported_names(tree: ast.Module) -> Iterator[Tuple[str, int]]:
@@ -57,8 +58,9 @@ def test_the_scan_sees_an_unused_import():
 
 def test_no_module_imports_a_name_it_never_uses():
     found = [
-        f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
-        for path in sorted(PACKAGE.rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for directory in SCANNED
+        for path in sorted(directory.rglob("*.py"))
         if path.name != "__init__.py"
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
