@@ -3,21 +3,22 @@ checkpoint/resume, worker fault tolerance and live progress.
 
 The paper's evaluation is embarrassingly parallel — 90 seeded runs plus
 counterfactual and ablation passes, every run independent and seeded.
-This subsystem turns any (scenario, seed, options) sweep into
-:class:`WorkUnit` tasks and executes them on a forked process pool (or a
-deterministic in-process loop), guaranteeing that ``jobs=N`` reproduces
-``jobs=1`` exactly while surviving task crashes, hangs and dead workers.
+This package is the one that runs campaigns: it turns any (scenario,
+seed, options) sweep into :class:`WorkUnit` tasks and executes them on a
+forked process pool (or a deterministic in-process loop), guaranteeing
+that ``jobs=N`` reproduces ``jobs=1`` exactly while surviving task
+crashes, hangs and dead workers.
 
 * :mod:`repro.exec.work` — :class:`WorkUnit` identity.
-* :mod:`repro.exec.engine` — :class:`CampaignEngine`, the runner itself;
-  it hands every pending unit, one worker call apiece, to a
-  :mod:`repro.dist` backend.
+* :mod:`repro.exec.engine` — :class:`CampaignEngine`, the runner itself:
+  it picks serial or pool once per campaign and runs every pending unit,
+  one worker call apiece, with deadlines, retries and pool rebuilds.
 * :mod:`repro.exec.journal` — the JSONL run journal behind
   checkpoint/resume.
 * :mod:`repro.exec.progress` — progress hooks and the campaign summary.
 * :mod:`repro.exec.options` — :class:`ExecutionOptions`, the one set of
-  execution knobs (jobs, journal, resume, trace, backend, spool) every
-  campaign entry point takes, and the CLI flags that set them.
+  execution knobs (jobs, journal, resume, trace) every campaign entry
+  point takes, and the CLI flags that set them.
 """
 
 from .engine import (

@@ -1,16 +1,11 @@
-"""The campaign execution engine: sharded task running over a backend.
+"""The campaign execution engine: every pending unit, one worker call apiece.
 
 :class:`CampaignEngine` turns a list of :class:`~repro.exec.work.WorkUnit`
-into settled :class:`TaskRecord` results.  The engine owns campaign
+into settled :class:`TaskRecord` results.  It owns both campaign
 *semantics* — unit identity, journaling/resume, tracing, progress, the
-summary — and delegates *execution* to an
-:class:`~repro.dist.backend.ExecutorBackend` (default: the
-:class:`~repro.dist.local.LocalPoolBackend`, a ``ProcessPoolExecutor``
-of forked workers with a deterministic in-process fallback for
-``jobs=1`` and for platforms without ``fork``; ``--backend queue``
-distributes units to separate host processes via
-:class:`~repro.dist.queue.QueueBackend`).  Guarantees, regardless of
-backend or mode:
+summary — and *execution*: a ``ProcessPoolExecutor`` of forked workers
+for ``jobs > 1``, or a deterministic in-process loop for ``jobs=1`` and
+for platforms without ``fork``.  Guarantees, in either mode:
 
 * **order independence** — records come back in unit order, and each task
   derives everything from its own payload, so ``jobs=N`` equals ``jobs=1``
@@ -18,7 +13,9 @@ backend or mode:
 * **fault tolerance** — a task that raises, times out (per-task SIGALRM
   deadline) or loses its worker process is retried with exponential
   backoff up to ``max_retries`` times, then recorded as a
-  :class:`TaskError` *outcome*; the campaign always runs to completion;
+  :class:`TaskError` *outcome*; a broken pool is rebuilt and the units
+  it stranded take the same retry path; the campaign always runs to
+  completion;
 * **checkpoint/resume** — every settled task is appended (and flushed) to
   a JSONL :mod:`~repro.exec.journal`; re-running with ``resume=True``
   replays journaled successes and executes only the missing tasks;
@@ -39,18 +36,11 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import EngineTracer
@@ -66,9 +56,6 @@ from .progress import (
     default_progress_hook,
 )
 from .work import WorkUnit, check_unique_keys, fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - avoid an exec <-> dist import cycle
-    from ..dist.backend import ExecutorBackend
 
 
 class TaskTimeout(Exception):
@@ -219,6 +206,24 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _error_record(
+    unit_key: str, attempts: int, exc: BaseException, elapsed_s: float = 0.0
+) -> TaskRecord:
+    """A terminal-failure record for one unit (an outcome, not a raise)."""
+    return TaskRecord(
+        key=unit_key,
+        status="error",
+        attempts=attempts,
+        elapsed_s=elapsed_s,
+        error=TaskError(
+            key=unit_key,
+            error_type=type(exc).__name__,
+            message=str(exc) or repr(exc),
+            attempts=attempts,
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -251,13 +256,6 @@ class CampaignEngine:
             (journaled tasks survive, so a ``resume`` run continues from
             the cancellation point).  The long-lived service uses this as
             its job-cancellation hook.
-        backend: an :class:`~repro.dist.backend.ExecutorBackend` that
-            runs the pending units.  ``None`` (default) builds a
-            per-run :class:`~repro.dist.local.LocalPoolBackend` — the
-            historical single-host behaviour.  Caller-supplied backends
-            are never closed by the engine, so one long-lived backend
-            (e.g. a :class:`~repro.dist.queue.QueueBackend` with its
-            worker fleet) can serve many campaigns.
     """
 
     def __init__(
@@ -273,11 +271,9 @@ class CampaignEngine:
         trace: "str | Path | None" = None,
         spec_fingerprint: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
-        backend: "Optional[ExecutorBackend]" = None,
     ) -> None:
         self.fn = fn
         self.policy = policy or EnginePolicy()
-        self.backend = backend
         self.encode = encode or (lambda value: value)
         self.decode = decode or (lambda value: value)
         self.journal_path = Path(journal) if journal is not None else None
@@ -299,18 +295,13 @@ class CampaignEngine:
         started = time.perf_counter()
 
         records: Dict[str, TaskRecord] = {}
-        # Imported here, not at module top: the dist package imports the
-        # engine's task/record types, so a top-level import would cycle.
-        from ..dist.backend import ExecutionContext
-
-        backend = self.backend
-        owned = backend is None
-        if backend is None:
-            from ..dist.local import LocalPoolBackend
-
-            backend = LocalPoolBackend()
-        mode, jobs = backend.plan(self.policy)
-        summary = CampaignSummary(total=len(units), jobs=jobs, mode=mode)
+        # Decided once: the summary reports the mode the dispatch uses.
+        use_pool = self.policy.jobs > 1 and _fork_available()
+        summary = CampaignSummary(
+            total=len(units),
+            jobs=self.policy.jobs if use_pool else 1,
+            mode="process-pool" if use_pool else "serial",
+        )
         if self.trace_dir is not None:
             self._tracer = EngineTracer(self.trace_dir)
             self._tracer.campaign_started(len(units), summary.jobs, summary.mode)
@@ -337,24 +328,14 @@ class CampaignEngine:
 
         try:
             if pending:
-                ctx = ExecutionContext(
-                    fn=self.fn,
-                    policy=self.policy,
-                    settle=self._make_settler(
-                        records, journal, summary, len(units), started
-                    ),
-                    check_cancelled=self._check_cancelled,
-                    record_retry=self._make_retry_recorder(summary),
-                    cancellable=self.cancel is not None,
-                    encode=self.encode,
-                    decode=self.decode,
-                    telemetry=(
-                        self._tracer.telemetry if self._tracer is not None else None
-                    ),
-                    trace_dir=self.trace_dir,
-                    journal_path=self.journal_path,
+                settle = self._make_settler(
+                    records, journal, summary, len(units), started
                 )
-                backend.execute(pending, ctx)
+                record_retry = self._make_retry_recorder(summary)
+                if use_pool:
+                    self._run_pool(pending, settle, record_retry)
+                else:
+                    self._run_serial(pending, settle, record_retry)
         except BaseException:
             # Cancellation (or a crash) must not leak open trace handles
             # in a long-lived server; settled tasks are already journaled.
@@ -363,8 +344,6 @@ class CampaignEngine:
         finally:
             if journal is not None:
                 journal.close()
-            if owned:
-                backend.close()
 
         summary.wall_time_s = time.perf_counter() - started
         self._emit(
@@ -387,6 +366,159 @@ class CampaignEngine:
             summary=summary,
             telemetry=telemetry,
         )
+
+    # ------------------------------------------------------------------
+    # serial (in-process) execution
+    # ------------------------------------------------------------------
+    def _run_serial(
+        self,
+        pending: Sequence[WorkUnit],
+        settle: Callable[[TaskRecord], None],
+        record_retry: Callable[[str, int], None],
+    ) -> None:
+        policy = self.policy
+        for unit in pending:
+            self._check_cancelled()
+            attempts = 0
+            while True:
+                attempts += 1
+                attempt_started = time.perf_counter()
+                try:
+                    result, worker, elapsed = _task_entry(
+                        self.fn, unit.payload, policy.timeout_s
+                    )
+                except Exception as exc:  # noqa: BLE001 - tasks are user code
+                    elapsed = time.perf_counter() - attempt_started
+                    if attempts <= policy.max_retries:
+                        record_retry(unit.key, attempts)
+                        time.sleep(self._backoff_s(attempts))
+                        continue
+                    settle(_error_record(unit.key, attempts, exc, elapsed))
+                    break
+                settle(
+                    TaskRecord(
+                        key=unit.key,
+                        status="ok",
+                        attempts=attempts,
+                        elapsed_s=elapsed,
+                        worker="main",
+                        result=result,
+                    )
+                )
+                break
+
+    # ------------------------------------------------------------------
+    # process-pool execution
+    # ------------------------------------------------------------------
+    def _run_pool(
+        self,
+        pending: Sequence[WorkUnit],
+        settle: Callable[[TaskRecord], None],
+        record_retry: Callable[[str, int], None],
+    ) -> None:
+        policy = self.policy
+        context = multiprocessing.get_context("fork")
+        executor = ProcessPoolExecutor(
+            max_workers=policy.jobs, mp_context=context
+        )
+        in_flight: Dict[Future, Tuple[WorkUnit, int]] = {}
+        retry_queue: List[Tuple[float, WorkUnit, int]] = []  # (due, unit, attempts)
+
+        def submit(unit: WorkUnit, attempts: int) -> None:
+            try:
+                future = executor.submit(
+                    _task_entry, self.fn, unit.payload, policy.timeout_s
+                )
+            except BrokenProcessPool as exc:
+                # A worker died while units were still being handed out:
+                # this attempt fails over like every unit the dead pool
+                # stranded (retry on a rebuilt pool), not the campaign.
+                future = Future()
+                future.set_exception(exc)
+            in_flight[future] = (unit, attempts)
+
+        def retry_or_fail(unit: WorkUnit, attempts: int, exc: BaseException) -> None:
+            if attempts <= policy.max_retries:
+                record_retry(unit.key, attempts)
+                retry_queue.append(
+                    (time.monotonic() + self._backoff_s(attempts), unit, attempts)
+                )
+            else:
+                settle(_error_record(unit.key, attempts, exc))
+
+        try:
+            for unit in pending:
+                submit(unit, 0)
+            while in_flight or retry_queue:
+                self._check_cancelled()
+                now = time.monotonic()
+                due = [entry for entry in retry_queue if entry[0] <= now]
+                retry_queue = [entry for entry in retry_queue if entry[0] > now]
+                for _, unit, attempts in due:
+                    submit(unit, attempts)
+                if not in_flight:
+                    if retry_queue:
+                        time.sleep(
+                            max(0.0, min(e[0] for e in retry_queue) - time.monotonic())
+                        )
+                    continue
+                timeout = None
+                if retry_queue:
+                    timeout = max(0.0, min(e[0] for e in retry_queue) - now)
+                if self.cancel is not None:
+                    # Wake periodically so a cancellation is observed even
+                    # while every in-flight task is still running.
+                    timeout = 0.25 if timeout is None else min(timeout, 0.25)
+                done, _ = wait(
+                    list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
+                )
+                pool_broken = False
+                for future in done:
+                    unit, attempts = in_flight.pop(future)
+                    attempts += 1
+                    try:
+                        result, worker, elapsed = future.result()
+                    except BrokenProcessPool as exc:
+                        pool_broken = True
+                        retry_or_fail(unit, attempts, exc)
+                    except Exception as exc:  # noqa: BLE001 - tasks are user code
+                        retry_or_fail(unit, attempts, exc)
+                    else:
+                        settle(
+                            TaskRecord(
+                                key=unit.key,
+                                status="ok",
+                                attempts=attempts,
+                                elapsed_s=elapsed,
+                                worker=worker,
+                                result=result,
+                            )
+                        )
+                if pool_broken:
+                    # Every other in-flight future is doomed too: fail them
+                    # over to the retry path and rebuild the pool.
+                    executor.shutdown(wait=True, cancel_futures=True)
+                    stranded = list(in_flight.items())
+                    in_flight.clear()
+                    executor = ProcessPoolExecutor(
+                        max_workers=policy.jobs, mp_context=context
+                    )
+                    for _, (unit, attempts) in stranded:
+                        retry_or_fail(
+                            unit,
+                            attempts + 1,
+                            BrokenProcessPool("worker process died"),
+                        )
+        finally:
+            # wait=True releases the executor's wakeup pipe cleanly; with
+            # wait=False the interpreter's atexit hook can hit the
+            # already-closed fd ("Exception ignored ... Bad file
+            # descriptor").  All futures are settled on the normal path,
+            # so joining the workers is immediate.
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def _backoff_s(self, attempts: int) -> float:
+        return self.policy.retry_backoff_s * (2 ** (attempts - 1))
 
     def _abandon_observers(self) -> None:
         """Close the tracer's file without writing footers/manifests —
@@ -519,7 +651,7 @@ class CampaignEngine:
     def _make_retry_recorder(
         self, summary: CampaignSummary
     ) -> Callable[[str, int], None]:
-        """Backends report each retry here; the engine counts and traces it."""
+        """Each retry is reported here; the engine counts and traces it."""
 
         def record_retry(key: str, attempts: int) -> None:
             summary.retries += 1

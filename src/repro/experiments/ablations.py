@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import aggregate_suite
 from ..analysis.tables import render_table
+from ..exec import ExecutionOptions
 from ..sim.scenario import ScenarioType
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_suite
 from .table2 import SCENARIO_ORDER, _SCENARIO_LABELS
@@ -262,6 +263,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     )
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
+    try:
+        ExecutionOptions(jobs=args.jobs)  # the campaign CLIs' --jobs check
+    except ValueError as exc:
+        parser.error(str(exc))
     seeds = tuple(range(args.seeds))
     names = sorted(_ABLATIONS) if args.which == "all" else [args.which]
     for name in names:

@@ -23,7 +23,6 @@ from ..core import (
     RoleGraph,
 )
 from ..env.sim_interface import IntersectionSimInterface
-from ..dist import BACKEND_CHOICES
 from ..exec import (
     ExecutionOptions,
     ExecutionReport,
@@ -35,7 +34,6 @@ from ..exec import (
 from ..jsonutil import dumps as strict_dumps
 from ..llm.planner import LLMPlanner
 from ..llm.surrogate import SurrogateConfig
-from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..roles.fault_injector import FaultInjectorRole, FaultPipeline
 from ..roles.generator import LLMGeneratorRole, RuleBasedPlannerRole
@@ -513,26 +511,24 @@ def execute_suite(
     *,
     progress: "ProgressHook | str | None" = "auto",
     cancel: Optional[Callable[[], bool]] = None,
-    telemetry: Optional[TelemetryRegistry] = None,
     **execution: Any,
 ) -> "Tuple[Dict[ScenarioType, List[RunOutcome]], ExecutionReport]":
     """Run the campaign on the execution engine; return results + telemetry.
 
     Every (scenario, seed) pair becomes one :class:`WorkUnit`; results come
     back grouped per scenario in seed order, identical for any ``jobs``
-    value or backend.  A failed task (after retries) raises
+    value.  A failed task (after retries) raises
     :class:`~repro.exec.CampaignExecutionError` once the campaign settles —
     the engine never aborts mid-flight, so all other runs still complete
     and journal.
 
     ``execution`` takes the :class:`~repro.exec.ExecutionOptions` fields
-    (``jobs``, ``journal``, ``resume``, ``trace``, ``backend``,
-    ``spool``).  With ``trace`` each run writes a run trace under
+    (``jobs``, ``journal``, ``resume``, ``trace``); any other keyword is
+    a ``TypeError``.  With ``trace`` each run writes a run trace under
     ``<trace>/units/``, the engine records dispatch telemetry to
     ``<trace>/engine.trace.jsonl``, and a deterministic
     ``<trace>/manifest.json`` merges them (``python -m repro.obs
-    summarize <trace>`` reads the lot).  ``telemetry`` receives the
-    queue backend's ``dist.*`` counters.
+    summarize <trace>`` reads the lot).
     """
     executor = ExecutionOptions(**execution)
     units = [
@@ -548,7 +544,6 @@ def execute_suite(
         spec_fingerprint=campaign_spec_fingerprint(options),
         progress=progress,
         cancel=cancel,
-        telemetry=telemetry,
     ).raise_on_error()
     outcomes = report.results()
     results: Dict[ScenarioType, List[RunOutcome]] = {}
@@ -579,7 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI: run the use-case campaign and print per-scenario digests.
 
     ``python -m repro.experiments.campaign [--seeds N] [--jobs N]
-    [--journal PATH] [--resume] [--trace DIR] [--backend queue]``
+    [--journal PATH] [--resume] [--trace DIR] [--report FILE]``
     """
     import argparse
     import sys
@@ -603,23 +598,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "byte-identical for any --jobs and to the same spec submitted "
         "through `python -m repro.service`)",
     )
-    parser.add_argument(
-        "--backend", default="local", choices=BACKEND_CHOICES,
-        help="executor backend: 'local' runs in this process (pool for "
-        "--jobs > 1), 'queue' shards runs over --jobs worker processes "
-        "fed from an on-disk work queue; reports are byte-identical",
-    )
-    parser.add_argument(
-        "--spool", type=Path, default=None, metavar="DIR",
-        help="with --backend queue: durable spool directory (claims, "
-        "heartbeats, per-host outcome journals; auditable with "
-        "`python -m repro.obs summarize DIR`); default is an ephemeral "
-        "temp spool",
-    )
     args = parser.parse_args(argv)
-    execution = ExecutionOptions.from_args(
-        parser, args, backend=args.backend, spool=args.spool
-    )
+    execution = ExecutionOptions.from_args(parser, args)
 
     # Built through the same plain-dict constructor the service's JSON
     # payloads use, so both paths produce identical options (and digests).

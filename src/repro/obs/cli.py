@@ -51,7 +51,6 @@ from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceData,
     TraceExpander,
-    _read_spool_manifest,
     aggregate_counts,
     aggregate_search_counts,
     discover_traces,
@@ -84,14 +83,6 @@ def latency_registry(traces: Sequence[TraceData]) -> TelemetryRegistry:
 def summarize_path(path: "str | Path") -> Dict[str, Any]:
     """Everything ``summarize``/``diff`` need, as one JSON-friendly dict."""
     path = Path(path)
-    dist = None
-    if path.is_dir() and _read_spool_manifest(path) is not None:
-        # A `repro.dist` spool: fold its exactly-once audit into the
-        # summary (and into the mismatch gate), then summarize whatever
-        # traces its manifest points at.
-        from ..dist.spool import audit_spool
-
-        dist = audit_spool(path)
     all_traces = [load_trace(p) for p in discover_traces(path)]
     runs = sorted(
         (t for t in all_traces if t.trace_kind == "run"), key=lambda t: t.trace_id
@@ -113,17 +104,11 @@ def summarize_path(path: "str | Path") -> Dict[str, Any]:
         for t, (ok, problems) in zip(searches, search_verified)
         for problem in problems
     ]
-    if dist is not None:
-        mismatches.extend(
-            f"spool: key {key!r} settled more than once in the merged journal"
-            for key in dist["journal_duplicate_keys"]
-        )
     latencies = latency_registry(runs + engines)
     return {
         "schema": TRACE_SCHEMA_VERSION,
         "counts": counts,
         "search": aggregate_search_counts(searches) if searches else None,
-        "dist": dist,
         "consistent_traces": sum(1 for ok, _ in verified if ok)
         + sum(1 for ok, _ in search_verified if ok),
         "checked_traces": len(runs) + len(searches),
@@ -178,22 +163,6 @@ def render_summary(summary: Dict[str, Any], timing: bool = True) -> str:
             f"minimization_steps={search['minimization_steps']} "
             f"({search['traces']} search trace(s))"
         )
-    dist = summary.get("dist")
-    if dist:
-        host_counts = dist.get("hosts") or {}
-        lines.append(
-            f"distributed : hosts={len(host_counts)} "
-            f"outcomes={dist['total_outcomes']} "
-            f"unique_ok={dist['unique_ok_keys']} "
-            f"quarantined={dist['quarantined']} "
-            f"pending={dist['pending_tasks']} open_claims={dist['open_claims']}"
-        )
-        for host in sorted(host_counts):
-            h = host_counts[host]
-            lines.append(
-                f"  {host:<28} {h['outcomes']} outcome(s) "
-                f"(ok={h['ok']}, error={h['error']})"
-            )
     checked = summary["checked_traces"]
     if checked:
         lines.append(

@@ -41,7 +41,6 @@ from ..jsonutil import dumps as strict_dumps
 from .trace import (
     JOB_FILE_NAME,
     TraceData,
-    _read_spool_manifest,
     discover_traces,
     load_trace,
     recompute_counts,
@@ -60,8 +59,8 @@ INDEX_FILE_NAME = "obs-index.json"
 _JOBS_DIR_NAME = "jobs"
 
 #: Row fields that are deterministic for a deterministic campaign —
-#: identical for any ``--jobs`` / ``--backend``.  Query output is
-#: restricted to these unless ``--timing`` asks for the rest.
+#: identical for any ``--jobs``.  Query output is restricted to these
+#: unless ``--timing`` asks for the rest.
 DETERMINISTIC_FIELDS: Tuple[str, ...] = (
     "job",
     "trace_id",
@@ -200,15 +199,6 @@ def discover_sources(root: "str | Path") -> List[Tuple[str, Path, Optional[str]]
     job: Optional[str] = None
     if (root / JOB_FILE_NAME).exists():
         job = root.name
-    spool = _read_spool_manifest(root)
-    if spool is not None:
-        # A `repro.dist` spool's traces live wherever its manifest points;
-        # relative names must be computed against that directory, not the
-        # spool itself.
-        trace_dir = spool.get("trace_dir")
-        if not trace_dir or not Path(trace_dir).is_dir():
-            return []
-        root = Path(trace_dir)
     for path in discover_traces(root):
         sources.append((str(path.relative_to(root)), path, job))
     return sources

@@ -65,7 +65,6 @@ _LABEL_RULES: Tuple[Tuple[str, str, str], ...] = (
     ("recovery.", "recovery_total", "kind"),
     ("tasks.", "engine_tasks_total", "status"),
     ("search.", "search_events_total", "kind"),
-    ("dist.", "dist_events_total", "kind"),
     ("role_latency_s.", "role_latency_seconds", "role"),
     ("http.requests.", "http_requests_total", "route"),
     ("http.request_s.", "http_request_seconds", "route"),

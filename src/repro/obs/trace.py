@@ -827,26 +827,6 @@ def load_trace(path: "str | Path") -> TraceData:
     return data
 
 
-#: `repro.dist` spool marker (kept literal here so `repro.obs` stays
-#: importable without pulling in the execution stack).
-SPOOL_MANIFEST_NAME = "spool.json"
-SPOOL_KIND = "dist_spool"
-
-
-def _read_spool_manifest(path: Path) -> Optional[Dict[str, Any]]:
-    """The spool manifest at ``path``, or ``None`` if not a dist spool."""
-    manifest = path / SPOOL_MANIFEST_NAME
-    if not manifest.exists():
-        return None
-    try:
-        record = json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("kind") != SPOOL_KIND:
-        return None
-    return record
-
-
 def discover_traces(path: "str | Path") -> List[Path]:
     """Trace files under ``path``: the file itself, a manifest's entries
     (in manifest order), every ``*.trace.jsonl`` below a directory
@@ -867,15 +847,6 @@ def discover_traces(path: "str | Path") -> List[Path]:
                 found.extend(discover_traces(subdir))
         found.extend(sorted(path.glob("*" + TRACE_SUFFIX)))
         return found
-    spool = _read_spool_manifest(path)
-    if spool is not None:
-        # A `repro.dist` spool holds outcome journals, not traces; its
-        # manifest points at wherever the coordinating engine recorded
-        # traces (if it recorded any at all).
-        trace_dir = spool.get("trace_dir")
-        if trace_dir and Path(trace_dir).is_dir():
-            return discover_traces(trace_dir)
-        return []
     manifest = path / MANIFEST_NAME
     if manifest.exists():
         entries = json.loads(manifest.read_text()).get("traces", [])

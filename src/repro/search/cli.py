@@ -25,9 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..dist import BACKEND_CHOICES
 from ..experiments.campaign import CampaignOptions
 from .corpus import load_corpus, replay_entry
 from .coverage import COVERAGE_FILE_NAME, load_coverage
@@ -46,12 +45,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="total candidate evaluations (grid sampling ignores it)",
     )
     parser.add_argument("--jobs", type=int, default=1, help="evaluation fan-out")
-    parser.add_argument(
-        "--backend", default="local", choices=BACKEND_CHOICES,
-        help="evaluation backend: 'local' (in-process pool) or 'queue' "
-        "(--jobs host workers over a work queue under <out>/spool); "
-        "artifacts are identical either way",
-    )
     parser.add_argument(
         "--out", type=Path, default=Path("search-out"),
         help="output directory (journal, trace, corpus, coverage, summary)",
@@ -120,8 +113,18 @@ def _run_driver(args: argparse.Namespace, config: SearchConfig) -> int:
 # Both run subcommands build their SearchConfig through the same
 # plain-dict constructor the service's JSON payloads use, so a spec
 # submitted over HTTP and one typed at the CLI are the same object.
+def _search_config(args: argparse.Namespace, fields: Dict[str, Any]) -> SearchConfig:
+    """The run's config; a value it refuses is a usage error (exit 2),
+    raised before anything is written."""
+    try:
+        return SearchConfig.from_dict(fields)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
-    config = SearchConfig.from_dict(
+    config = _search_config(
+        args,
         {
             "family": args.family,
             "mode": "explore",
@@ -133,14 +136,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "bins": args.bins,
             "jobs": args.jobs,
             "timeout_s": args.timeout_s,
-            "backend": args.backend,
-        }
+        },
     )
     return _run_driver(args, config)
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    config = SearchConfig.from_dict(
+    config = _search_config(
+        args,
         {
             "family": args.family,
             "mode": "falsify",
@@ -157,8 +160,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             "bins": args.bins,
             "jobs": args.jobs,
             "timeout_s": args.timeout_s,
-            "backend": args.backend,
-        }
+        },
     )
     return _run_driver(args, config)
 
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-points", type=int, default=3,
         help="points per float dimension for --sampler grid",
     )
-    p.set_defaults(fn=cmd_explore)
+    p.set_defaults(fn=cmd_explore, parser=p)
 
     p = sub.add_parser(
         "falsify", help="guided robustness descent + counterexample minimization"
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-counterexamples", type=int, default=3,
         help="corpus cap (worst first, one per coverage cell)",
     )
-    p.set_defaults(fn=cmd_falsify)
+    p.set_defaults(fn=cmd_falsify, parser=p)
 
     p = sub.add_parser("replay", help="re-run one corpus counterexample")
     p.add_argument("corpus", type=Path, help=f"{CORPUS_FILE_NAME} path")

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..dist import BACKEND_CHOICES, create_backend
 from ..exec import CampaignEngine, EnginePolicy, fingerprint
 from ..experiments.campaign import CampaignOptions, normalized_field_values
 from ..jsonutil import dumps as strict_dumps
@@ -86,10 +85,8 @@ class SearchConfig:
         max_counterexamples: corpus cap (worst first, one per coverage
             cell).
         bins: coverage-map bins per float dimension.
-        jobs: evaluation fan-out width (local pool processes, or queue
-            backend host workers).
+        jobs: evaluation fan-out width (worker processes).
         timeout_s: per-evaluation engine deadline.
-        backend: executor backend (``"local"`` or ``"queue"``).
     """
 
     family: str
@@ -109,11 +106,10 @@ class SearchConfig:
     bins: int = 4
     jobs: int = 1
     timeout_s: Optional[float] = None
-    backend: str = "local"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.mode not in ("explore", "falsify"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.sampler not in ("uniform", "lhs", "grid"):
@@ -205,22 +201,6 @@ class SearchDriver:
         self._trace_writer: Optional[TraceWriter] = None
         self._busy_time_s = 0.0
         self._engine_mode = "serial"
-        # One long-lived executor backend serves every evaluation batch
-        # (the queue backend keeps its worker fleet warm between rounds);
-        # created lazily, closed in run().
-        self._backend: "Optional[Any]" = None
-
-    def _engine_backend(self) -> "Optional[Any]":
-        if self.config.backend == "local":
-            return None
-        if self._backend is None:
-            self._backend = create_backend(
-                self.config.backend,
-                hosts=self.config.jobs,
-                spool=self.out_dir / "spool",
-                telemetry=self.telemetry,
-            )
-        return self._backend
 
     def spec_fingerprint(self) -> str:
         """Journal-header identity of this search spec.
@@ -333,7 +313,6 @@ class SearchDriver:
             progress=self.progress,
             spec_fingerprint=self.spec_fingerprint(),
             cancel=self.cancel,
-            backend=self._engine_backend(),
         )
         report = engine.run(units).raise_on_error()
         summary = report.summary
@@ -375,14 +354,6 @@ class SearchDriver:
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
-        try:
-            return self._run()
-        finally:
-            if self._backend is not None:
-                self._backend.close()
-                self._backend = None
-
-    def _run(self) -> SearchResult:
         started = time.perf_counter()
         cfg = self.config
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,6 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from ..dist import BACKEND_CHOICES
 from ..jsonutil import dumps as strict_dumps
 from .api import serve
 from .client import ServiceClient, ServiceError
@@ -50,9 +49,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     root = Path(args.root)
     root.mkdir(parents=True, exist_ok=True)
     store = JobStore(root)
-    scheduler = Scheduler(
-        store, workers=args.workers, max_jobs=args.max_jobs, backend=args.backend
-    ).start()
+    scheduler = Scheduler(store, workers=args.workers, max_jobs=args.max_jobs).start()
     server, thread = serve(scheduler, host=args.host, port=args.port)
     import os
 
@@ -235,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-jobs", type=int, default=4,
         help="maximum concurrently running jobs",
-    )
-    p.add_argument(
-        "--backend", default="local", choices=BACKEND_CHOICES,
-        help="engine executor backend: 'local' (in-process pool) or "
-        "'queue' (each job shards over its slot allocation as spooled "
-        "host workers under <job_dir>/spool)",
     )
     p.add_argument(
         "--log-level", default="INFO",

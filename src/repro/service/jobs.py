@@ -211,11 +211,6 @@ class JobContext:
             settle point).
         resolve_job_dir: map another job id to its directory (used by
             ``replay`` jobs referencing a ``falsify`` job's corpus).
-        backend: executor backend for campaign/falsify engines —
-            ``"local"`` (in-process pool, the default) or ``"queue"``
-            (multi-host work queue spooled under ``<job_dir>/spool``).
-        telemetry: shared service registry so distributed-execution
-            counters land in the same ``/v1/metrics`` exposition.
     """
 
     job_dir: Path
@@ -223,8 +218,6 @@ class JobContext:
     progress: Optional[Callable[[Any], None]] = None
     cancel: Optional[Callable[[], bool]] = None
     resolve_job_dir: Optional[Callable[[str], Path]] = None
-    backend: str = "local"
-    telemetry: Optional[Any] = None
 
 
 @dataclass(frozen=True)
@@ -277,10 +270,6 @@ SEARCH_DIR_NAME = "search"
 REPORT_NAME = "report.json"
 
 
-#: Spool directory name for queue-backend jobs (see DESIGN.md §11).
-SPOOL_DIR_NAME = "spool"
-
-
 def _campaign_parts(spec: Dict[str, Any]):
     """Decode a campaign job payload into (scenarios, seeds, options)."""
     from ..experiments.campaign import DEFAULT_SEEDS, CampaignOptions
@@ -320,10 +309,8 @@ def run_campaign_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     journal is simply new, after a server crash the engine replays every
     settled run and executes only what is missing — so the final
     ``report.json`` is byte-identical to an uninterrupted run (and to the
-    ``repro.experiments.campaign`` CLI at the same spec).  A ``queue``
-    job shards its units over ``ctx.jobs`` host workers spooled under the
-    job directory — the spool survives as the job's distributed-execution
-    audit trail (``obs summarize <job_dir>/spool``).
+    ``repro.experiments.campaign`` CLI at the same spec).  The units run
+    on ``ctx.jobs`` worker processes of the engine's pool.
     """
     from ..experiments.campaign import execute_suite, write_campaign_report
 
@@ -339,9 +326,6 @@ def run_campaign_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
         progress=ctx.progress,
         trace=trace,
         cancel=ctx.cancel,
-        backend=ctx.backend,
-        spool=ctx.job_dir / SPOOL_DIR_NAME if ctx.backend == "queue" else None,
-        telemetry=ctx.telemetry,
     )
     report_path = write_campaign_report(results, ctx.job_dir / REPORT_NAME, options)
     summary = report.summary
@@ -383,11 +367,7 @@ def run_falsify_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     )
 
     config = SearchConfig.from_dict(
-        {
-            **(spec.get("config") or {}),
-            "jobs": ctx.jobs,
-            "backend": ctx.backend,
-        }
+        {**(spec.get("config") or {}), "jobs": ctx.jobs}
     )
     options = CampaignOptions.from_dict(spec.get("options"))
     trace = ctx.job_dir / TRACE_DIR_NAME if spec.get("trace") else None

@@ -27,7 +27,6 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..dist import BACKEND_CHOICES
 from ..exec import CampaignCancelled, ProgressEvent, TelemetryProgress
 from ..obs.metrics import METRICS_FILE_NAME, write_metrics_json
 from ..obs.telemetry import TelemetryRegistry
@@ -92,22 +91,14 @@ class Scheduler:
         workers: int = 2,
         max_jobs: int = 4,
         telemetry: Optional[TelemetryRegistry] = None,
-        backend: str = "local",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
-        if backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {backend!r} (choose from {BACKEND_CHOICES})"
-            )
         self.store = store
         self.workers = workers
         self.max_jobs = max_jobs
-        # A queue-backend scheduler maps each job's slot allocation onto
-        # that many spooled host workers instead of an in-process pool.
-        self.backend = backend
         self.telemetry = telemetry or TelemetryRegistry()
         if store.telemetry is None:
             store.telemetry = self.telemetry
@@ -379,8 +370,6 @@ class Scheduler:
             progress=TelemetryProgress(self.telemetry, inner=record_progress),
             cancel=flag.is_set,
             resolve_job_dir=self.store.job_dir,
-            backend=self.backend,
-            telemetry=self.telemetry,
         )
         try:
             kind = get_job_kind(record.spec.kind)

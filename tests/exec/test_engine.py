@@ -204,18 +204,18 @@ class TestFaultTolerance:
         # the submit that finds the pool broken must not abort the run.
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.dist import local
+        from repro.exec import engine
 
         submits = []
 
-        class BreaksOnSecondSubmit(local.ProcessPoolExecutor):
+        class BreaksOnSecondSubmit(engine.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 submits.append(args)
                 if len(submits) == 2:
                     raise BrokenProcessPool("worker died mid-submission")
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(local, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnSecondSubmit)
         report = CampaignEngine(square, policy(jobs=2), progress=None).run(_units(4))
         assert report.results() == [i * i for i in range(4)]
         assert report.summary.errors == 0

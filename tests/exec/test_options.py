@@ -1,12 +1,12 @@
 """Tests for ExecutionOptions: its validation and the engine run it owns."""
 
-import json
-
 import pytest
 
-from repro.exec import ExecutionOptions, WorkUnit
+from repro.exec import ExecutionOptions, WorkUnit, load_journal
 
-from ..dist.dist_tasks import square
+
+def square(payload):
+    return payload * payload
 
 
 def _units(n):
@@ -19,10 +19,8 @@ class TestValidation:
         [
             ({"jobs": 0}, "--jobs must be >= 1"),
             ({"resume": True}, "--resume requires --journal"),
-            ({"backend": "carrier-pigeon"}, "unknown executor backend"),
-            ({"spool": "spool"}, "--spool requires --backend queue"),
         ],
-        ids=["jobs", "resume", "backend", "spool"],
+        ids=["jobs", "resume"],
     )
     def test_invalid_combination_raises(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -30,11 +28,14 @@ class TestValidation:
 
 
 class TestRun:
-    def test_queue_backend_gets_one_host_per_job_and_is_closed(self, tmp_path):
-        spool = tmp_path / "spool"
-        report = ExecutionOptions(jobs=3, backend="queue", spool=spool).run(
+    def test_run_settles_every_unit_on_one_engine(self, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        report = ExecutionOptions(jobs=2, journal=journal).run(
             square, _units(4), progress=None
         )
         assert report.results() == [0, 1, 4, 9]
-        assert json.loads((spool / "spool.json").read_text())["hosts"] == 3
-        assert (spool / "stop").exists()
+        assert (report.summary.mode, report.summary.jobs) in (
+            ("process-pool", 2),
+            ("serial", 1),  # fork-less platforms
+        )
+        assert load_journal(journal).completed_keys() == {"k0", "k1", "k2", "k3"}

@@ -12,7 +12,7 @@ import pytest
 
 from repro.exec import load_journal
 from repro.experiments import DEFAULT_SEEDS, execute_suite, run_once, run_suite
-from repro.experiments.campaign import build_campaign_report, options_digest, unit_key
+from repro.experiments.campaign import options_digest, unit_key
 from repro.experiments.campaign import CampaignOptions
 from repro.obs.cli import render_summary, summarize_path
 from repro.obs.trace import ENGINE_TRACE_NAME, MANIFEST_NAME
@@ -45,15 +45,10 @@ class TestDeterminism:
     def test_default_seeds_is_the_papers_15(self):
         assert DEFAULT_SEEDS == tuple(range(15))
 
-    def test_queue_backend_report_equals_serial(self):
-        serial, _ = execute_suite([ScenarioType.NOMINAL], SEEDS, progress=None)
-        queued, report = execute_suite(
-            [ScenarioType.NOMINAL], SEEDS, backend="queue", jobs=2, progress=None
-        )
-        assert (report.summary.mode, report.summary.jobs) == ("queue", 2)
-        assert build_campaign_report(queued) == build_campaign_report(serial)
-
-    @pytest.mark.parametrize("retired", ["hosts", "timeout_s", "max_retries"])
+    @pytest.mark.parametrize(
+        "retired",
+        ["hosts", "timeout_s", "max_retries", "backend", "spool", "telemetry"],
+    )
     def test_retired_keyword_is_refused(self, retired):
         with pytest.raises(TypeError, match=retired):
             execute_suite([ScenarioType.NOMINAL], SEEDS, **{retired: 1})

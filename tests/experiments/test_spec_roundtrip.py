@@ -18,6 +18,7 @@ from repro.experiments.campaign import (
     unit_key,
     write_campaign_report,
 )
+from repro.experiments.ablations import main as ablations_main
 from repro.experiments.campaign import main as campaign_main
 from repro.experiments.fault_matrix import main as fault_matrix_main
 from repro.experiments.recovery import main as recovery_main
@@ -27,6 +28,7 @@ from repro.obs.cli import main as obs_main
 from repro.search.cli import main as search_main
 from repro.search.driver import SearchConfig, SearchDriver
 from repro.search.objective import candidate_key
+from repro.service.__main__ import main as service_main
 from repro.sim.scenario import ScenarioType
 
 
@@ -130,7 +132,8 @@ class TestSearchConfigRoundTrip:
 
 class TestRetiredInputs:
     """Retired knobs (block dispatch, the phase profiler, the in-tree
-    bench harness and ``--hosts``) are errors, not silent no-ops."""
+    bench harness, ``--hosts`` and the queue backend) are errors, not
+    silent no-ops."""
 
     def test_search_config_rejects_block_size(self):
         with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['block_size'\]"):
@@ -139,6 +142,10 @@ class TestRetiredInputs:
     def test_search_config_rejects_hosts(self):
         with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['hosts'\]"):
             SearchConfig.from_dict({"family": "congested", "hosts": 2})
+
+    def test_search_config_rejects_backend(self):
+        with pytest.raises(ValueError, match=r"unknown SearchConfig field\(s\) \['backend'\]"):
+            SearchConfig.from_dict({"family": "pedestrian", "backend": "local"})
 
     @pytest.mark.parametrize(
         "main, argv, refused",
@@ -161,17 +168,27 @@ class TestRetiredInputs:
             (obs_main, ["profile", "{tmp}"], "invalid choice: 'profile'"),
             (obs_main, ["bench", "--list"], "invalid choice: 'bench'"),
             (obs_main, ["regress", "{tmp}", "{tmp}"], "invalid choice: 'regress'"),
-            (campaign_main, ["--seeds", "0", "--backend", "queue", "--hosts", "2"],
+            (campaign_main, ["--seeds", "0", "--hosts", "2"],
              "unrecognized arguments: --hosts"),
             (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
-                           "--out", "{tmp}", "--backend", "queue", "--hosts", "2"],
+                           "--out", "{tmp}", "--hosts", "2"],
              "unrecognized arguments: --hosts"),
+            (campaign_main, ["--seeds", "0", "--backend", "queue"],
+             "unrecognized arguments: --backend queue"),
+            (campaign_main, ["--seeds", "0", "--spool", "{tmp}"],
+             "unrecognized arguments: --spool"),
+            (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
+                           "--out", "{tmp}", "--backend", "queue"],
+             "unrecognized arguments: --backend queue"),
+            (service_main, ["serve", "--root", "{tmp}", "--backend", "queue"],
+             "unrecognized arguments: --backend queue"),
         ],
         ids=[
             "campaign-block-size", "search-block-size", "campaign-profile",
             "campaign-hotspots", "runner-profile", "fault-matrix-profile",
             "search-profile", "obs-profile", "obs-bench", "obs-regress",
-            "campaign-hosts", "search-hosts",
+            "campaign-hosts", "search-hosts", "campaign-backend",
+            "campaign-spool", "search-backend", "service-backend",
         ],
     )
     def test_cli_flag_is_a_usage_error(self, main, argv, refused, tmp_path, capsys):
@@ -196,11 +213,30 @@ class TestExecutionFlags:
         assert exit_info.value.code == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
-    def test_spool_without_queue_backend_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "main, argv, message",
+        [
+            (search_main, ["falsify", "--family", "pedestrian", "--jobs", "0"],
+             "python -m repro.search falsify: error: jobs must be >= 1, got 0"),
+            (search_main, ["explore", "--family", "pedestrian", "--jobs", "0"],
+             "python -m repro.search explore: error: jobs must be >= 1, got 0"),
+            (search_main, ["falsify", "--family", "pedestrian", "--budget", "0"],
+             "python -m repro.search falsify: error: budget must be >= 1, got 0"),
+            (ablations_main, ["--seeds", "0", "--jobs", "0"],
+             "error: --jobs must be >= 1, got 0"),
+        ],
+        ids=["search-falsify-jobs", "search-explore-jobs", "search-budget",
+             "ablations-jobs"],
+    )
+    def test_invalid_value_is_a_usage_error(self, main, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        if main is search_main:
+            argv = argv + ["--out", str(out)]
         with pytest.raises(SystemExit) as exit_info:
-            campaign_main(["--seeds", "0", "--spool", str(tmp_path / "spool")])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "--spool requires --backend queue" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert not out.exists()  # refused before anything is written
 
 
 class TestPinnedIdentities:
