@@ -23,7 +23,7 @@ def run_scenario(scenario: ScenarioType, seeds: range):
     for seed in seeds:
         controller = build_controller(build_scenario(scenario, seed))
         recorder = TraceRecorder.attach(controller)
-        # The campaign controller keeps no event log; collect the trail.
+        # The event bus keeps nothing; a subscribed list collects the trail.
         events = []
         controller.events.subscribe(events.append)
         result = controller.run()

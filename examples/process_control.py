@@ -209,8 +209,10 @@ def run(seed: int) -> None:
     controller = OrchestrationController(
         graph, environment, OrchestratorConfig(max_iterations=environment.steps)
     )
+    trail = []  # the evidence trail, collected by subscribing before the run
+    controller.events.subscribe(trail.append)
     result = controller.run()
-    print(build_report(result, events=controller.events,
+    print(build_report(result, events=trail,
                        title=f"Water-tank assurance report (seed {seed})"))
 
 

@@ -13,7 +13,7 @@ Run::
 
 import sys
 
-from repro import EventBus, ScenarioType, build_controller, build_report, build_scenario
+from repro import ScenarioType, build_controller, build_report, build_scenario
 
 
 def main() -> None:
@@ -21,10 +21,10 @@ def main() -> None:
 
     spec = build_scenario(ScenarioType.GHOST_ATTACK, seed)
     controller = build_controller(spec)
-    # The campaign controller keeps no event log; a logging bus subscribed
-    # before the run keeps the evidence trail for the report.
-    trail = EventBus()
-    controller.events.subscribe(trail.publish)
+    # The event bus keeps nothing: a list subscribed before the run
+    # collects the evidence trail for the report.
+    trail = []
+    controller.events.subscribe(trail.append)
     result = controller.run()
 
     print(build_report(result, events=trail))

@@ -29,21 +29,13 @@ class OrchestratorConfig:
         continue_on_role_error: when True, a raising role is logged as a
             ``role_error`` violation and the loop continues; when False the
             error propagates as :class:`~repro.core.errors.RoleExecutionError`.
-        history_limit: StateManager history bound (iterations).  Evidence
-            read from the history after a run (STL robustness, recorded
-            frames) needs the whole run, so keep it at least
+        history_limit: StateManager history bound (iterations).  The
+            history is the run's one per-tick store (the event bus keeps
+            nothing; subscribe to ``controller.events`` to collect
+            events).  Evidence read from it after a run (STL robustness,
+            recorded frames) needs the whole run, so keep it at least
             ``max_iterations``; reading a history that lost its first
             iterations raises.
-        keep_event_log: retain the full event trail in the bus's
-            in-memory log (memory vs evidence).  On by default for the
-            examples and interactive use;
-            :func:`~repro.experiments.campaign.build_controller` turns it
-            off.  A bus with no log and no subscriber is not heard, and the
-            controller then builds no events at all.
-        event_log_limit: optional ring-buffer cap on the retained event
-            log; older events are dropped (and counted) past the cap.
-            ``None`` keeps the log unbounded, which all-iteration evidence
-            extraction (tests, reports) relies on.
         role_config: free-form per-role settings, surfaced verbatim via
             ``RoleContext.config``.
         resilience: containment policy wrapped around role execution —
@@ -58,8 +50,6 @@ class OrchestratorConfig:
     halt_on_violation: bool = False
     continue_on_role_error: bool = False
     history_limit: Optional[int] = 2000
-    keep_event_log: bool = True
-    event_log_limit: Optional[int] = None
     role_config: Dict[str, Any] = field(default_factory=dict)
     resilience: Optional[ResilienceConfig] = None
 
@@ -71,8 +61,4 @@ class OrchestratorConfig:
         if self.history_limit is not None and self.history_limit <= 0:
             raise ConfigurationError(
                 f"history_limit must be positive or None, got {self.history_limit}"
-            )
-        if self.event_log_limit is not None and self.event_log_limit <= 0:
-            raise ConfigurationError(
-                f"event_log_limit must be positive or None, got {self.event_log_limit}"
             )

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional
 from ..env.interface import EnvironmentInterface
 from .config import OrchestratorConfig
 from .errors import ConfigurationError, ResilienceError, RoleExecutionError
-from .events import Event, EventBus, EventKind
+from .events import Event, EventBus, EventKind, Tick
 from .metrics import DependabilityMetrics
 from .resilience import HOLD, ResilienceCoordinator
 from .role import Role, RoleContext, RoleKind, RoleResult, Verdict
@@ -73,7 +73,10 @@ class OrchestrationController:
 
     The controller owns the StateManager, metrics and event bus for the
     run; they are exposed as attributes for inspection and for subscribers
-    (e.g. trace recorders) to hook into before :meth:`run`.
+    (e.g. trace recorders) to hook into before :meth:`run`.  While the bus
+    is heard, :attr:`tick` holds the open tick (see
+    :class:`~repro.core.events.Tick`): a trace recorder reads it at each
+    event and writes it once the tick's ``iteration_finished`` is out.
     """
 
     def __init__(
@@ -89,10 +92,9 @@ class OrchestrationController:
         self.environment = environment
         self.state = StateManager(history_limit=self.config.history_limit)
         self.metrics = DependabilityMetrics()
-        self.events = EventBus(
-            keep_log=self.config.keep_event_log,
-            max_log=self.config.event_log_limit,
-        )
+        self.events = EventBus()
+        #: The open tick while the bus is heard; ``None`` between ticks.
+        self.tick: Optional[Tick] = None
         self._order = self.graph.execution_order()
         if not any(s.role.kind is RoleKind.GENERATOR for s in self._order):
             raise ConfigurationError(
@@ -132,6 +134,7 @@ class OrchestrationController:
     def run(self) -> OrchestrationResult:
         """Execute the iterative assurance process until termination."""
         started = wall_clock.perf_counter()
+        self.tick = None
         self.state.reset()
         self.metrics = DependabilityMetrics()
         for scheduled in self._order:
@@ -194,11 +197,19 @@ class OrchestrationController:
     def _run_iteration(self, iteration: int) -> bool:
         env = self.environment
         self.state.begin_iteration(iteration, env.time)
-        self._publish(EventKind.ITERATION_STARTED, iteration)
+        # A heard tick keeps its milestones (state updated, each role's
+        # verdict and latency, the action) instead of publishing them; the
+        # tick's one event is its iteration_finished.
+        tick = self.tick = (
+            Tick(iteration, env.time, wall_clock.perf_counter())
+            if self.events.heard
+            else None
+        )
 
         # Step 3: state update.
         self.state.update_world_state(env.observe())
-        self._publish(EventKind.STATE_UPDATED, iteration)
+        if tick is not None:
+            tick.roles = []
 
         # Steps 4-5: generation and dependability assessment, in order.
         # One context serves every role of the tick; _execute_role sets
@@ -242,17 +253,15 @@ class OrchestrationController:
 
         # Step 8: action execution.
         env.apply_action(action)
-        if self.events.heard:
-            self._publish(
-                EventKind.ACTION_EXECUTED,
-                iteration,
-                payload={"action": self._describe_action(action), "source": source},
-            )
+        if tick is not None:
+            tick.action = (self._describe_action(action), source)
         env.advance()
 
         # Step 9: metrics logging.
         self.state.finish_iteration(executed_action=action, action_source=source)
-        self._publish(EventKind.ITERATION_FINISHED, iteration)
+        if tick is not None:
+            self._publish(EventKind.ITERATION_FINISHED, iteration)
+            self.tick = None
         return violation
 
     def _execute_role(self, scheduled: ScheduledRole, context: RoleContext) -> bool:
@@ -262,7 +271,8 @@ class OrchestrationController:
             resilience.deadline_for(scheduled.name) if resilience is not None else None
         )
         if not scheduled.trigger.should_run(context):
-            self._publish(EventKind.ROLE_SKIPPED, iteration, role=scheduled.name)
+            if self.events.heard:
+                self._publish(EventKind.ROLE_SKIPPED, iteration, role=scheduled.name)
             return False
 
         role = scheduled.role
@@ -420,24 +430,20 @@ class OrchestrationController:
                 if name is None:
                     name = series[score_name] = f"score.{role.name}.{score_name}"
                 self.metrics.record_series(name, self.environment.time, value)
-        if self.events.heard:
-            if len(self.metrics.faults) != faults_before:
-                # Roles record injections straight into the metrics; mirror
-                # them onto the bus so the evidence trail (and any trace)
-                # is complete without a metrics cross-reference.
-                for record in self.metrics.faults[faults_before:]:
-                    self._publish(
-                        EventKind.FAULT_INJECTED,
-                        iteration,
-                        role=role.name,
-                        payload={"fault": record.kind, "detail": record.detail},
-                    )
-            self._publish(
-                EventKind.ROLE_EXECUTED,
-                iteration,
-                role=role.name,
-                payload={"verdict": result.verdict.value, "elapsed_s": elapsed},
-            )
+        if len(self.metrics.faults) != faults_before and self.events.heard:
+            # Roles record injections straight into the metrics; mirror
+            # them onto the bus so the evidence trail (and any trace) is
+            # complete without a metrics cross-reference.
+            for record in self.metrics.faults[faults_before:]:
+                self._publish(
+                    EventKind.FAULT_INJECTED,
+                    iteration,
+                    role=role.name,
+                    payload={"fault": record.kind, "detail": record.detail},
+                )
+        tick = self.tick
+        if tick is not None:
+            tick.roles.append((role.name, result.verdict.value, elapsed))
 
         violation = error is not None  # a role error counts as a violation
         overrun = (
@@ -552,19 +558,11 @@ class OrchestrationController:
         role: Optional[str] = None,
         payload: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Publish one event, or nothing when the bus is not heard.
+        """Publish one event at the environment's current time.
 
-        Call sites that build a payload check :attr:`EventBus.heard`
-        first, so an unheard run builds neither events nor payloads.
+        Every call site checks :attr:`EventBus.heard` (or the open tick)
+        first, once, so an unheard run builds neither events nor payloads.
         """
-        if not self.events.heard:
-            return
         self.events.publish(
-            Event(
-                kind=kind,
-                iteration=iteration,
-                time=self.environment.time,
-                role=role,
-                payload=payload or {},
-            )
+            Event(kind, iteration, self.environment.time, role, payload)
         )

@@ -1,16 +1,17 @@
 """Assurance report generation from collected metrics.
 
 Turns a run's :class:`~repro.core.metrics.DependabilityMetrics` (and
-optionally its event log) into a structured plain-text report — the
+optionally the events a subscriber collected) into a structured
+plain-text report — the
 "traceable evidence suitable for building assurance cases" the framework
 promises (§I).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, List, Mapping, Optional, Sequence
 
-from .events import EventBus, EventKind
+from .events import Event, EventKind
 from .metrics import DependabilityMetrics
 from .orchestrator import OrchestrationResult
 
@@ -46,13 +47,18 @@ def _counterexample_row(entry: "Mapping[str, Any]") -> str:
 
 def build_report(
     result: OrchestrationResult,
-    events: Optional[EventBus] = None,
+    events: Optional[Iterable[Event]] = None,
     title: str = "DURA-CPS assurance report",
     telemetry: "Optional[TelemetryRegistry]" = None,
     stl: "Optional[Sequence[PropertyVerdict]]" = None,
     counterexamples: "Optional[Sequence[Mapping[str, Any]]]" = None,
 ) -> str:
     """Render a human-readable assurance report for one run.
+
+    ``events`` (the events a subscriber collected during the run, e.g. a
+    list whose ``append`` was subscribed to ``controller.events`` before
+    ``run()``) appends the evidence trail: violations, faults and
+    recoveries, in publication order.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryRegistry`,
     e.g. a :class:`~repro.obs.trace.TraceRecorder`'s) appends a telemetry
@@ -191,7 +197,7 @@ def build_report(
         lines += _heading("Evidence trail (violations & recoveries)")
         notable = [
             e
-            for e in events.log
+            for e in events
             if e.kind in (EventKind.VIOLATION_DETECTED, EventKind.RECOVERY_ACTIVATED, EventKind.FAULT_INJECTED)
         ]
         if not notable:

@@ -3,7 +3,7 @@
 The orchestrator "sequences role execution based on dependencies or
 triggers" (§III.B.1).  A trigger inspects the shared state (including the
 outputs of roles that already ran this iteration) and decides whether the
-role executes; skipped roles are reported as such in the event log.
+role executes; a skipped role is published as a ``role_skipped`` event.
 """
 
 from __future__ import annotations

@@ -36,8 +36,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -416,6 +415,10 @@ class CampaignEngine:
         settle: Callable[[TaskRecord], None],
         record_retry: Callable[[str, int], None],
     ) -> None:
+        # Loaded here, not at import: a serial process never needs the
+        # process-pool stack (multiprocessing's connection and queues).
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         policy = self.policy
         context = multiprocessing.get_context("fork")
         executor = ProcessPoolExecutor(

@@ -286,14 +286,12 @@ def build_controller(
             fallback=create_fallback(name=FALLBACK_PLANNER),
         )
     # The history is the run's evidence store (the STL robustness is read
-    # from it), so it must hold every iteration the run can reach.  No
-    # caller reads the bus log: a trace recorder subscribes instead, and
-    # an unheard bus builds no events.
+    # from it), so it must hold every iteration the run can reach.  A
+    # trace recorder subscribes to the bus; an unheard bus builds no events.
     max_iterations = int(spec.timeout_s / 0.1) + 10
     config = OrchestratorConfig(
         max_iterations=max_iterations,
         history_limit=max_iterations,
-        keep_event_log=False,
         halt_on_violation=options.halt_on_violation,
         continue_on_role_error=options.continue_on_role_error,
         resilience=ResilienceConfig(**resilience_kwargs),

@@ -147,7 +147,6 @@ def _run(
         environment,
         OrchestratorConfig(
             max_iterations=int(spec.timeout_s / 0.1) + 10,
-            keep_event_log=False,  # nothing reads it; a trace subscribes
             resilience=resilience_config,
         ),
     )

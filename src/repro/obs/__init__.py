@@ -1,9 +1,9 @@
 """Observability: end-to-end tracing and telemetry for the assurance loop.
 
-The evidence trail used to live (and die) in process memory — the
-:class:`~repro.core.events.EventBus` log and
-:class:`~repro.core.metrics.DependabilityMetrics`.  This package makes it
-durable and queryable across every layer:
+A run's evidence lives in process memory — the events its
+:class:`~repro.core.events.EventBus` fans out, its ``StateManager``
+history and its :class:`~repro.core.metrics.DependabilityMetrics`.  This
+package makes it durable and queryable across every layer:
 
 * :mod:`repro.obs.trace` — span-based JSONL tracing (run → iteration →
   role execution), :class:`TraceRecorder` for orchestration runs,

@@ -33,7 +33,8 @@
 
 ``summarize``, ``tail``, ``diff`` and ``query`` given a path that names
 no trace file or directory print an error and exit 1; ``tail --follow``
-waits for the path to appear instead.
+waits for the path to appear instead.  ``summarize``, ``tail`` and
+``diff`` also exit 1 on a directory that holds no trace.
 """
 
 from __future__ import annotations
@@ -81,9 +82,16 @@ def latency_registry(traces: Sequence[TraceData]) -> TelemetryRegistry:
 
 
 def summarize_path(path: "str | Path") -> Dict[str, Any]:
-    """Everything ``summarize``/``diff`` need, as one JSON-friendly dict."""
+    """Everything ``summarize``/``diff`` need, as one JSON-friendly dict.
+
+    Raises:
+        FileNotFoundError: when ``path`` holds no trace.
+    """
     path = Path(path)
-    all_traces = [load_trace(p) for p in discover_traces(path)]
+    found = discover_traces(path)
+    if not found:
+        raise FileNotFoundError(f"no trace under {path}")
+    all_traces = [load_trace(p) for p in found]
     runs = sorted(
         (t for t in all_traces if t.trace_kind == "run"), key=lambda t: t.trace_id
     )
@@ -114,9 +122,6 @@ def summarize_path(path: "str | Path") -> Dict[str, Any]:
         "checked_traces": len(runs) + len(searches),
         "mismatches": mismatches,
         "corrupt_lines": sum(t.corrupt_lines for t in all_traces),
-        "dropped_events": sum(
-            int((t.footer or {}).get("dropped_events", 0)) for t in all_traces
-        ),
         "latency": {
             name: latencies.histograms[name].summary()
             for name in sorted(latencies.histograms)
@@ -173,12 +178,6 @@ def render_summary(summary: Dict[str, Any], timing: bool = True) -> str:
             lines.append(f"  MISMATCH {mismatch}")
     if summary["corrupt_lines"]:
         lines.append(f"corrupt     : {summary['corrupt_lines']} unparseable line(s) skipped")
-    if summary.get("dropped_events"):
-        lines.append(
-            f"dropped     : WARNING {summary['dropped_events']} event(s) fell off "
-            "the in-memory bus ring buffer (trace files still hold every event; "
-            "post-hoc consumers of controller.events.log saw a truncated view)"
-        )
     if counts["events"]:
         lines.append("events:")
         for name in sorted(counts["events"]):
@@ -311,7 +310,7 @@ def _follow_traces(
         ]
 
     # The first read orders traces by id, as plain ``tail`` does.
-    for row in rows(sorted(poll(), key=lambda batch: batch[0].trace_id))[-lines:]:
+    for row in _last(rows(sorted(poll(), key=lambda batch: batch[0].trace_id)), lines):
         print(row, flush=True)
     try:
         while True:
@@ -320,6 +319,11 @@ def _follow_traces(
                 print(row, flush=True)
     except KeyboardInterrupt:
         return 0
+
+
+def _last(rows: List[str], count: int) -> List[str]:
+    """The last ``count`` rows (none for 0)."""
+    return rows[-count:] if count else []
 
 
 def _tail_traces(path: "str | Path") -> List[TraceData]:
@@ -349,7 +353,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
             if args.event and event.get("event") != args.event:
                 continue
             rows.append(_format_event(event, trace.trace_id if label else None))
-    for row in rows[-args.lines:]:
+    for row in _last(rows, args.lines):
         print(row)
     return 0
 
@@ -357,7 +361,9 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     from .index import (
         DETERMINISTIC_FIELDS,
+        GROUP_FIELDS,
         TIMING_FIELDS,
+        check_field,
         filter_rows,
         format_rows,
         group_rows,
@@ -378,14 +384,17 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"index verification FAILED ({len(problems)} problem(s))")
         return 2
 
-    index = refresh_index(args.path, args.index, write=not args.no_save)
-    rows = index_rows(index)
     try:
         clauses = [parse_where(expr) for expr in args.where]
+        if args.group_by:
+            check_field(args.group_by)
+        if args.sort:
+            check_field(args.sort.lstrip("-"), GROUP_FIELDS if args.group_by else ())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    rows = filter_rows(rows, clauses)
+    index = refresh_index(args.path, args.index, write=not args.no_save)
+    rows = filter_rows(index_rows(index), clauses)
     columns: Optional[List[str]] = None
     if args.group_by:
         rows = group_rows(rows, args.group_by)
@@ -480,6 +489,17 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description=__doc__,
@@ -498,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="human-readable event stream")
     p.add_argument("path", type=Path)
-    p.add_argument("-n", "--lines", type=int, default=40, help="events to show")
+    p.add_argument("-n", "--lines", type=_count, default=40, help="events to show")
     p.add_argument("--event", default=None, help="only this event kind")
     p.add_argument(
         "-f", "--follow", action="store_true",
@@ -555,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", default=None, metavar="[-]FIELD",
         help="sort rows by a field; leading '-' descends",
     )
-    p.add_argument("--limit", type=int, default=None, help="keep the first N rows")
+    p.add_argument("--limit", type=_count, default=None, help="keep the first N rows")
     p.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )

@@ -85,6 +85,17 @@ FIELD_ALIASES: Dict[str, str] = {
     "scenario_name": "scenario",
 }
 
+#: The fields of a :func:`group_rows` row besides the grouping field.
+GROUP_FIELDS: Tuple[str, ...] = (
+    "runs",
+    "iterations",
+    "violations",
+    "faults",
+    "recoveries",
+    "rho_min",
+    "rho_mean",
+)
+
 
 class IndexError_(Exception):
     """An index that cannot be used (bad schema, unreadable file)."""
@@ -380,14 +391,31 @@ _OPS: Dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+def check_field(field: str, extra: Sequence[str] = ()) -> None:
+    """Raise ValueError unless the first dotted segment of ``field`` names
+    an index-row field, an alias or one of ``extra``."""
+    head = field.split(".", 1)[0]
+    known = DETERMINISTIC_FIELDS + TIMING_FIELDS + tuple(extra)
+    if head not in known and head not in FIELD_ALIASES:
+        raise ValueError(
+            f"unknown field {field!r} (fields: {', '.join(known)}; "
+            f"aliases: {', '.join(FIELD_ALIASES)})"
+        )
+
+
 def parse_where(expr: str) -> Tuple[str, str, str]:
-    """Parse ``field<op>value`` (e.g. ``scenario=pedestrian``, ``rho<0``)."""
+    """Parse ``field<op>value`` (e.g. ``scenario=pedestrian``, ``rho<0``).
+
+    A value starting with an operator character (``rho<<0``) is refused
+    rather than compared as a string, and so is an unknown field.
+    """
     match = _WHERE.match(expr)
-    if match is None:
+    if match is None or match.group("value").startswith(("<", ">", "=", "!")):
         raise ValueError(
             f"bad --where {expr!r} (expected FIELD{{=,!=,<,<=,>,>=}}VALUE)"
         )
     field = match.group("field")
+    check_field(field)
     field = FIELD_ALIASES.get(field, field)
     return field, match.group("op"), match.group("value")
 

@@ -7,14 +7,15 @@ campaign work unit).  Schema v2 writes five record kinds:
     ``{"kind": "trace_header", "schema": 2, "trace_kind": "run"|"engine",
     "trace_id": ..., "meta": {...}}`` — identity and provenance.
 ``iteration``
-    one line per assurance-loop tick, written when the tick finishes:
-    ``{"kind": "iteration", "iteration": i, "seq": [first, last],
-    "time": [t_start, t_end], "start_s", "duration_s",
-    "roles": [[name, verdict, latency_s], ...], "action": [action,
-    source]}``.  It stands for the tick's ``iteration_started``,
-    ``state_updated``, ``role_executed``, ``action_executed`` and
-    ``iteration_finished`` events and for its iteration and role spans.
-    ``seq`` is the range of bus sequence numbers the tick used;
+    one line per assurance-loop tick, the tick the controller hands the
+    recorder, written when the tick finishes: ``{"kind": "iteration",
+    "iteration": i, "seq": [first, last], "time": [t_start, t_end],
+    "start_s", "duration_s", "roles": [[name, verdict, latency_s], ...],
+    "action": [action, source]}``.  It stands for the tick's
+    ``iteration_started``, ``state_updated``, ``role_executed``,
+    ``action_executed`` and ``iteration_finished`` events and for its
+    iteration and role spans.  ``seq`` is the range of sequence numbers
+    the tick used, its milestones numbered as if each were published;
     ``latency_s`` is rounded to 1 ns.  A tick cut short by a crash is
     written by :meth:`TraceRecorder.finalize` with ``t_end`` null (no
     ``iteration_finished``), ``action`` null (no ``action_executed``) and
@@ -22,11 +23,10 @@ campaign work unit).  Schema v2 writes five record kinds:
 ``event``
     every other event published on the run's bus — violations, faults,
     recoveries, skips, retries, holds, deadline overruns, degraded-mode
-    changes, ``run_terminated`` — one line each, in publication order:
-    ``{"kind": "event", "seq": N, "event": "<EventKind.value>",
-    "iteration": i, "time": t, "role": ..., "payload": {...}}``.  A
-    per-tick event that does not fit its tick record (an unexpected
-    payload, role or time) is written this way too, so no event is lost.
+    changes, ``run_terminated``, and any event another publisher puts on
+    the bus — one line each, in publication order: ``{"kind": "event",
+    "seq": N, "event": "<EventKind.value>", "iteration": i, "time": t,
+    "role": ..., "payload": {...}}``.
 ``span``
     a closed timing interval: ``{"kind": "span", "span_id", "parent_id",
     "span_kind": "run"|"task", "name", "start_s", "duration_s",
@@ -46,8 +46,8 @@ fact a tick record drops is each role span's wall-clock start; the
 expansion lays a tick's role spans end to end from the tick's start.
 
 :class:`TraceRecorder` attaches to an
-:class:`~repro.core.orchestrator.OrchestrationController` as an
-``EventBus`` subscriber; :class:`EngineTracer` attaches to a
+:class:`~repro.core.orchestrator.OrchestrationController`: it subscribes
+to its event bus and reads its open tick; :class:`EngineTracer` attaches to a
 :class:`~repro.exec.engine.CampaignEngine` and additionally merges the
 per-unit trace files written by worker processes into a deterministic
 ``manifest.json``.  Tracing is strictly opt-in: without a recorder the
@@ -63,7 +63,7 @@ import time as wall_clock
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, IO, Iterable, List, Optional, Tuple
 
-from ..core.events import Event, EventBus, EventKind
+from ..core.events import Event, EventKind, Tick
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import TelemetryRegistry
 
@@ -143,33 +143,16 @@ class TraceWriter:
         self.close()
 
 
-#: Hot-path aliases: reading a member off the enum class costs more
-#: than a module global, and the recorder compares kinds on every event.
-_ITERATION_STARTED = EventKind.ITERATION_STARTED
-_STATE_UPDATED = EventKind.STATE_UPDATED
-_ROLE_EXECUTED = EventKind.ROLE_EXECUTED
-_ACTION_EXECUTED = EventKind.ACTION_EXECUTED
-_ITERATION_FINISHED = EventKind.ITERATION_FINISHED
-_RUN_TERMINATED = EventKind.RUN_TERMINATED
-
-
-class _Tick:
-    """The open tick's foldable events, buffered until it finishes.
-
-    ``roles`` stays ``None`` until ``state_updated`` folds in; an event
-    folds only in bus order (started, state, roles, action), which is the
-    order the expansion regenerates them in.
-    """
-
-    __slots__ = ("first_seq", "iteration", "time", "start_s", "roles", "action")
-
-    def __init__(self, first_seq: int, iteration: int, time: float, start_s: float) -> None:
-        self.first_seq = first_seq
-        self.iteration = iteration
-        self.time = time
-        self.start_s = start_s
-        self.roles: Optional[List[Tuple[str, str, float]]] = None
-        self.action: Optional[Tuple[Any, Any]] = None
+#: Telemetry counter bumped by each evidence event kind, besides its
+#: ``events.<kind>`` count.
+_EVIDENCE_COUNTERS = {
+    EventKind.RECOVERY_ACTIVATED: "recovery.activations",
+    EventKind.DEADLINE_EXCEEDED: "resilience.deadline_exceeded",
+    EventKind.DEGRADED_MODE_ENTERED: "resilience.degraded_entered",
+    EventKind.DEGRADED_MODE_EXITED: "resilience.degraded_exited",
+    EventKind.ACTION_HELD: "resilience.holds",
+    EventKind.ROLE_RETRIED: "resilience.retries",
+}
 
 
 class TraceRecorder:
@@ -181,11 +164,17 @@ class TraceRecorder:
         result = controller.run()
         recorder.finalize(result.metrics)
 
-    Attaching subscribes to the controller's event bus.  Every published
-    event updates the telemetry registry; each tick's foldable events are
-    buffered into one ``iteration`` record, written when the tick
-    finishes, and every other event is written as an ``event`` record as
-    it arrives.
+    Attaching subscribes to the controller's event bus.  The controller
+    keeps its open tick in :attr:`~repro.core.orchestrator.OrchestrationController.tick`
+    and publishes only the tick's ``iteration_finished``; the recorder
+    writes the tick as one ``iteration`` record then, and every other
+    event as an ``event`` record as it arrives.  An event's ``seq`` counts
+    the tick milestones reached before it (started, state updated, each
+    role executed, action executed) as the events :func:`load_trace`
+    regenerates for them.  The per-tick ``events.*`` and ``verdicts.*``
+    tallies, the role latency histograms and the ``iterations`` gauge
+    are derived from each written tick.  The recorder holds the
+    controller until :meth:`finalize`.
     """
 
     def __init__(
@@ -200,20 +189,17 @@ class TraceRecorder:
         self.telemetry = TelemetryRegistry()
         self._t0 = wall_clock.perf_counter()
         self._seq = 0
-        self._next_span_id = 1
         #: Spans the expansion of this trace yields (run, iteration, role).
         self._spans = 0
         self._run_span: Optional[Tuple[int, float]] = None  # (span_id, start)
-        self._tick: Optional[_Tick] = None
+        self._controller: Optional["OrchestrationController"] = None
         self._unsubscribe = None
-        self._bus: Optional[EventBus] = None
+        # The tick being recorded, its first seq, and how many of its
+        # milestones already have a seq.
+        self._tick: Optional[Tick] = None
+        self._first_seq = 0
+        self._counted = 0
         self._finalized = False
-        # Telemetry instruments fetched once per event kind, verdict and
-        # role: building the name and looking it up on every event costs
-        # more than the count itself.
-        self._event_counters: Dict[EventKind, Any] = {}
-        self._verdict_counters: Dict[str, Any] = {}
-        self._latency_histograms: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def attach(self, controller: "OrchestrationController") -> "TraceRecorder":
@@ -226,7 +212,7 @@ class TraceRecorder:
                 "meta": self.meta,
             }
         )
-        self._bus = controller.events
+        self._controller = controller
         self._unsubscribe = controller.events.subscribe(self._on_event)
         return self
 
@@ -237,25 +223,13 @@ class TraceRecorder:
     # EventBus subscriber
     # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
+        tick = self._controller.tick
+        self._follow(tick)
         self._seq += 1
         kind = event.kind
-        counter = self._event_counters.get(kind)
-        if counter is None:
-            counter = self._event_counters[kind] = self.telemetry.counter(
-                f"events.{kind.value}"
-            )
-        counter.inc()
-        if kind is _ROLE_EXECUTED:
-            if self._on_role(event):
-                return
-        else:
-            if kind is _ITERATION_FINISHED:
-                self.telemetry.gauge("iterations").set(event.iteration + 1)
-            if self._fold(event):
-                return
-
-        if kind is _RUN_TERMINATED and self._tick is not None:
-            self._write_tick(None, self._seq - 1)
+        if kind is EventKind.ITERATION_FINISHED and tick is not None:
+            self._write_tick(event.time)
+            return
         self.writer.write(
             {
                 "kind": "event",
@@ -267,125 +241,76 @@ class TraceRecorder:
                 "payload": event.payload,
             }
         )
+        counter = self.telemetry.counter
+        counter(f"events.{kind.value}").inc()
         if kind is EventKind.VIOLATION_DETECTED:
-            category = event.payload.get("category", "generic")
-            self.telemetry.counter(f"violations.{category}").inc()
+            counter(f"violations.{event.payload.get('category', 'generic')}").inc()
         elif kind is EventKind.FAULT_INJECTED:
-            fault = event.payload.get("fault", "fault")
-            self.telemetry.counter(f"faults.{fault}").inc()
-        elif kind is EventKind.RECOVERY_ACTIVATED:
-            self.telemetry.counter("recovery.activations").inc()
-        elif kind is EventKind.DEADLINE_EXCEEDED:
-            self.telemetry.counter("resilience.deadline_exceeded").inc()
-        elif kind is EventKind.DEGRADED_MODE_ENTERED:
-            self.telemetry.counter("resilience.degraded_entered").inc()
-        elif kind is EventKind.DEGRADED_MODE_EXITED:
-            self.telemetry.counter("resilience.degraded_exited").inc()
-        elif kind is EventKind.ACTION_HELD:
-            self.telemetry.counter("resilience.holds").inc()
-        elif kind is EventKind.ROLE_RETRIED:
-            self.telemetry.counter("resilience.retries").inc()
-        elif kind is _RUN_TERMINATED:
+            counter(f"faults.{event.payload.get('fault', 'fault')}").inc()
+        elif kind is EventKind.RUN_TERMINATED:
             self._close_run_span({"reason": event.payload.get("reason")})
+        elif kind in _EVIDENCE_COUNTERS:
+            counter(_EVIDENCE_COUNTERS[kind]).inc()
 
-    def _on_role(self, event: Event) -> bool:
-        """Count a ``role_executed`` event's verdict and latency, and fold
-        it into the tick record if it fits (see :meth:`_fold`)."""
-        payload = event.payload
-        role = event.role
-        verdict = payload.get("verdict")
-        elapsed = payload.get("elapsed_s")
-        if verdict is not None:
-            counter = self._verdict_counters.get(verdict)
-            if counter is None:
-                counter = self._verdict_counters[verdict] = self.telemetry.counter(
-                    f"verdicts.{verdict}"
-                )
-            counter.inc()
-        if role is not None and isinstance(elapsed, float):
-            histogram = self._latency_histograms.get(role)
-            if histogram is None:
-                histogram = self._latency_histograms[role] = self.telemetry.histogram(
-                    f"role_latency_s.{role}"
-                )
-            histogram.record(elapsed)
-        tick = self._tick
-        if (
-            tick is None
-            or tick.roles is None
-            or tick.action is not None
-            or event.iteration != tick.iteration
-            or event.time != tick.time
-            or len(payload) != 2
-            or not isinstance(role, str)
-            or not isinstance(verdict, str)
-            or not isinstance(elapsed, float)
-        ):
-            return False
-        tick.roles.append((role, verdict, round(elapsed, 9)))
-        self._next_span_id += 1  # the role span's id
-        return True
-
-    def _fold(self, event: Event) -> bool:
-        """Buffer ``event`` into the tick record if the expansion in
-        :func:`load_trace` regenerates it exactly: the tick's kind, no
-        role, the empty payload (``action``/``source`` for an action),
-        the tick's iteration and start time, and bus order.  False writes
-        it as an ``event`` record instead."""
-        if event.role is not None:
-            return False
-        kind = event.kind
-        payload = event.payload
-        if kind is _ITERATION_STARTED:
-            if payload:
-                return False
+    def _follow(self, tick: Optional[Tick]) -> None:
+        """Catch up with the controller's open tick ``tick``: write a tick
+        it left unfinished, open a new one, and give a seq to each
+        milestone reached since the last event."""
+        if tick is not self._tick:
             if self._tick is not None:
-                self._write_tick(None, self._seq - 1)
+                self._write_tick(None)
+            if tick is None:
+                return
+            self._tick = tick
+            self._first_seq = self._seq + 1
+            self._counted = 0
             if self._run_span is None:
-                self._run_span = (self._next_span_id, self._now())
-                self._next_span_id += 1
-            self._next_span_id += 1  # the iteration span's id
-            self._tick = _Tick(self._seq, event.iteration, event.time, self._now())
-            return True
-        tick = self._tick
-        if tick is None or event.iteration != tick.iteration:
-            return False
-        if kind is _ITERATION_FINISHED:
-            if payload:
-                return False
-            self._write_tick(event.time, self._seq)
-            return True
-        if event.time != tick.time or tick.action is not None:
-            return False
-        if kind is _STATE_UPDATED:
-            if tick.roles is not None or payload:
-                return False
-            tick.roles = []
-            return True
-        if kind is _ACTION_EXECUTED:
-            if len(payload) != 2 or "action" not in payload or "source" not in payload:
-                return False
-            tick.action = (payload["action"], payload["source"])
-            return True
-        return False
+                self._run_span = (self._spans + 1, tick.start - self._t0)
+        elif tick is None:
+            return
+        roles = tick.roles
+        reached = 1 if roles is None else 2 + len(roles)
+        if tick.action is not None:
+            reached += 1
+        self._seq += reached - self._counted
+        self._counted = reached
 
-    def _write_tick(self, end_time: Optional[float], last_seq: int) -> None:
-        """Write the open tick's record (``end_time`` None: unfinished)."""
+    def _write_tick(self, end_time: Optional[float]) -> None:
+        """Write the open tick's record (``end_time`` None: unfinished)
+        and derive its telemetry."""
         tick = self._tick
+        self._follow(tick)
         self._tick = None
+        roles = tick.roles
         self.writer.write(
             {
                 "kind": "iteration",
                 "iteration": tick.iteration,
-                "seq": [tick.first_seq, last_seq],
+                "seq": [self._first_seq, self._seq],
                 "time": [tick.time, end_time],
-                "start_s": round(tick.start_s, 9),
-                "duration_s": round(self._now() - tick.start_s, 9),
-                "roles": tick.roles,
+                "start_s": round(tick.start - self._t0, 9),
+                "duration_s": round(wall_clock.perf_counter() - tick.start, 9),
+                "roles": None
+                if roles is None
+                else [[role, verdict, round(latency, 9)] for role, verdict, latency in roles],
                 "action": tick.action,
             }
         )
-        self._spans += 1 + len(tick.roles or ())
+        self._spans += 1 + len(roles or ())
+        telemetry = self.telemetry
+        telemetry.counter("events.iteration_started").inc()
+        if roles is not None:
+            telemetry.counter("events.state_updated").inc()
+            if roles:
+                telemetry.counter("events.role_executed").inc(len(roles))
+            for role, verdict, latency in roles:
+                telemetry.counter(f"verdicts.{verdict}").inc()
+                telemetry.histogram(f"role_latency_s.{role}").record(latency)
+        if tick.action is not None:
+            telemetry.counter("events.action_executed").inc()
+        if end_time is not None:
+            telemetry.counter("events.iteration_finished").inc()
+            telemetry.gauge("iterations").set(tick.iteration + 1)
 
     def _close_run_span(self, attrs: Optional[Dict[str, Any]] = None) -> None:
         if self._run_span is None:
@@ -415,21 +340,20 @@ class TraceRecorder:
     ) -> Path:
         """Write the open tick and run span, the footer, detach and close.
 
-        ``extras`` merges additional top-level fields into the footer
-        record (e.g. ``stl_robustness``, computed from world-state frames
-        the trace itself does not carry); reserved footer keys win.
+        A tick the controller left open (a crash cut it short) is written
+        unfinished.  ``extras`` merges additional top-level fields into
+        the footer record (e.g. ``stl_robustness``, computed from
+        world-state frames the trace itself does not carry); reserved
+        footer keys win.
         """
         if self._finalized:
             return self.writer.path
         self._finalized = True
+        if self._controller is not None:
+            self._follow(self._controller.tick)
         if self._tick is not None:
-            self._write_tick(None, self._seq)
+            self._write_tick(None)
         self._close_run_span()
-        # The ring-buffer cap only truncates the *in-memory* bus log (this
-        # trace received every event via its subscription), but a nonzero
-        # count means in-process consumers saw truncated evidence — record
-        # it so `obs summarize` can warn.
-        dropped = self._bus.dropped_events if self._bus is not None else 0
         footer: Dict[str, Any] = dict(extras or {})
         footer.update(
             {
@@ -438,7 +362,6 @@ class TraceRecorder:
                 "trace_id": self.trace_id,
                 "events": self._seq,
                 "spans": self._spans,
-                "dropped_events": dropped,
                 "metrics_summary": metrics.summary() if metrics is not None else None,
                 "telemetry": self.telemetry.snapshot(),
             }
@@ -447,7 +370,7 @@ class TraceRecorder:
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        self._bus = None
+        self._controller = None
         self.writer.close()
         return self.writer.path
 

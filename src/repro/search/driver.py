@@ -265,7 +265,6 @@ class SearchDriver:
                 "trace_id": f"search:{self.config.family}:{self.config.seed}",
                 "events": self._seq,
                 "spans": 0,
-                "dropped_events": 0,
                 "metrics_summary": None,
                 "search_summary": summary,
                 "telemetry": self.telemetry.snapshot(),

@@ -111,10 +111,10 @@ def _eval(formula: Formula, trace: Trace) -> List[float]:
         return [max(-l, r) for l, r in zip(left, right)]
     if isinstance(formula, Globally):
         inner = _eval(formula.operand, trace)
-        return _window_fold(inner, formula.interval, trace.period, is_min=True)
+        return _sliding_extreme(inner, formula.interval, trace.period, is_min=True)
     if isinstance(formula, Eventually):
         inner = _eval(formula.operand, trace)
-        return _window_fold(inner, formula.interval, trace.period, is_min=False)
+        return _sliding_extreme(inner, formula.interval, trace.period, is_min=False)
     if isinstance(formula, Until):
         left = _eval(formula.left, trace)
         right = _eval(formula.right, trace)
@@ -122,7 +122,7 @@ def _eval(formula: Formula, trace: Trace) -> List[float]:
     raise TypeError(f"unknown formula node: {type(formula).__name__}")
 
 
-def _window_fold(
+def _sliding_extreme(
     values: List[float],
     interval: Interval,
     period: float,

@@ -6,7 +6,7 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
-from repro.core import EventBus, Role, RoleContext, RoleKind, RoleResult, Verdict
+from repro.core import Event, Role, RoleContext, RoleKind, RoleResult, Verdict
 from repro.env.interface import EnvironmentInterface
 from repro.sim import Approach, IntersectionMap, Movement
 
@@ -95,15 +95,15 @@ def constant_generator(action: Any, name: str = "Generator") -> ScriptedRole:
     )
 
 
-def collect_events(controller: Any) -> EventBus:
-    """A logging bus subscribed to ``controller``'s bus before its run.
+def collect_events(controller: Any) -> List[Event]:
+    """Every event ``controller`` publishes from now on, in order.
 
-    Controllers from ``build_controller`` keep no event log; the returned
-    bus keeps every event the controller publishes, in order.
+    The bus keeps no log: the returned list is subscribed to it, so call
+    this before ``run()``.
     """
-    collector = EventBus()
-    controller.events.subscribe(collector.publish)
-    return collector
+    events: List[Event] = []
+    controller.events.subscribe(events.append)
+    return events
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     ConfigurationError,
+    EventBus,
     OrchestrationController,
     OrchestratorConfig,
     RoleKind,
@@ -12,7 +13,7 @@ from repro.core import (
     build_report,
     metrics_digest,
 )
-from tests.conftest import ScriptedRole, StubEnvironment, constant_generator
+from tests.conftest import ScriptedRole, StubEnvironment, collect_events, constant_generator
 
 
 class TestConfig:
@@ -29,18 +30,22 @@ class TestConfig:
             OrchestratorConfig(history_limit=-1)
 
     def test_invalid_event_log_limit(self):
-        with pytest.raises(ConfigurationError):
+        # The bus keeps no log, so its knobs are retired and refused.
+        with pytest.raises(TypeError):
             OrchestratorConfig(event_log_limit=0)
 
-    def test_event_log_limit_caps_bus(self):
-        controller = OrchestrationController(
-            [constant_generator("go")],
-            StubEnvironment(steps=5),
-            OrchestratorConfig(event_log_limit=4),
-        )
-        controller.run()
-        assert len(controller.events.log) == 4
-        assert controller.events.dropped_events > 0
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OrchestratorConfig(keep_event_log=True),
+            lambda: OrchestratorConfig(event_log_limit=4),
+            lambda: EventBus(max_log=3),
+        ],
+        ids=["keep_event_log", "event_log_limit", "max_log"],
+    )
+    def test_retired_event_log_keywords(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_none_values_allowed(self):
         config = OrchestratorConfig(max_iterations=None, history_limit=None)
@@ -82,11 +87,12 @@ class TestReport:
         controller = OrchestrationController(
             [constant_generator("go"), monitor, recovery], StubEnvironment(steps=3)
         )
-        return controller, controller.run()
+        events = collect_events(controller)
+        return events, controller.run()
 
     def test_report_sections_present(self):
-        controller, result = self._run()
-        report = build_report(result, events=controller.events)
+        events, result = self._run()
+        report = build_report(result, events=events)
         for heading in (
             "Run outcome",
             "Violations",
@@ -99,8 +105,8 @@ class TestReport:
             assert heading in report
 
     def test_report_mentions_violation_detail(self):
-        controller, result = self._run()
-        report = build_report(result, events=controller.events)
+        events, result = self._run()
+        report = build_report(result, events=events)
         assert "too close" in report
         assert "safety" in report
 

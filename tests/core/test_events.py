@@ -44,50 +44,55 @@ class TestPublishSubscribe:
             bus.publish(event())
 
 
+class TestEvent:
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = event(
+            kind=EventKind.FAULT_INJECTED, iteration=2, time=0.2, role="I", fault="ghost"
+        )
+        positional = Event(EventKind.FAULT_INJECTED, 2, 0.2, "I", {"fault": "ghost"})
+        for name in ("kind", "iteration", "time", "role", "payload"):
+            assert getattr(by_keyword, name) == getattr(positional, name)
+
+    def test_default_payloads_are_not_shared(self):
+        first = Event(EventKind.ITERATION_FINISHED, 0, 0.0)
+        second = Event(EventKind.ITERATION_FINISHED, 1, 0.1)
+        assert (first.role, first.payload) == (None, {})
+        first.payload["note"] = "mine"
+        assert second.payload == {}
+
+    def test_an_event_has_only_its_five_fields(self):
+        with pytest.raises(AttributeError):
+            Event(EventKind.ITERATION_FINISHED, 0, 0.0).extra = 1
+
+
 class TestLog:
+    """The bus keeps no log: a subscribed list is the log."""
+
     def test_log_records_everything(self):
         bus = EventBus()
-        bus.publish(event(kind=EventKind.ITERATION_STARTED))
+        log = []
+        bus.subscribe(log.append)
+        bus.publish(event(kind=EventKind.ITERATION_FINISHED))
         bus.publish(event(kind=EventKind.VIOLATION_DETECTED))
-        assert len(bus.log) == 2
-
-    def test_events_of_kind(self):
-        bus = EventBus()
-        bus.publish(event(kind=EventKind.ITERATION_STARTED, iteration=0))
-        bus.publish(event(kind=EventKind.VIOLATION_DETECTED, iteration=1))
-        bus.publish(event(kind=EventKind.VIOLATION_DETECTED, iteration=2))
-        violations = bus.events_of_kind(EventKind.VIOLATION_DETECTED)
-        assert [e.iteration for e in violations] == [1, 2]
+        assert [e.kind for e in log] == [
+            EventKind.ITERATION_FINISHED,
+            EventKind.VIOLATION_DETECTED,
+        ]
 
     def test_keep_log_false(self):
-        bus = EventBus(keep_log=False)
-        bus.publish(event())
-        assert bus.log == []
-
-    def test_clear_keeps_subscribers(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe(received.append)
-        bus.publish(event())
-        bus.clear()
-        assert bus.log == []
-        bus.publish(event())
-        assert len(received) == 2
-
-    def test_log_returns_copy(self):
-        bus = EventBus()
-        bus.publish(event())
-        log = bus.log
-        log.clear()
-        assert len(bus.log) == 1
+        # Nothing to switch off: the retired keyword is refused.
+        with pytest.raises(TypeError):
+            EventBus(keep_log=False)
 
 
 class TestHeard:
     def test_a_logging_bus_is_heard(self):
-        assert EventBus().heard
+        bus = EventBus()
+        bus.subscribe([].append)
+        assert bus.heard
 
     def test_an_unlogged_bus_is_heard_only_while_subscribed(self):
-        bus = EventBus(keep_log=False)
+        bus = EventBus()
         assert not bus.heard
         unsubscribe = bus.subscribe(lambda event: None)
         assert bus.heard
@@ -98,41 +103,17 @@ class TestHeard:
 class TestLogCap:
     def test_unbounded_by_default(self):
         bus = EventBus()
+        log = []
+        bus.subscribe(log.append)
         for i in range(1000):
             bus.publish(event(iteration=i))
-        assert len(bus.log) == 1000
-        assert bus.dropped_events == 0
-
-    def test_max_log_keeps_newest(self):
-        bus = EventBus(max_log=3)
-        for i in range(5):
-            bus.publish(event(iteration=i))
-        assert [e.iteration for e in bus.log] == [2, 3, 4]
-        assert bus.dropped_events == 2
-
-    def test_subscribers_still_see_dropped_events(self):
-        bus = EventBus(max_log=1)
-        received = []
-        bus.subscribe(received.append)
-        for i in range(4):
-            bus.publish(event(iteration=i))
-        assert len(received) == 4
-
-    def test_clear_resets_dropped_counter(self):
-        bus = EventBus(max_log=1)
-        bus.publish(event(iteration=0))
-        bus.publish(event(iteration=1))
-        assert bus.dropped_events == 1
-        bus.clear()
-        assert bus.dropped_events == 0
-        bus.publish(event(iteration=2))
-        assert len(bus.log) == 1 and bus.dropped_events == 0
+        assert [e.iteration for e in log] == list(range(1000))
 
     def test_invalid_max_log_rejected(self):
-        with pytest.raises(ValueError):
-            EventBus(max_log=0)
-        with pytest.raises(ValueError):
-            EventBus(max_log=-5)
+        # The ring buffer is retired with the log; any cap is refused.
+        for cap in (0, -5, 3):
+            with pytest.raises(TypeError):
+                EventBus(max_log=cap)
 
 
 class TestEventRendering:

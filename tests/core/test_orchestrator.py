@@ -16,7 +16,7 @@ from repro.core import (
     TerminationReason,
     Verdict,
 )
-from tests.conftest import ScriptedRole, StubEnvironment, constant_generator
+from tests.conftest import ScriptedRole, StubEnvironment, collect_events, constant_generator
 
 
 class FailingRole(ScriptedRole):
@@ -143,8 +143,9 @@ class TestViolationsAndHalting:
         env = StubEnvironment(steps=2)
         monitor = self._monitor([Verdict.FAIL])
         controller = OrchestrationController([constant_generator("go"), monitor], env)
+        published = collect_events(controller)
         controller.run()
-        events = controller.events.events_of_kind(EventKind.VIOLATION_DETECTED)
+        events = [e for e in published if e.kind is EventKind.VIOLATION_DETECTED]
         assert len(events) == 2  # scripted monitor repeats its last result
         assert events[0].role == "Monitor"
 
@@ -209,9 +210,10 @@ class TestDecision:
         generator = constant_generator("go")
         graph = RoleGraph().add(generator, trigger=OnVerdict("nonexistent"))
         controller = OrchestrationController(graph, env)
+        published = collect_events(controller)
         controller.run()
         assert env.applied == [None]
-        skips = controller.events.events_of_kind(EventKind.ROLE_SKIPPED)
+        skips = [e for e in published if e.kind is EventKind.ROLE_SKIPPED]
         assert len(skips) == 1
 
     def test_action_source_recorded_in_history(self):
@@ -225,14 +227,39 @@ class TestDecision:
 
 class TestEventsAndScores:
     def test_event_sequence_per_iteration(self):
+        # A tick publishes one event, iteration_finished.  While it is
+        # out, the controller's open tick holds the tick's milestones (the
+        # state update, each role's verdict, the action); the history
+        # keeps the finished tick.
         env = StubEnvironment(steps=1)
         controller = OrchestrationController([constant_generator("go")], env)
+        seen = []
+        controller.events.subscribe(lambda e: seen.append((e.kind, controller.tick)))
         controller.run()
-        kinds = [e.kind for e in controller.events.log]
-        assert kinds[0] is EventKind.ITERATION_STARTED
-        assert EventKind.STATE_UPDATED in kinds
-        assert EventKind.ACTION_EXECUTED in kinds
-        assert kinds[-1] is EventKind.RUN_TERMINATED
+        assert [kind for kind, _ in seen] == [
+            EventKind.ITERATION_FINISHED,
+            EventKind.RUN_TERMINATED,
+        ]
+        tick = seen[0][1]
+        assert (tick.iteration, tick.time) == (0, 0.0)
+        assert [role[:2] for role in tick.roles] == [("Generator", "info")]
+        assert tick.action == ("go", "Generator")
+        assert seen[1][1] is None  # no tick is open between ticks
+        record = controller.state.history[0]
+        assert (record.executed_action, record.action_source) == ("go", "Generator")
+
+    def test_an_unheard_run_opens_no_tick(self):
+        opened = []
+
+        class Probe(ScriptedRole):
+            def execute(self, context):
+                opened.append(controller.tick)
+                return super().execute(context)
+
+        probe = Probe([RoleResult(data={"action": "go"})], kind=RoleKind.GENERATOR)
+        controller = OrchestrationController([probe], StubEnvironment(steps=2))
+        controller.run()
+        assert opened == [None, None]
 
     def test_role_scores_become_metric_series(self):
         env = StubEnvironment(steps=2)

@@ -23,7 +23,11 @@ from repro.core import (
     build_report,
 )
 
-from ..conftest import ScriptedRole, StubEnvironment, constant_generator
+from ..conftest import ScriptedRole, StubEnvironment, collect_events, constant_generator
+
+
+def of_kind(events, kind):
+    return [event for event in events if event.kind is kind]
 
 
 class FlakyGenerator(Role):
@@ -85,6 +89,7 @@ class TestBreakerLifecycle:
 
     def test_full_degrade_and_recover_sequence(self):
         controller, env, _ = self.build()
+        published = collect_events(controller)
         result = controller.run()
 
         # The environment never saw a missing decision.
@@ -101,8 +106,8 @@ class TestBreakerLifecycle:
             + ["go"] * 11           # recovered
         )
 
-        entered = controller.events.events_of_kind(EventKind.DEGRADED_MODE_ENTERED)
-        exited = controller.events.events_of_kind(EventKind.DEGRADED_MODE_EXITED)
+        entered = of_kind(published, EventKind.DEGRADED_MODE_ENTERED)
+        exited = of_kind(published, EventKind.DEGRADED_MODE_EXITED)
         assert len(entered) == 1  # the failed probe is not a new entry
         assert len(exited) == 1
         assert entered[0].payload["fallback"] == "Fallback"
@@ -118,6 +123,7 @@ class TestBreakerLifecycle:
 
     def test_health_and_reports_carry_the_evidence(self):
         controller, _, _ = self.build()
+        published = collect_events(controller)
         result = controller.run()
         summary = result.metrics.summary()
         assert "resilience" in summary
@@ -126,7 +132,7 @@ class TestBreakerLifecycle:
         assert res["degraded_exited"] == 1
         assert res["breaker_states"] == {"Generator": "closed"}
 
-        text = build_report(result, controller.events)
+        text = build_report(result, published)
         assert "Resilience" in text
         assert "degraded_entered" in text
         markdown = build_markdown_report(result)
@@ -182,8 +188,9 @@ class TestRetries:
             env,
             OrchestratorConfig(resilience=breaker_config(max_retries=1)),
         )
+        published = collect_events(controller)
         result = controller.run()
-        retried = controller.events.events_of_kind(EventKind.ROLE_RETRIED)
+        retried = of_kind(published, EventKind.ROLE_RETRIED)
         assert len(retried) == 1
         assert retried[0].payload["attempt"] == 1
         assert result.metrics.count("resilience.retries") == 1
@@ -210,9 +217,10 @@ class TestActionHoldInLoop:
                 resilience=ResilienceConfig(max_hold=2, safe_action="SAFE")
             ),
         )
+        published = collect_events(controller)
         result = controller.run()
         assert env.applied == ["go", "go", "go", "SAFE", "SAFE", "SAFE"]
-        held = controller.events.events_of_kind(EventKind.ACTION_HELD)
+        held = of_kind(published, EventKind.ACTION_HELD)
         assert [e.payload["policy"] for e in held] == [
             "hold", "hold", "safe_action", "safe_action", "safe_action",
         ]
@@ -242,6 +250,7 @@ class TestDeadlines:
                 )
             ),
         )
+        published = collect_events(controller)
         result = controller.run()
         metrics = result.metrics
         assert metrics.count("resilience.deadline_overruns") == 2
@@ -249,7 +258,7 @@ class TestDeadlines:
         violations = metrics.violations_of("performance")
         assert len(violations) == 2
         assert "deadline exceeded" in violations[0].detail
-        events = controller.events.events_of_kind(EventKind.DEADLINE_EXCEEDED)
+        events = of_kind(published, EventKind.DEADLINE_EXCEEDED)
         assert len(events) == 2
         assert events[0].payload["budget_ms"] == 1.0
         # The generous generator budget never fires.
@@ -304,8 +313,7 @@ class TestDecideAction:
         )
         controller.run()
         assert env.applied == ["g2", "g2"]
-        executed = controller.events.events_of_kind(EventKind.ACTION_EXECUTED)
-        assert executed[0].payload["source"] == "Secondary"
+        assert controller.state.history[0].action_source == "Secondary"
 
     def test_first_proposing_generator_wins(self):
         first = constant_generator("g1", name="Primary")

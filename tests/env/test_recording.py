@@ -59,7 +59,7 @@ class TestRecording:
     def test_finished_run_is_freed_without_the_cycle_collector(self):
         # The recorder must not tie the controller into a reference cycle:
         # once its caller drops a finished controller, reference counting
-        # alone frees it (and its event log, history and metrics), while
+        # alone frees it (and its history and metrics), while
         # the recorder keeps its frames.
         controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
         controller.config.max_iterations = 5

@@ -3,7 +3,10 @@ timeout enforcement, checkpoint/resume and telemetry."""
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -202,20 +205,20 @@ class TestFaultTolerance:
     def test_pool_broken_mid_submission_fails_over(self, monkeypatch):
         # A worker can die while later units are still being handed out;
         # the submit that finds the pool broken must not abort the run.
+        # The engine looks the pool class up when it builds a pool.
+        from concurrent.futures import process
         from concurrent.futures.process import BrokenProcessPool
-
-        from repro.exec import engine
 
         submits = []
 
-        class BreaksOnSecondSubmit(engine.ProcessPoolExecutor):
+        class BreaksOnSecondSubmit(process.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 submits.append(args)
                 if len(submits) == 2:
                     raise BrokenProcessPool("worker died mid-submission")
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", BreaksOnSecondSubmit)
         report = CampaignEngine(square, policy(jobs=2), progress=None).run(_units(4))
         assert report.results() == [i * i for i in range(4)]
         assert report.summary.errors == 0
@@ -230,6 +233,30 @@ class TestFaultTolerance:
         assert not record.ok
         assert record.attempts == 2
         assert record.error.error_type == "BrokenProcessPool"
+
+
+class TestImports:
+    def test_a_serial_campaign_never_loads_the_process_pool(self):
+        # The pool stack (concurrent.futures.process, multiprocessing's
+        # connection and queues) costs every serial process ~10 ms of
+        # imports; only a pool run may load it.
+        code = (
+            "import sys\n"
+            "import repro.experiments.campaign as campaign\n"
+            "from repro.sim import ScenarioType\n"
+            "campaign.execute_suite(\n"
+            "    [ScenarioType.NOMINAL], seeds=(0,), progress=None, jobs=1\n"
+            ")\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestCheckpointResume:

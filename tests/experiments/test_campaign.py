@@ -1,7 +1,5 @@
 """Tests for campaign wiring and experiment generators (small seed sets)."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import EventKind, OrchestrationController, RoleKind
@@ -99,8 +97,9 @@ RESILIENT = (ScenarioType.GHOST_ATTACK, 0, CampaignOptions(breaker=True, crash_w
 
 class TestUnheardEvents:
     def test_campaign_controllers_keep_no_log(self):
+        # Nothing keeps events but a subscriber, and a campaign controller
+        # has none until a trace recorder (or a test) subscribes.
         controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
-        assert not controller.config.keep_event_log
         assert not controller.events.heard
 
     def test_no_event_is_built_when_nothing_listens(self, event_constructions):
@@ -109,7 +108,6 @@ class TestUnheardEvents:
         result = controller.run()
         assert result.iterations > 0 and result.metrics.faults
         assert event_constructions == []
-        assert controller.events.log == []
 
     def test_run_once_builds_no_event(self, event_constructions):
         outcome = run_once(*RESILIENT)
@@ -119,19 +117,18 @@ class TestUnheardEvents:
     def test_a_subscriber_receives_what_a_logging_bus_keeps(
         self, event_constructions
     ):
+        # The same run twice: a campaign controller and a plain controller
+        # over a twin's roles, each with a logging list subscribed.  Both
+        # lists hold the same events, and each event built reached its list.
         scenario, seed, options = RESILIENT
         spec = build_scenario(scenario, seed)
-        unheard = build_controller(spec, options)
-        received = collect_events(unheard)
-        unheard.run()
+        campaign = build_controller(spec, options)
+        received = collect_events(campaign)
+        campaign.run()
         twin = build_controller(spec, options)
-        logging = OrchestrationController(
-            twin.graph,
-            twin.environment,
-            dataclasses.replace(twin.config, keep_event_log=True),
-        )
+        logging = OrchestrationController(twin.graph, twin.environment, twin.config)
+        expected = collect_events(logging)
         logging.run()
-        expected = logging.events.log
         kinds = {event.kind for event in expected}
         assert {
             EventKind.FAULT_INJECTED,
@@ -140,17 +137,30 @@ class TestUnheardEvents:
             EventKind.ROLE_RETRIED,
             EventKind.DEGRADED_MODE_ENTERED,
             EventKind.ACTION_HELD,
+            EventKind.ITERATION_FINISHED,
             EventKind.RUN_TERMINATED,
         } <= kinds
-        assert len(received.log) == len(expected) == len(event_constructions) // 2
-        for got, want in zip(received.log, expected):
-            assert (got.kind, got.iteration, got.time, got.role) == (
-                want.kind, want.iteration, want.time, want.role
+        assert len(received) == len(expected) == len(event_constructions) // 2
+        for got, want in zip(received, expected):
+            assert (got.kind, got.iteration, got.time, got.role, got.payload) == (
+                want.kind, want.iteration, want.time, want.role, want.payload
             )
-            # A role's measured latency is the one wall-clock field.
-            assert {k: v for k, v in got.payload.items() if k != "elapsed_s"} == {
-                k: v for k, v in want.payload.items() if k != "elapsed_s"
-            }
+
+    def test_a_traced_run_builds_one_per_tick_event_per_tick(
+        self, event_constructions, tmp_path
+    ):
+        # The tick's milestones live in the controller's open tick; the
+        # only per-tick event is the tick's iteration_finished.
+        outcome = run_once(*RESILIENT, trace=tmp_path / "run.trace.jsonl")
+        assert not {
+            EventKind.ITERATION_STARTED,
+            EventKind.STATE_UPDATED,
+            EventKind.ROLE_EXECUTED,
+            EventKind.ACTION_EXECUTED,
+        } & set(event_constructions)
+        per_tick = event_constructions.count(EventKind.ITERATION_FINISHED)
+        assert 0 < per_tick <= outcome.iterations
+        assert EventKind.FAULT_INJECTED in event_constructions
 
 
 class TestGhostIds:
@@ -166,7 +176,7 @@ class TestGhostIds:
             details.append(
                 [
                     event.payload["detail"]
-                    for event in trail.log
+                    for event in trail
                     if event.kind is EventKind.FAULT_INJECTED
                 ]
             )

@@ -37,7 +37,7 @@ class TestPaperWorkflow:
         events = collect_events(controller)
         controller.run()
         # Evidence trail: faults were injected and the monitor reacted.
-        assert events.events_of_kind(EventKind.VIOLATION_DETECTED)
+        assert any(e.kind is EventKind.VIOLATION_DETECTED for e in events)
         faults = controller.metrics.faults
         assert faults and all(f.kind == "ghost_obstacle" for f in faults)
 
@@ -45,7 +45,7 @@ class TestPaperWorkflow:
         controller = build_controller(build_scenario(ScenarioType.GHOST_ATTACK, 0))
         events = collect_events(controller)
         controller.run()
-        recoveries = events.events_of_kind(EventKind.RECOVERY_ACTIVATED)
+        recoveries = [e for e in events if e.kind is EventKind.RECOVERY_ACTIVATED]
         assert recoveries
         assert all(e.payload["action"] == Maneuver.EMERGENCY_BRAKE.value for e in recoveries)
 

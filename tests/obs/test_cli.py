@@ -94,39 +94,27 @@ class TestSummarize:
         assert int(monitor["count"]) == result.iterations
 
     def test_no_dropped_events_no_warning(self, tmp_path, capsys):
+        # Older recorders wrote a ``dropped_events`` count into the footer
+        # (events a capped in-memory bus log lost); the bus keeps no log
+        # now, and such a footer summarizes clean, with no warning.
         path, _ = _write_trace(tmp_path)
-        main(["summarize", str(path)])
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[-1]["dropped_events"] = 2
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "dropped" not in out
-
-    def test_dropped_events_surface_as_warning(self, tmp_path, capsys):
-        # A bus running with a ring-buffer cap truncates its in-memory
-        # log; the footer records how many events fell off, and the
-        # audit must surface it (the trace itself is still complete).
-        monitor = ScriptedRole(
-            [RoleResult(verdict=Verdict.PASS)],
-            name="Monitor",
-            kind=RoleKind.SAFETY_MONITOR,
-        )
-        from repro.core import OrchestratorConfig
-
-        controller = OrchestrationController(
-            [constant_generator("go"), monitor],
-            StubEnvironment(steps=5),
-            OrchestratorConfig(event_log_limit=3),
-        )
-        path = tmp_path / "capped.trace.jsonl"
-        recorder = trace_controller(controller, path, trace_id="capped")
-        result = controller.run()
-        recorder.finalize(result.metrics)
-        assert controller.events.dropped_events > 0
-        assert main(["summarize", str(path)]) == 0  # dropped != mismatch
-        out = capsys.readouterr().out
-        assert "WARNING" in out
-        assert str(controller.events.dropped_events) in out
+        assert "1/1 traces match" in out
         assert main(["summarize", str(path), "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["dropped_events"] == controller.events.dropped_events
+        assert "dropped_events" not in json.loads(capsys.readouterr().out)
+
+    def test_a_directory_without_traces_is_an_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["summarize", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"obs: no trace under {empty}\n"
+        assert captured.out == ""
 
 
 class TestTail:
@@ -142,6 +130,18 @@ class TestTail:
         main(["tail", str(path), "-n", "2"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_tail_zero_lines_prints_nothing(self, tmp_path, capsys):
+        path, _ = _write_trace(tmp_path)
+        assert main(["tail", str(path), "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_tail_lines_must_not_be_negative(self, tmp_path, capsys):
+        path, _ = _write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tail", str(path), "-n", "-3"])
+        assert exit_info.value.code == 2
+        assert "-n/--lines" in capsys.readouterr().err
 
     def test_tail_event_filter(self, tmp_path, capsys):
         path, result = _write_trace(tmp_path)
@@ -192,6 +192,28 @@ class TestTail:
         assert main(["tail", str(path), "--follow"]) == 0
         out = capsys.readouterr().out
         assert "follow_probe" in out
+
+    def test_tail_follow_zero_lines_prints_only_new_events(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path, _ = _write_trace(tmp_path)
+        extra = {"kind": "event", "seq": 999, "event": "follow_probe",
+                 "iteration": 9, "time": 1.0, "role": None, "payload": {}}
+        cycles = {"n": 0}
+
+        def scripted_sleep(_interval):
+            cycles["n"] += 1
+            if cycles["n"] == 1:
+                with path.open("a") as fh:
+                    fh.write(json.dumps(extra) + "\n")
+            else:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module.time, "sleep", scripted_sleep)
+        assert main(["tail", str(path), "--follow", "-n", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[it 9 t=1.0s] follow_probe"
+        ]
 
     def test_tail_follow_ignores_partial_lines(
         self, tmp_path, capsys, monkeypatch
@@ -340,6 +362,13 @@ class TestDiff:
         assert "counts DIFFER" in out
         assert "violations.safety" in out
 
+    def test_b_without_traces_exits_one(self, tmp_path, capsys):
+        a, _ = _write_trace(tmp_path / "a", name="run")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["diff", str(a), str(empty)]) == 1
+        assert capsys.readouterr().err == f"obs: no trace under {empty}\n"
+
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
             main(["diff", "--help"])
@@ -347,6 +376,90 @@ class TestDiff:
         assert "exit codes" in out
         assert "1  A or B names no trace file or directory" in out
         assert "2  count drift" in out
+
+
+class TestQueryArguments:
+    """``obs query`` refuses what it cannot apply, before it scans."""
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["--where", "nosuchfield<0"], "unknown field 'nosuchfield'"),
+            (["--where", "rho<<0"], "bad --where 'rho<<0'"),
+            (["--where", "rho=>0"], "bad --where 'rho=>0'"),
+            (["--group-by", "nosuch"], "unknown field 'nosuch'"),
+            (["--sort", "nosuch"], "unknown field 'nosuch'"),
+            (["--sort=-nosuch.deep"], "unknown field 'nosuch.deep'"),
+            (["--sort", "rho_min"], "unknown field 'rho_min'"),
+        ],
+        ids=["where-field", "where-value", "where-value-eq", "group-by", "sort",
+             "sort-descending", "sort-group-field-ungrouped"],
+    )
+    def test_refused_with_a_message(self, tmp_path, capsys, argv, named):
+        _write_trace(tmp_path)
+        assert main(["query", str(tmp_path)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert not (tmp_path / "obs-index.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--where", "robustness<1"],
+            ["--where", "violations_by_role.Monitor>=1"],
+            ["--where", "rho="],
+            ["--group-by", "scenario", "--sort=-rho_min"],
+            ["--sort=-violations"],
+        ],
+        ids=["alias", "dotted", "empty-value", "group-field", "descending"],
+    )
+    def test_known_fields_accepted(self, tmp_path, capsys, argv):
+        _write_trace(tmp_path)
+        assert main(["query", str(tmp_path)] + argv) == 0
+
+    def test_group_rows_carry_the_group_fields(self, tmp_path, capsys):
+        from repro.obs.index import GROUP_FIELDS
+
+        _write_trace(tmp_path)
+        assert main(["query", str(tmp_path), "--group-by", "seed", "--format", "json"]) == 0
+        (group,) = json.loads(capsys.readouterr().out)
+        assert list(group) == sorted(("seed",) + GROUP_FIELDS)
+
+    def test_limit_must_not_be_negative(self, tmp_path, capsys):
+        _write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", str(tmp_path), "--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+
+class TestParentWrittenTraces:
+    """Traces recorded by the earlier writer (their footers carry
+    ``dropped_events``) summarize, verify and diff clean."""
+
+    def test_summarize_verify_and_diff(self, tmp_path, capsys):
+        from tests.obs.test_trace_fixtures import DATA, RUNS
+
+        recorded = tmp_path / "recorded"
+        recorded.mkdir()
+        for name in RUNS:
+            (recorded / f"{name}.trace.jsonl").write_bytes(
+                (DATA / f"{name}.trace.jsonl").read_bytes()
+            )
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name, run in RUNS.items():
+            run(fresh / f"{name}.trace.jsonl")
+        assert main(["summarize", str(recorded), "--no-timing"]) == 0
+        old = capsys.readouterr().out
+        assert "3/3 traces match" in old
+        assert main(["summarize", str(fresh), "--no-timing"]) == 0
+        assert capsys.readouterr().out == old
+        assert main(["query", str(recorded)]) == 0
+        assert main(["query", str(recorded), "--verify"]) == 0
+        assert main(["diff", str(recorded), str(fresh), "--no-timing"]) == 0
+        assert "counts identical" in capsys.readouterr().out
 
 
 class TestMissingPath:

@@ -1,7 +1,9 @@
 """Tests for span-based tracing: recorder round trips, self-certification,
 engine traces, manifests, and the serial == parallel guarantee."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,6 @@ from repro.core import (
     Event,
     EventKind,
     OrchestrationController,
-    RoleExecutionError,
     RoleKind,
     RoleResult,
     Verdict,
@@ -36,26 +37,48 @@ from tests.conftest import (
     collect_events,
     constant_generator,
 )
+from tests.obs.test_trace_fixtures import crashed_controller
+
+#: The tick milestones a trace regenerates from each tick record; the
+#: controller publishes none of them.
+MILESTONES = {"iteration_started", "state_updated", "role_executed", "action_executed"}
 
 
-def assert_events_match_log(trace, log):
-    """The loaded events equal the bus log field for field: ``seq`` is
-    the 1-based bus position, and a role latency is the raw one (a plain
-    event record) or the raw one rounded to 1 ns (a tick record)."""
+def assert_trace_holds(trace, published):
+    """The loaded events are numbered 1..N in order, and the events a
+    subscriber collected appear among them in order and field for field;
+    every other loaded event is a tick milestone the expansion regenerated."""
     assert trace.corrupt_lines == 0
-    assert len(trace.events) == len(log)
-    for seq, (record, event) in enumerate(zip(trace.events, log), start=1):
-        assert record["seq"] == seq
-        assert record["event"] == event.kind.value
-        assert record["iteration"] == event.iteration
-        assert record["time"] == event.time
-        assert record["role"] == event.role
-        payload = dict(record["payload"])
-        expected = dict(event.payload)
-        if event.kind is EventKind.ROLE_EXECUTED:
-            latency, raw = payload.pop("elapsed_s"), expected.pop("elapsed_s")
-            assert latency in (raw, round(raw, 9))
-        assert payload == expected, (seq, event.kind)
+    assert [r["seq"] for r in trace.events] == list(range(1, len(trace.events) + 1))
+    wanted = [(e.kind.value, e.iteration, e.time, e.role, e.payload) for e in published]
+    found = []
+    for r in trace.events:
+        got = (r["event"], r["iteration"], r["time"], r["role"], r["payload"])
+        if len(found) < len(wanted) and got == wanted[len(found)]:
+            found.append(got)
+        else:
+            assert r["event"] in MILESTONES, r
+    assert found == wanted
+
+
+def assert_ticks_match_history(path, history):
+    """Each finished tick record's role verdicts and action equal its
+    ``StateManager`` history record's outputs, executed action and source."""
+    ticks = [
+        record
+        for record in map(json.loads, path.read_text().splitlines())
+        if record["kind"] == "iteration" and record["time"][1] is not None
+    ]
+    assert [tick["iteration"] for tick in ticks] == [r.iteration for r in history]
+    for tick, record in zip(ticks, history):
+        assert tick["time"][0] == record.time
+        assert [role[:2] for role in tick["roles"]] == [
+            [name, result.verdict.value] for name, result in record.outputs.items()
+        ]
+        assert tick["action"] == [
+            OrchestrationController._describe_action(record.executed_action),
+            record.action_source,
+        ]
 
 
 def _build_controller(steps=3):
@@ -97,8 +120,13 @@ class TestTraceRecorder:
         assert trace.corrupt_lines == 0
 
     def test_every_bus_event_recorded(self, tmp_path):
-        controller, _, path = _traced_run(tmp_path)
-        assert_events_match_log(load_trace(path), controller.events.log)
+        controller = _build_controller()
+        published = collect_events(controller)
+        path = tmp_path / "run.trace.jsonl"
+        recorder = trace_controller(controller, path)
+        recorder.finalize(controller.run().metrics)
+        assert_trace_holds(load_trace(path), published)
+        assert_ticks_match_history(path, controller.state.history)
 
     def test_self_certifying(self, tmp_path):
         _, result, path = _traced_run(tmp_path)
@@ -160,6 +188,29 @@ class TestTraceRecorder:
         )
         assert telemetry.histogram("role_latency_s.Monitor").count == result.iterations
         assert telemetry.counter("violations.safety").value > 0
+
+    def test_a_finalized_run_frees_its_controller(self, tmp_path, monkeypatch):
+        # The recorder holds the controller only until finalize: then
+        # reference counting alone frees a finished traced run.
+        from repro.experiments import campaign
+
+        built = []
+        build = campaign.build_controller
+
+        def capture(*args, **kwargs):
+            controller = build(*args, **kwargs)
+            built.append(weakref.ref(controller))
+            return controller
+
+        monkeypatch.setattr(campaign, "build_controller", capture)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_once(ScenarioType.NOMINAL, 0, trace=tmp_path / "run.trace.jsonl")
+            assert built[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_zero_cost_when_disabled(self, tmp_path):
         controller = _build_controller()
@@ -274,8 +325,9 @@ class TestDiscovery:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def built_events(monkeypatch):
-    """The events of every controller ``run_once`` builds, in build order:
-    a logging bus (:func:`collect_events`) subscribed as it is built."""
+    """``(controller, events)`` for every controller ``run_once`` builds,
+    in build order: a list (:func:`collect_events`) subscribed as it is
+    built."""
     from repro.experiments import campaign
 
     built = []
@@ -283,7 +335,7 @@ def built_events(monkeypatch):
 
     def capture(*args, **kwargs):
         controller = build(*args, **kwargs)
-        built.append(collect_events(controller))
+        built.append((controller, collect_events(controller)))
         return controller
 
     monkeypatch.setattr(campaign, "build_controller", capture)
@@ -302,8 +354,10 @@ class TestSchemaV2:
     def test_run_once_trace_matches_bus_log(self, scenario, tmp_path, built_events):
         path = tmp_path / "run.trace.jsonl"
         run_once(scenario, 0, trace=path)
+        controller, published = built_events[-1]
         trace = load_trace(path)
-        assert_events_match_log(trace, built_events[-1].log)
+        assert_trace_holds(trace, published)
+        assert_ticks_match_history(path, controller.state.history)
         assert verify_trace(trace) == (True, [])
 
     @pytest.mark.parametrize(
@@ -340,56 +394,35 @@ class TestSchemaV2:
     ):
         path = tmp_path / "run.trace.jsonl"
         run_once(scenario, 0, options, trace=path)
-        log = built_events[-1].log
-        assert expected <= {event.kind for event in log}
+        controller, published = built_events[-1]
+        assert expected <= {event.kind for event in published}
         trace = load_trace(path)
-        assert_events_match_log(trace, log)
+        assert_trace_holds(trace, published)
+        assert_ticks_match_history(path, controller.state.history)
         assert verify_trace(trace) == (True, [])
 
     @pytest.mark.parametrize("crash", ["role", "observe"])
     def test_crashed_run_keeps_every_published_event(self, crash, tmp_path):
-        class Exploding(ScriptedRole):
-            def execute(self, context):
-                if context.iteration == 2:
-                    raise RuntimeError("boom")
-                return super().execute(context)
-
-        class BlindEnvironment(StubEnvironment):
-            def observe(self):
-                if self._tick == 2:
-                    raise RuntimeError("sensor down")
-                return super().observe()
-
-        if crash == "role":
-            monitor = Exploding(
-                [RoleResult(verdict=Verdict.FAIL, narrative="too close")],
-                name="Monitor",
-                kind=RoleKind.SAFETY_MONITOR,
-            )
-            environment = StubEnvironment(steps=5)
-        else:
-            monitor = ScriptedRole([RoleResult(verdict=Verdict.PASS)], name="Monitor")
-            environment = BlindEnvironment(steps=5)
-        roles = [constant_generator("go"), monitor]
-        controller = OrchestrationController(roles, environment)
+        controller, error = crashed_controller(crash)
+        published = collect_events(controller)
         path = tmp_path / "crash.trace.jsonl"
         recorder = trace_controller(controller, path, trace_id="crash")
-        expected_error = RoleExecutionError if crash == "role" else RuntimeError
-        with pytest.raises(expected_error):
+        with pytest.raises(error):
             controller.run()
         recorder.finalize()
-        log = controller.events.log
-        assert log[-1].iteration == 2  # the raise cut tick 2 short
+        assert controller.tick.iteration == 2  # the raise cut tick 2 short
         trace = load_trace(path)
-        assert_events_match_log(trace, log)
+        assert_trace_holds(trace, published)
+        assert_ticks_match_history(path, controller.state.history)
         assert verify_trace(trace) == (True, [])
         ticks = [s for s in trace.spans if s["span_kind"] == "iteration"]
         assert [s["iteration"] for s in ticks] == [0, 1, 2]
 
     def test_events_that_do_not_fit_a_tick_are_kept(self, tmp_path):
-        # A per-tick kind published off-pattern (a payload the tick record
-        # has no field for, no open tick, a time other than the tick's
-        # start) is written as a plain event, not dropped or retimed.
+        # Sim time may move while a tick runs: the tick's milestones carry
+        # the tick's start time, and the events the controller publishes
+        # keep their own.  An event anyone else publishes on the bus, of
+        # any kind, is written as a plain event record.
         class SkewedClock(StubEnvironment):
             skew = 0.0
 
@@ -405,6 +438,7 @@ class TestSchemaV2:
             [constant_generator("go"), ScriptedRole([RoleResult(verdict=Verdict.PASS)])],
             SkewedClock(steps=2),
         )
+        published = collect_events(controller)
         path = tmp_path / "odd.trace.jsonl"
         recorder = trace_controller(controller, path)
         controller.run()
@@ -413,7 +447,23 @@ class TestSchemaV2:
         )
         controller.events.publish(Event(EventKind.STATE_UPDATED, 7, 0.7))
         recorder.finalize()
-        assert_events_match_log(load_trace(path), controller.events.log)
+        trace = load_trace(path)
+        assert_trace_holds(trace, published)
+        assert verify_trace(trace) == (True, [])
+        starts = {r.iteration: r.time for r in controller.state.history}
+        assert starts == {0: 0.0, 1: 0.11}
+        milestones = [
+            e for e in trace.events if e["event"] in MILESTONES and e["iteration"] != 7
+        ]
+        assert {(e["iteration"], e["time"]) for e in milestones} == set(starts.items())
+        finished = [e.time for e in published if e.kind is EventKind.ITERATION_FINISHED]
+        assert finished == [0.11, 0.22]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        plain = [r for r in records if r["kind"] == "event"]
+        assert [(e["event"], e["iteration"]) for e in plain[-2:]] == [
+            ("iteration_started", 7),
+            ("state_updated", 7),
+        ]
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "stub-v1.trace.jsonl"
