@@ -18,7 +18,7 @@ crashes, hangs and dead workers.
 * :mod:`repro.exec.progress` — progress hooks and the campaign summary.
 * :mod:`repro.exec.options` — :class:`ExecutionOptions`, the one set of
   execution knobs (jobs, journal, resume, trace) every campaign entry
-  point takes, and the CLI flags that set them.
+  point takes, the CLI flags that set them, and the ``--seeds`` type.
 """
 
 from .engine import (
@@ -38,7 +38,7 @@ from .journal import (
     check_spec_fingerprint,
     load_journal,
 )
-from .options import ExecutionOptions, add_execution_args
+from .options import ExecutionOptions, add_execution_args, seed_count
 from .progress import (
     CampaignSummary,
     ProgressEvent,
@@ -72,4 +72,5 @@ __all__ = [
     "check_unique_keys",
     "fingerprint",
     "load_journal",
+    "seed_count",
 ]

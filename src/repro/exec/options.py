@@ -9,7 +9,8 @@ points (``execute_suite``, ``run_suite``, ``run_evaluation``,
 ``recovery.measure``, ``fault_matrix.generate``) take the same fields as
 keywords, build the options once and hand their work units to
 :meth:`ExecutionOptions.run`, which runs them on one
-:class:`~repro.exec.engine.CampaignEngine`.
+:class:`~repro.exec.engine.CampaignEngine`.  Every experiment CLI with a
+``--seeds`` flag reads it with :func:`seed_count`.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ class ExecutionOptions:
             spec_fingerprint=spec_fingerprint,
             cancel=cancel,
         ).run(units)
+
+
+def seed_count(text: str) -> int:
+    """argparse type of ``--seeds``: seeds per scenario, at least one.
+
+    A count below one is a usage error (exit 2) worded like the ``--jobs``
+    error, raised while parsing, so nothing runs or is written.
+    """
+    count = int(text)
+    if count < 1:
+        # Not ArgumentTypeError, whose message argparse prefixes with
+        # "argument --seeds: ": with no argument attached, it prints alone.
+        raise argparse.ArgumentError(None, f"--seeds must be >= 1, got {count}")
+    return count
 
 
 def add_execution_args(parser: argparse.ArgumentParser) -> None:

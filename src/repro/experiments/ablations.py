@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import aggregate_suite
 from ..analysis.tables import render_table
-from ..exec import ExecutionOptions
+from ..exec import ExecutionOptions, seed_count
 from ..sim.scenario import ScenarioType
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_suite
 from .table2 import SCENARIO_ORDER, _SCENARIO_LABELS
@@ -257,7 +257,7 @@ _ABLATIONS: Dict[str, "object"] = {
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=15)
+    parser.add_argument("--seeds", type=seed_count, default=15)
     parser.add_argument(
         "--which", choices=["all", *sorted(_ABLATIONS)], default="all"
     )

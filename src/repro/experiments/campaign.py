@@ -30,6 +30,7 @@ from ..exec import (
     WorkUnit,
     add_execution_args,
     fingerprint,
+    seed_count,
 )
 from ..jsonutil import dumps as strict_dumps
 from ..llm.planner import LLMPlanner
@@ -578,7 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     import sys
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=15)
+    parser.add_argument("--seeds", type=seed_count, default=15)
     add_execution_args(parser)
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import MeanStd, Rate
 from ..analysis.tables import render_table
-from ..exec import ExecutionOptions, WorkUnit, add_execution_args
+from ..exec import ExecutionOptions, WorkUnit, add_execution_args, seed_count
 from ..core import (
     OrchestrationController,
     OrchestratorConfig,
@@ -266,7 +266,7 @@ def generate(
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=8)
+    parser.add_argument("--seeds", type=seed_count, default=8)
     add_execution_args(parser)
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",

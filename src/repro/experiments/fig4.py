@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import ScenarioAggregate, aggregate_suite
 from ..analysis.tables import render_bar_chart, render_table
+from ..exec import seed_count
 from ..sim.scenario import ScenarioType
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_suite
 from .table2 import SCENARIO_ORDER, _SCENARIO_LABELS
@@ -113,7 +114,7 @@ def ordering_holds(aggregates: Dict[ScenarioType, ScenarioAggregate]) -> bool:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--seeds", type=int, default=15, help="runs per scenario (paper: 15)"
+        "--seeds", type=seed_count, default=15, help="runs per scenario (paper: 15)"
     )
     args = parser.parse_args(argv)
     print(generate(seeds=tuple(range(args.seeds))))

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..analysis.stats import MeanStd, Rate
 from ..analysis.tables import render_table
+from ..exec import seed_count
 from ..sim.scenario import ScenarioType
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_once
 
@@ -69,7 +70,7 @@ def generate(
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=15)
+    parser.add_argument("--seeds", type=seed_count, default=15)
     args = parser.parse_args(argv)
     print(generate(seeds=tuple(range(args.seeds))))
 

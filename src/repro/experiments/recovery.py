@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.stats import Rate
 from ..analysis.tables import render_table
-from ..exec import ExecutionOptions, add_execution_args
+from ..exec import ExecutionOptions, add_execution_args, seed_count
 from ..sim.scenario import ScenarioType
 from .campaign import (
     DEFAULT_SEEDS,
@@ -177,7 +177,7 @@ def generate(
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=15)
+    parser.add_argument("--seeds", type=seed_count, default=15)
     add_execution_args(parser)
     args = parser.parse_args(argv)
     execution = ExecutionOptions.from_args(parser, args)

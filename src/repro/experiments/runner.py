@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import aggregate_suite
 from ..analysis.tables import render_table
-from ..exec import ExecutionOptions, add_execution_args
+from ..exec import ExecutionOptions, add_execution_args, seed_count
 from ..sim.scenario import ScenarioType
 from . import fig4, gridlock, table2
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, execute_suite
@@ -98,7 +98,7 @@ def render_evaluation(
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=15)
+    parser.add_argument("--seeds", type=seed_count, default=15)
     parser.add_argument("--out", type=Path, default=None)
     add_execution_args(parser)
     parser.add_argument(

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.aggregate import aggregate_suite, overall_average
 from ..analysis.tables import render_table
+from ..exec import seed_count
 from ..sim.scenario import ScenarioType
 from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_suite
 
@@ -102,7 +103,7 @@ def generate(
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--seeds", type=int, default=15, help="runs per scenario (paper: 15)"
+        "--seeds", type=seed_count, default=15, help="runs per scenario (paper: 15)"
     )
     args = parser.parse_args(argv)
     print(generate(seeds=tuple(range(args.seeds))))

@@ -4,7 +4,8 @@ Vehicles are modelled as oriented rectangles (OBBs) and pedestrians as
 circles.  The simulator's ground-truth collision detector
 (:mod:`repro.sim.collision`) and the geometric safety checks both use the
 overlap predicates defined here, so the monitor and the ground truth share a
-single, well-tested geometric vocabulary.
+single, well-tested geometric vocabulary.  Footprints are slotted values,
+immutable by convention like :class:`~repro.geom.vec.Vec2`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .vec import Vec2
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Circle:
     """A circular footprint (used for pedestrians and ghost obstacles)."""
+
+    __slots__ = ("center", "radius")
 
     center: Vec2
     radius: float
@@ -37,11 +40,13 @@ class Circle:
         return self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class OBB:
     """An oriented bounding box: ``center``, ``heading`` (radians) and
     half-extents along the local x (length) and y (width) axes.
     """
+
+    __slots__ = ("center", "heading", "half_length", "half_width")
 
     center: Vec2
     heading: float

@@ -22,9 +22,12 @@ DEFAULT_HORIZON_S = 2.0
 DEFAULT_STEP_S = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class KinematicState:
-    """Position and velocity of a point object at a single instant."""
+    """Position and velocity of a point object at a single instant
+    (a slotted value, immutable by convention like :class:`Vec2`)."""
+
+    __slots__ = ("position", "velocity")
 
     position: Vec2
     velocity: Vec2

@@ -2,8 +2,8 @@
 
 The simulator, the geometric :class:`~repro.roles.safety_monitor.SafetyMonitor`
 checks, and the trajectory-prediction helpers all operate on planar
-coordinates.  ``Vec2`` is an immutable value type with the usual vector
-algebra; keeping it dependency-free (no numpy) makes single-step latencies
+coordinates.  ``Vec2`` is a value type with the usual vector algebra;
+keeping it dependency-free (no numpy) makes single-step latencies
 predictable, which matters because the orchestrator runs every role once per
 100 ms simulated tick.
 """
@@ -15,14 +15,18 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Vec2:
-    """An immutable 2-D vector / point.
+    """A 2-D vector / point, immutable by convention.
 
     Supports ``+``, ``-``, scalar ``*`` / ``/``, unary ``-``, ``abs()``
     (Euclidean norm), iteration and indexing, so it can be unpacked like a
-    tuple wherever convenient.
+    tuple wherever convenient.  Slotted, not frozen: a frozen dataclass
+    stores each field through ``object.__setattr__``, and a tick builds
+    ~100 vectors.
     """
+
+    __slots__ = ("x", "y")
 
     x: float
     y: float

@@ -23,9 +23,10 @@ from ..sim.intersection import Route, in_intersection_box
 from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Threat:
-    """One perceived object assessed as tactically relevant.
+    """One perceived object assessed as tactically relevant (a slotted
+    value, immutable by convention).
 
     Attributes:
         obj: the perceived object.
@@ -40,6 +41,11 @@ class Threat:
         on_ego_path: pedestrian on/near the ego's lane ahead.
         severity: scalar urgency in [0, 1].
     """
+
+    __slots__ = (
+        "obj", "distance", "time_to_conflict", "conflict_distance",
+        "inside_box", "closing_speed", "on_ego_path", "severity",
+    )
 
     obj: PerceivedObject
     distance: float

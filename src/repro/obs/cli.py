@@ -621,8 +621,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_descending_sort(argv: Sequence[str]) -> List[str]:
+    """``--sort -FIELD`` as ``--sort=-FIELD``: argparse would read the
+    ``-FIELD`` that descends as an option of its own."""
+    joined: List[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--sort" and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] = f"--sort={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_descending_sort(argv))
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

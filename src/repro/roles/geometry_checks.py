@@ -22,9 +22,12 @@ from ..sim.perception import PerceivedObject, PerceptionSnapshot
 from ..sim.vehicle import VEHICLE_LENGTH, VEHICLE_WIDTH
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SeparationPrediction:
-    """Outcome of a predicted-trajectory separation check."""
+    """Outcome of a predicted-trajectory separation check (a slotted
+    value, immutable by convention)."""
+
+    __slots__ = ("min_separation", "time_of_min", "critical_object", "initial_acceleration")
 
     #: Minimum footprint gap over the horizon (m; 0 = predicted contact).
     min_separation: float

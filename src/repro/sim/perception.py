@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..geom import Circle, KinematicState, OBB, Shape, Vec2
@@ -28,9 +28,10 @@ class ObjectKind(enum.Enum):
     STATIC = "static"
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class PerceivedObject:
-    """One entry of the perceived object list.
+    """One entry of the perceived object list: a slotted value, immutable
+    by convention (attacks and noise build changed copies).
 
     Attributes:
         object_id: perception track id (matches the simulator entity id for
@@ -46,6 +47,10 @@ class PerceivedObject:
             for post-hoc analysis of attack impact only.
     """
 
+    __slots__ = (
+        "object_id", "kind", "position", "velocity", "heading", "length", "width", "source_id"
+    )
+
     object_id: int
     kind: ObjectKind
     position: Vec2
@@ -53,7 +58,22 @@ class PerceivedObject:
     heading: float
     length: float
     width: float
-    source_id: Optional[int] = None
+    source_id: Optional[int]
+
+    # Written by hand for the ``source_id`` default, which a slot cannot
+    # carry as a class attribute.
+    def __init__(
+        self, object_id: int, kind: ObjectKind, position: Vec2, velocity: Vec2,
+        heading: float, length: float, width: float, source_id: Optional[int] = None,
+    ) -> None:
+        self.object_id = object_id
+        self.kind = kind
+        self.position = position
+        self.velocity = velocity
+        self.heading = heading
+        self.length = length
+        self.width = width
+        self.source_id = source_id
 
     @property
     def is_ghost(self) -> bool:
@@ -79,11 +99,17 @@ class PerceivedObject:
 
     def with_velocity(self, velocity: Vec2) -> "PerceivedObject":
         """Copy with a replaced velocity (trajectory spoofing)."""
-        return replace(self, velocity=velocity)
+        return PerceivedObject(
+            self.object_id, self.kind, self.position, velocity,
+            self.heading, self.length, self.width, self.source_id,
+        )
 
     def with_position(self, position: Vec2) -> "PerceivedObject":
         """Copy with a replaced position (sensor bias / GPS spoofing)."""
-        return replace(self, position=position)
+        return PerceivedObject(
+            self.object_id, self.kind, position, self.velocity,
+            self.heading, self.length, self.width, self.source_id,
+        )
 
 
 @dataclass

@@ -21,8 +21,11 @@ from repro.experiments.campaign import (
 from repro.experiments.ablations import main as ablations_main
 from repro.experiments.campaign import main as campaign_main
 from repro.experiments.fault_matrix import main as fault_matrix_main
+from repro.experiments.fig4 import main as fig4_main
+from repro.experiments.gridlock import main as gridlock_main
 from repro.experiments.recovery import main as recovery_main
 from repro.experiments.runner import main as runner_main
+from repro.experiments.table2 import main as table2_main
 from repro.llm.surrogate import SurrogateConfig
 from repro.obs.cli import main as obs_main
 from repro.search.cli import main as search_main
@@ -154,13 +157,13 @@ class TestRetiredInputs:
              "unrecognized arguments: --block-size"),
             (search_main, ["falsify", "--family", "pedestrian", "--block-size", "2"],
              "unrecognized arguments: --block-size"),
-            (campaign_main, ["--seeds", "0", "--profile", "{tmp}"],
+            (campaign_main, ["--seeds", "1", "--profile", "{tmp}"],
              "unrecognized arguments: --profile"),
-            (campaign_main, ["--seeds", "0", "--hotspots", "5"],
+            (campaign_main, ["--seeds", "1", "--hotspots", "5"],
              "unrecognized arguments: --hotspots"),
-            (runner_main, ["--seeds", "0", "--profile", "{tmp}"],
+            (runner_main, ["--seeds", "1", "--profile", "{tmp}"],
              "unrecognized arguments: --profile"),
-            (fault_matrix_main, ["--seeds", "0", "--profile", "{tmp}"],
+            (fault_matrix_main, ["--seeds", "1", "--profile", "{tmp}"],
              "unrecognized arguments: --profile"),
             (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
                            "--out", "{tmp}", "--profile", "{tmp}"],
@@ -168,14 +171,14 @@ class TestRetiredInputs:
             (obs_main, ["profile", "{tmp}"], "invalid choice: 'profile'"),
             (obs_main, ["bench", "--list"], "invalid choice: 'bench'"),
             (obs_main, ["regress", "{tmp}", "{tmp}"], "invalid choice: 'regress'"),
-            (campaign_main, ["--seeds", "0", "--hosts", "2"],
+            (campaign_main, ["--seeds", "1", "--hosts", "2"],
              "unrecognized arguments: --hosts"),
             (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
                            "--out", "{tmp}", "--hosts", "2"],
              "unrecognized arguments: --hosts"),
-            (campaign_main, ["--seeds", "0", "--backend", "queue"],
+            (campaign_main, ["--seeds", "1", "--backend", "queue"],
              "unrecognized arguments: --backend queue"),
-            (campaign_main, ["--seeds", "0", "--spool", "{tmp}"],
+            (campaign_main, ["--seeds", "1", "--spool", "{tmp}"],
              "unrecognized arguments: --spool"),
             (search_main, ["falsify", "--family", "pedestrian", "--budget", "0",
                            "--out", "{tmp}", "--backend", "queue"],
@@ -209,31 +212,59 @@ class TestExecutionFlags:
     )
     def test_resume_without_journal_is_a_usage_error(self, main, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["--seeds", "0", "--resume"])
+            main(["--seeds", "1", "--resume"])
         assert exit_info.value.code == 2
         assert "--resume requires --journal" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "main, argv, message",
         [
-            (search_main, ["falsify", "--family", "pedestrian", "--jobs", "0"],
-             "python -m repro.search falsify: error: jobs must be >= 1, got 0"),
-            (search_main, ["explore", "--family", "pedestrian", "--jobs", "0"],
-             "python -m repro.search explore: error: jobs must be >= 1, got 0"),
-            (search_main, ["falsify", "--family", "pedestrian", "--budget", "0"],
-             "python -m repro.search falsify: error: budget must be >= 1, got 0"),
-            (ablations_main, ["--seeds", "0", "--jobs", "0"],
-             "error: --jobs must be >= 1, got 0"),
+            pytest.param(
+                search_main, ["falsify", "--family", "pedestrian", "--jobs", "0"],
+                "python -m repro.search falsify: error: jobs must be >= 1, got 0",
+                id="search-falsify-jobs",
+            ),
+            pytest.param(
+                search_main, ["explore", "--family", "pedestrian", "--jobs", "0"],
+                "python -m repro.search explore: error: jobs must be >= 1, got 0",
+                id="search-explore-jobs",
+            ),
+            pytest.param(
+                search_main, ["falsify", "--family", "pedestrian", "--budget", "0"],
+                "python -m repro.search falsify: error: budget must be >= 1, got 0",
+                id="search-budget",
+            ),
+            pytest.param(
+                ablations_main, ["--seeds", "1", "--jobs", "0"],
+                "error: --jobs must be >= 1, got 0",
+                id="ablations-jobs",
+            ),
+            *(
+                pytest.param(
+                    main, ["--seeds", seeds, *written],
+                    f"error: --seeds must be >= 1, got {seeds}",
+                    id=f"{name}-seeds{seeds}",
+                )
+                for name, main, written in (
+                    ("campaign", campaign_main, ["--report", "{out}"]),
+                    ("runner", runner_main, ["--out", "{out}"]),
+                    ("recovery", recovery_main, []),
+                    ("fault-matrix", fault_matrix_main, []),
+                    ("ablations", ablations_main, []),
+                    ("table2", table2_main, []),
+                    ("fig4", fig4_main, []),
+                    ("gridlock", gridlock_main, []),
+                )
+                for seeds in ("0", "-1")
+            ),
         ],
-        ids=["search-falsify-jobs", "search-explore-jobs", "search-budget",
-             "ablations-jobs"],
     )
     def test_invalid_value_is_a_usage_error(self, main, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         if main is search_main:
-            argv = argv + ["--out", str(out)]
+            argv = argv + ["--out", "{out}"]
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main([arg.format(out=out) for arg in argv])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.endswith(f"{message}\n")
         assert not out.exists()  # refused before anything is written

@@ -391,9 +391,11 @@ class TestQueryArguments:
             (["--sort", "nosuch"], "unknown field 'nosuch'"),
             (["--sort=-nosuch.deep"], "unknown field 'nosuch.deep'"),
             (["--sort", "rho_min"], "unknown field 'rho_min'"),
+            (["--sort", "-nosuch"], "unknown field 'nosuch'"),
         ],
         ids=["where-field", "where-value", "where-value-eq", "group-by", "sort",
-             "sort-descending", "sort-group-field-ungrouped"],
+             "sort-descending", "sort-group-field-ungrouped",
+             "sort-descending-separate"],
     )
     def test_refused_with_a_message(self, tmp_path, capsys, argv, named):
         _write_trace(tmp_path)
@@ -411,12 +413,27 @@ class TestQueryArguments:
             ["--where", "rho="],
             ["--group-by", "scenario", "--sort=-rho_min"],
             ["--sort=-violations"],
+            ["--group-by", "scenario", "--sort", "-violations"],
         ],
-        ids=["alias", "dotted", "empty-value", "group-field", "descending"],
+        ids=["alias", "dotted", "empty-value", "group-field", "descending",
+             "group-descending-separate"],
     )
     def test_known_fields_accepted(self, tmp_path, capsys, argv):
         _write_trace(tmp_path)
         assert main(["query", str(tmp_path)] + argv) == 0
+
+    def test_sort_descending_takes_a_separate_value(self, tmp_path, capsys):
+        # ``--sort -FIELD``, as documented, is ``--sort=-FIELD``.
+        _write_trace(tmp_path, name="run-a", fail=False)
+        _write_trace(tmp_path, name="run-b", fail=True)
+        out = {}
+        for sort in ("--sort=-rho", "--sort -rho", "--sort -violations", "--sort violations"):
+            assert main(["query", str(tmp_path), "--format", "json", *sort.split()]) == 0
+            out[sort] = capsys.readouterr().out
+        assert out["--sort -rho"] == out["--sort=-rho"]
+        order = {sort: [row["trace_id"] for row in json.loads(out[sort])] for sort in out}
+        assert order["--sort -violations"] == ["run-b", "run-a"]
+        assert order["--sort violations"] == ["run-a", "run-b"]
 
     def test_group_rows_carry_the_group_fields(self, tmp_path, capsys):
         from repro.obs.index import GROUP_FIELDS

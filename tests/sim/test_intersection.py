@@ -1,5 +1,6 @@
 """Tests for the intersection map and route geometry."""
 
+import copy
 import math
 import sys
 import threading
@@ -85,6 +86,13 @@ class TestRouteGeometry:
         route = intersection_map.route(Approach.SOUTH, Movement.RIGHT)
         a, b = route.point_at(20.0), route.point_at(30.0)
         assert a.distance_to(b) == pytest.approx(10.0, rel=0.02)
+
+    def test_deepcopy_shares_the_route(self, intersection_map):
+        # Routes are immutable and shared, so a run-end world-state
+        # snapshot keeps the reference instead of copying the polyline.
+        route = intersection_map.route(Approach.SOUTH, Movement.STRAIGHT)
+        assert copy.deepcopy(route) is route
+        assert copy.deepcopy([route])[0] is route
 
     def test_length_is_the_final_arc_length(self, intersection_map):
         for route in intersection_map.routes:
