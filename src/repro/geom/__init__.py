@@ -10,9 +10,7 @@ from .shapes import (
     nearest_first,
     obb_overlaps_circle,
     obb_overlaps_obb,
-    segment_distance,
     separating_axis_bound,
-    separation_distance,
     shapes_overlap,
 )
 from .trajectory import (
@@ -37,11 +35,9 @@ __all__ = [
     "obb_overlaps_obb",
     "obb_overlaps_circle",
     "circle_overlaps_circle",
-    "separation_distance",
     "footprint_gap",
     "nearest_first",
     "separating_axis_bound",
-    "segment_distance",
     "KinematicState",
     "closest_point_of_approach",
     "time_to_collision",

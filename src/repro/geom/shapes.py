@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from .vec import Vec2
 
@@ -175,17 +175,6 @@ def shapes_overlap(a: Shape, b: Shape) -> bool:
     raise TypeError(f"unsupported shape pair: {type(a).__name__}, {type(b).__name__}")
 
 
-def separation_distance(a: Shape, b: Shape) -> float:
-    """Conservative quick gap estimate (0 when overlapping).
-
-    Centre distance minus bounding radii: exact for circle pairs, a lower
-    bound for boxes.  Use :func:`footprint_gap` when exactness matters.
-    """
-    if shapes_overlap(a, b):
-        return 0.0
-    return max(0.0, a.center.distance_to(b.center) - a.bounding_radius() - b.bounding_radius())
-
-
 def _point_segment_distance(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
 ) -> float:
@@ -199,33 +188,6 @@ def _point_segment_distance(
         return math.hypot(px - ax, py - ay)
     t = max(0.0, min(1.0, ((px - ax) * segx + (py - ay) * segy) / seg_len_sq))
     return math.hypot(px - (ax + segx * t), py - (ay + segy * t))
-
-
-def _segment_distance(
-    p1x: float, p1y: float, p2x: float, p2y: float,
-    q1x: float, q1y: float, q2x: float, q2y: float,
-) -> float:
-    """Minimum distance between two segments, on plain floats (hot path)."""
-    # If the segments intersect, the distance is zero.
-    px, py = p2x - p1x, p2y - p1y
-    qx, qy = q2x - q1x, q2y - q1y
-    d1 = px * (q1y - p1y) - py * (q1x - p1x)
-    d2 = px * (q2y - p1y) - py * (q2x - p1x)
-    d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
-    d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
-    if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-        return 0.0
-    return min(
-        _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y),
-        _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y),
-        _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y),
-        _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y),
-    )
-
-
-def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
-    """Minimum distance between two line segments."""
-    return _segment_distance(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y)
 
 
 def _corner_coords(
@@ -246,11 +208,40 @@ def _corner_coords(
     )
 
 
-#: Safety margin absorbing float rounding in the lower bounds below (edge
-#: pairs here, footprint pairs in :func:`nearest_first`, projected
-#: intervals in :func:`separating_axis_bound`), so pruning can never
-#: discard the true minimum.
+#: Safety margin absorbing float rounding in the lower bounds below (vertex
+#: and edge-line bounds here, footprint pairs in :func:`nearest_first`,
+#: projected intervals in :func:`separating_axis_bound`), so pruning can
+#: never discard the true minimum.
 _EDGE_BOUND_SLACK = 1e-9
+
+#: For boxes the SAT test separates, the segment-crossing test of
+#: :func:`_edges_cross` can fire only when a corner lies within rounding of
+#: an edge line of the other box; this is that distance, with ample margin.
+_CONTACT_DISTANCE = 1e-6
+
+
+def _edges_cross(ca: "tuple[float, ...]", cb: "tuple[float, ...]") -> bool:
+    """True when an edge of one box properly crosses an edge of the other.
+
+    The segment-crossing sign test of the 16-edge-pair reference (edge i
+    of ``ca`` against edge j of ``cb``) with its arithmetic unchanged, so
+    it fires on exactly the pairs where rounding makes the reference fire.
+    """
+    for i in (0, 2, 4, 6):
+        p1x, p1y = ca[i], ca[i + 1]
+        p2x, p2y = ca[(i + 2) % 8], ca[(i + 3) % 8]
+        px, py = p2x - p1x, p2y - p1y
+        for j in (0, 2, 4, 6):
+            q1x, q1y = cb[j], cb[j + 1]
+            q2x, q2y = cb[(j + 2) % 8], cb[(j + 3) % 8]
+            qx, qy = q2x - q1x, q2y - q1y
+            d1 = px * (q1y - p1y) - py * (q1x - p1x)
+            d2 = px * (q2y - p1y) - py * (q2x - p1x)
+            d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
+            d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
+            if d1 * d2 < 0.0 and d3 * d4 < 0.0:
+                return True
+    return False
 
 
 def _obb_gap(a: OBB, b: OBB) -> float:
@@ -266,70 +257,61 @@ def _obb_gap(a: OBB, b: OBB) -> float:
         return 0.0
     ca = _corner_coords(acx, acy, afx, afy, ahl, ahw)
     cb = _corner_coords(bcx, bcy, bfx, bfy, bhl, bhw)
-    # Edge i runs from corner i to corner i + 1; half-lengths alternate
-    # (half_length, half_width).
-    edges_a = [
-        (ca[0], ca[1], ca[2], ca[3], ahl), (ca[2], ca[3], ca[4], ca[5], ahw),
-        (ca[4], ca[5], ca[6], ca[7], ahl), (ca[6], ca[7], ca[0], ca[1], ahw),
-    ]
-    edges_b = [
-        (cb[0], cb[1], cb[2], cb[3], bhl), (cb[2], cb[3], cb[4], cb[5], bhw),
-        (cb[4], cb[5], cb[6], cb[7], bhl), (cb[6], cb[7], cb[0], cb[1], bhw),
-    ]
-    # ``|mid_a - mid_b| - (ha + hb)`` lower-bounds an edge pair's distance.
-    # Visiting pairs in ascending order of it, the first bound past the
-    # best distance ends the search.
-    mids_b = [((q1x + q2x) / 2.0, (q1y + q2y) / 2.0, hj) for q1x, q1y, q2x, q2y, hj in edges_b]
-    pairs = []
-    for i, (p1x, p1y, p2x, p2y, hi) in enumerate(edges_a):
-        mix, miy = (p1x + p2x) / 2.0, (p1y + p2y) / 2.0
-        for j, (mjx, mjy, hj) in enumerate(mids_b):
-            pairs.append((math.hypot(mix - mjx, miy - mjy) - hi - hj, i, j))
-    pairs.sort()
-    # Vertex-edge distances, each computed at most once: slot
-    # 4 * vertex + edge for b's corners against a's edges, 16 + the same
-    # for a's corners against b's edges.
-    memo: "List[Optional[float]]" = [None] * 32
+    # Each corner in the other box's frame, (u, v) along its forward and
+    # left axes, with its distance to that box as ``bound``.
+    vertices = []
+    near = False
+    for corners, cx, cy, fx, fy, hl, hw, edges in (
+        (cb, acx, acy, afx, afy, ahl, ahw, ca),
+        (ca, bcx, bcy, bfx, bfy, bhl, bhw, cb),
+    ):
+        for k in (0, 2, 4, 6):
+            x, y = corners[k], corners[k + 1]
+            rx, ry = x - cx, y - cy
+            u = rx * fx + ry * fy
+            v = ry * fx - rx * fy
+            du = abs(u) - hl
+            dv = abs(v) - hw
+            if abs(du) < _CONTACT_DISTANCE or abs(dv) < _CONTACT_DISTANCE:
+                near = True
+            if du > 0.0:
+                bound = math.hypot(du, dv) if dv > 0.0 else du
+            else:
+                bound = dv if dv > 0.0 else 0.0
+            vertices.append((bound, x, y, u, v, hl, hw, edges))
+    # The reference reads 0 when an edge pair crosses.  For boxes the
+    # separating-axis test keeps apart, that takes a corner within rounding
+    # of an edge line of the other box (touching boxes, collinear faces),
+    # so only then are the 16 pairs tested.
+    if near and _edges_cross(ca, cb):
+        return 0.0
+    # The gap is the least vertex-edge distance.  A vertex's distance to
+    # the other box bounds all four of its edge distances and the distance
+    # to an edge's line bounds that edge's: visit vertices in ascending
+    # order and stop at the first bound past the best distance.
+    vertices.sort(key=itemgetter(0))
     best = math.inf
-    for bound, i, j in pairs:
+    for bound, x, y, u, v, hl, hw, e in vertices:
         if bound - _EDGE_BOUND_SLACK > best:
             break
-        p1x, p1y, p2x, p2y, _ = edges_a[i]
-        q1x, q1y, q2x, q2y, _ = edges_b[j]
-        # _segment_distance(p1, p2, q1, q2), its four point-segment
-        # distances taken from the memo.
-        px, py = p2x - p1x, p2y - p1y
-        qx, qy = q2x - q1x, q2y - q1y
-        d1 = px * (q1y - p1y) - py * (q1x - p1x)
-        d2 = px * (q2y - p1y) - py * (q2x - p1x)
-        d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
-        d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
-        if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-            return 0.0
-        k = 4 * j + i
-        d = memo[k]
-        if d is None:
-            d = memo[k] = _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y)
-        k = 4 * ((j + 1) % 4) + i
-        e = memo[k]
-        if e is None:
-            e = memo[k] = _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y)
-        if e < d:
-            d = e
-        k = 16 + 4 * i + j
-        e = memo[k]
-        if e is None:
-            e = memo[k] = _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y)
-        if e < d:
-            d = e
-        k = 16 + 4 * ((i + 1) % 4) + j
-        e = memo[k]
-        if e is None:
-            e = memo[k] = _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y)
-        if e < d:
-            d = e
-        if d < best:
-            best = d
+        # Edge k runs from corner k to corner k + 1 and lies on the line
+        # v = hw, u = -hl, v = -hw, u = hl for k = 0, 1, 2, 3.
+        if abs(v - hw) - _EDGE_BOUND_SLACK <= best:
+            d = _point_segment_distance(x, y, e[0], e[1], e[2], e[3])
+            if d < best:
+                best = d
+        if abs(u + hl) - _EDGE_BOUND_SLACK <= best:
+            d = _point_segment_distance(x, y, e[2], e[3], e[4], e[5])
+            if d < best:
+                best = d
+        if abs(v + hw) - _EDGE_BOUND_SLACK <= best:
+            d = _point_segment_distance(x, y, e[4], e[5], e[6], e[7])
+            if d < best:
+                best = d
+        if abs(u - hl) - _EDGE_BOUND_SLACK <= best:
+            d = _point_segment_distance(x, y, e[6], e[7], e[0], e[1])
+            if d < best:
+                best = d
     return best
 
 

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import TelemetryRegistry
@@ -489,14 +490,29 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _count(text: str) -> int:
-    """argparse type: a non-negative integer."""
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """argparse type: a positive, finite number of seconds."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
     return value
 
 
@@ -518,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="human-readable event stream")
     p.add_argument("path", type=Path)
-    p.add_argument("-n", "--lines", type=_count, default=40, help="events to show")
+    p.add_argument("-n", "--lines", type=_at_least(0), default=40, help="events to show")
     p.add_argument("--event", default=None, help="only this event kind")
     p.add_argument(
         "-f", "--follow", action="store_true",
@@ -575,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", default=None, metavar="[-]FIELD",
         help="sort rows by a field; leading '-' descends",
     )
-    p.add_argument("--limit", type=_count, default=None, help="keep the first N rows")
+    p.add_argument("--limit", type=_at_least(0), default=None, help="keep the first N rows")
     p.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )
@@ -610,12 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch mode: dashboard over a trace directory, no server",
     )
     p.add_argument(
-        "--interval", type=float, default=2.0, help="refresh interval seconds"
+        "--interval", type=_seconds, default=2.0, help="refresh interval seconds (> 0)"
     )
     p.add_argument("--once", action="store_true", help="print one frame and exit")
     p.add_argument(
-        "--iterations", type=int, default=None,
-        help="stop after N refreshes (default: until Ctrl-C)",
+        "--iterations", type=_at_least(1), default=None,
+        help="stop after N >= 1 refreshes (default: until Ctrl-C)",
     )
     p.set_defaults(fn=cmd_top)
     return parser

@@ -246,11 +246,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise ApiError(400, f"bad query parameter: {exc}") from exc
         deadline = time.monotonic() + max(wait_s, 0.0)
         while True:
-            record = scheduler.job(job_id)
+            # The state before the read: every terminal transition appends
+            # its event first, so a terminal state here means the read sees
+            # the whole stream.  The live record may settle after the read.
+            state = scheduler.job(job_id).state
             lines, next_offset = scheduler.store.read_events(job_id, offset)
             # Return when there is something to deliver, the job can no
             # longer produce events, or the long-poll window is spent.
-            if lines or record.state in TERMINAL_STATES:
+            if lines or state in TERMINAL_STATES:
                 break
             if time.monotonic() >= deadline:
                 break
@@ -259,7 +262,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             lines,
             {
                 "X-Next-Offset": str(next_offset),
-                "X-Job-State": record.state,
+                "X-Job-State": state,
             },
         )
 

@@ -451,6 +451,22 @@ class TestQueryArguments:
         assert "--limit" in capsys.readouterr().err
 
 
+class TestTopArguments:
+    def test_interval_must_be_positive(self, tmp_path, capsys):
+        _write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["top", "--dir", str(tmp_path), "--interval", "-1", "--iterations", "2"])
+        assert exit_info.value.code == 2
+        assert "--interval" in capsys.readouterr().err
+
+    def test_iterations_must_be_at_least_one(self, tmp_path, capsys):
+        _write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["top", "--dir", str(tmp_path), "--iterations", "0"])
+        assert exit_info.value.code == 2
+        assert "--iterations" in capsys.readouterr().err
+
+
 class TestParentWrittenTraces:
     """Traces recorded by the earlier writer (their footers carry
     ``dropped_events``) summarize, verify and diff clean."""

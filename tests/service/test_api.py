@@ -150,3 +150,40 @@ class TestEvents:
             if state == "done" and not new:
                 break
         assert "job_done" in got
+
+    def test_watch_sees_job_done_when_the_job_settles_mid_poll(
+        self, client, scheduler, fake_kinds, monkeypatch
+    ):
+        spec, release, wait_running = make_gate(fake_kinds, "api-settle")
+        job_id = client.submit("blocker", spec)["id"]
+        wait_running()
+        read_events = scheduler.store.read_events
+
+        def settle_after_read(read_id, offset=0):
+            # Once the stream is drained, the job appends job_done and
+            # settles between this read and the handler's state test.
+            lines, next_offset = read_events(read_id, offset)
+            if not lines and not scheduler.job(read_id).terminal:
+                release()
+                deadline = time.monotonic() + 10.0
+                while scheduler.job(read_id).state != "done":
+                    assert time.monotonic() < deadline, "job never settled"
+                    time.sleep(0.01)
+            return lines, next_offset
+
+        monkeypatch.setattr(scheduler.store, "read_events", settle_after_read)
+        polls = []
+        poll = client.events
+
+        def recording_poll(poll_id, offset=0, wait=0.0):
+            polls.append(poll(poll_id, offset=offset, wait=wait))
+            return polls[-1]
+
+        monkeypatch.setattr(client, "events", recording_poll)
+        kinds = [event["kind"] for event in client.watch(job_id, wait=5.0)]
+        assert kinds[-1] == "job_done"
+        # A terminal X-Job-State comes with or after the terminal event.
+        delivered = []
+        for events, _, state in polls:
+            delivered.extend(event["kind"] for event in events)
+            assert state != "done" or "job_done" in delivered
