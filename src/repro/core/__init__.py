@@ -28,7 +28,7 @@ from .orchestrator import (
     OrchestrationResult,
     TerminationReason,
 )
-from .report import build_markdown_report, build_report, metrics_digest
+from .report import build_report
 from .resilience import (
     ActionHold,
     BreakerState,
@@ -85,8 +85,6 @@ __all__ = [
     "OnVerdict",
     "OnWorldState",
     "build_report",
-    "build_markdown_report",
-    "metrics_digest",
     "DuraCPSError",
     "ConfigurationError",
     "ResilienceError",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, List, Mapping, Optional, Sequence
 
 from .events import Event, EventKind
-from .metrics import DependabilityMetrics
 from .orchestrator import OrchestrationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime obs import)
@@ -209,127 +208,4 @@ def build_report(
                 lines.append(f"  ... and {len(notable) - 100} more")
         lines.append("")
 
-    return "\n".join(lines)
-
-
-def metrics_digest(metrics: DependabilityMetrics) -> str:
-    """One-line digest, convenient for campaign progress logs."""
-    counts = metrics.violation_counts
-    violations = ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "clean"
-    return (
-        f"iterations={metrics.iterations_completed} violations[{violations}] "
-        f"faults={len(metrics.faults)} recoveries={metrics.recovery_activation_count}"
-    )
-
-
-def build_markdown_report(
-    result: OrchestrationResult,
-    title: str = "DURA-CPS assurance report",
-    telemetry: "Optional[TelemetryRegistry]" = None,
-    stl: "Optional[Sequence[PropertyVerdict]]" = None,
-    counterexamples: "Optional[Sequence[Mapping[str, Any]]]" = None,
-) -> str:
-    """Render a run summary as Markdown (CI artifacts, PR comments).
-
-    A compact companion to :func:`build_report`: outcome header, violation
-    table and recovery/fault counts, without the full evidence trail.
-    ``telemetry`` appends a digest section mirroring :func:`build_report`;
-    ``stl`` and ``counterexamples`` mirror the plain-text builder's STL
-    robustness and scenario-search sections.
-    """
-    metrics = result.metrics
-    lines: List[str] = [f"# {title}", ""]
-
-    lines.append(f"**Outcome:** `{result.reason.value}` after "
-                 f"{result.iterations} iterations "
-                 f"({result.wall_time_s:.2f} s wall time)")
-    if result.environment_info:
-        info = ", ".join(
-            f"{key}={value}" for key, value in sorted(result.environment_info.items())
-        )
-        lines.append(f"**Environment:** {info}")
-    lines.append("")
-
-    counts = metrics.violation_counts
-    lines.append("## Violations")
-    lines.append("")
-    if not counts:
-        lines.append("None detected.")
-    else:
-        lines.append("| Category | Count | First occurrence |")
-        lines.append("|---|---|---|")
-        for category in sorted(counts):
-            first = next(v for v in metrics.violations if v.category == category)
-            detail = (first.detail or "-").replace("|", "/")
-            lines.append(
-                f"| {category} | {counts[category]} | "
-                f"t={first.time:.1f}s by {first.role}: {detail} |"
-            )
-    lines.append("")
-
-    lines.append("## Interventions")
-    lines.append("")
-    lines.append(f"- Fault injections: **{len(metrics.faults)}**")
-    lines.append(f"- Recovery activations: **{metrics.recovery_activation_count}**")
-    outcomes = [
-        r.prevented_collision
-        for r in metrics.recoveries
-        if r.prevented_collision is not None
-    ]
-    if outcomes:
-        prevented = sum(1 for o in outcomes if o)
-        lines.append(f"- Collision-free after activation: **{prevented}/{len(outcomes)}**")
-    lines.append("")
-
-    if stl is not None:
-        lines.append("## STL properties")
-        lines.append("")
-        if not stl:
-            lines.append("None checked.")
-        else:
-            lines.append("| Property | Robustness | Verdict |")
-            lines.append("|---|---|---|")
-            for verdict in stl:
-                state = "SAT" if verdict.satisfied else "**VIOLATED**"
-                lines.append(
-                    f"| `{verdict.name}` | {verdict.robustness:+.3f} | {state} |"
-                )
-        lines.append("")
-
-    if counterexamples is not None:
-        lines.append("## Counterexamples (scenario search)")
-        lines.append("")
-        if not counterexamples:
-            lines.append("None found.")
-        else:
-            for entry in counterexamples:
-                lines.append(f"- {_counterexample_row(entry)}")
-        lines.append("")
-
-    resilience = metrics.resilience_summary()
-    if resilience:
-        lines.append("## Resilience")
-        lines.append("")
-        for key, label in (
-            ("deadline_overruns", "Deadline overruns"),
-            ("retries", "Generator retries"),
-            ("holds", "Action holds"),
-            ("hold_exhausted", "Hold budget exhaustions"),
-            ("degraded_entered", "Degraded-mode entries"),
-            ("degraded_exited", "Degraded-mode exits"),
-            ("degraded_iterations", "Iterations in degraded mode"),
-        ):
-            if key in resilience:
-                lines.append(f"- {label}: **{resilience[key]}**")
-        for role, state in resilience.get("breaker_states", {}).items():
-            lines.append(f"- Breaker `{role}`: **{state}**")
-        lines.append("")
-
-    if telemetry is not None:
-        lines.append("## Telemetry digest")
-        lines.append("")
-        lines.append("```")
-        lines.extend(telemetry.render_lines())
-        lines.append("```")
-        lines.append("")
     return "\n".join(lines)

@@ -3,16 +3,19 @@
 
 ``summarize``
     Recompute violation/fault/recovery/iteration counts from a trace's
-    *event records* (never from the recorded summary), cross-check them
-    against the metrics summary each run recorded in its footer, and
-    report per-role latency percentiles recomputed from the role spans.
+    *records* (its event records and each tick record's milestones, never
+    the recorded summary), cross-check them against the metrics summary
+    each run recorded in its footer, and report per-role latency
+    percentiles recomputed from the tick records' role latencies.
     The count section is deterministic for a deterministic campaign:
     summarizing a ``--jobs 4`` trace directory with ``--no-timing``
     yields byte-identical output to the serial run.
 ``tail``
-    Human-readable event stream (last N events), for eyeballing what a
-    run actually did.  ``--follow`` keeps polling for new events (for
-    watching a live campaign); Ctrl-C exits cleanly.
+    Human-readable record stream (last N lines), for eyeballing what a
+    run actually did: one line per event record and one per tick, the
+    tick's line after the events written during it (``--event
+    iteration`` keeps only tick lines).  ``--follow`` keeps polling for
+    new records (for watching a live campaign); Ctrl-C exits cleanly.
 ``diff``
     Compare two traces or campaign trace directories: count deltas and
     per-role latency deltas — serial vs parallel, before vs after a
@@ -40,7 +43,6 @@ waits for the path to appear instead.  ``summarize``, ``tail`` and
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -52,7 +54,6 @@ from .telemetry import TelemetryRegistry
 from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceData,
-    TraceExpander,
     aggregate_counts,
     aggregate_search_counts,
     discover_traces,
@@ -66,9 +67,13 @@ from .trace import (
 # shared aggregation
 # ----------------------------------------------------------------------
 def latency_registry(traces: Sequence[TraceData]) -> TelemetryRegistry:
-    """Per-role latency histograms recomputed from role spans."""
+    """Per-role latency histograms recomputed from each tick's roles (and
+    a v1 trace's role spans), plus the engine's task latencies."""
     registry = TelemetryRegistry()
     for trace in traces:
+        for tick in trace.ticks:
+            for name, _verdict, latency in tick["roles"] or ():
+                registry.histogram(f"role_latency_s.{name}").record(max(float(latency), 0.0))
         for span in trace.spans:
             if span.get("span_kind") == "role":
                 registry.histogram(f"role_latency_s.{span['name']}").record(
@@ -210,16 +215,35 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 1 if summary["mismatches"] else 0
 
 
-def _format_event(event: Dict[str, Any], trace_id: Optional[str] = None) -> str:
-    role = f" role={event['role']}" if event.get("role") else ""
-    payload = event.get("payload") or {}
+def _format_record(record: Dict[str, Any], trace_id: Optional[str] = None) -> str:
+    """One ``tail`` line: an event, or a tick with its end sim time (or
+    ``unfinished``), its roles as ``name:verdict:latency`` in execution
+    order (``none`` if it stopped before its state update) and its
+    action and source."""
+    prefix = f"{trace_id} " if trace_id else ""
+    if record["kind"] == "iteration":
+        start, end = record["time"]
+        roles = record["roles"]
+        if roles is None:
+            listed = "none"
+        else:
+            listed = ",".join(f"{name}:{verdict}:{latency}s" for name, verdict, latency in roles)
+        line = (
+            f"{prefix}[it {record['iteration']} t={start:.1f}s] iteration  "
+            f"end={'unfinished' if end is None else f'{end:.1f}s'} roles={listed or '-'}"
+        )
+        if record["action"] is not None:
+            action, source = record["action"]
+            line += f" action={action} source={source}"
+        return line
+    role = f" role={record['role']}" if record.get("role") else ""
+    payload = record.get("payload") or {}
     extras = " ".join(
         f"{k}={payload[k]}" for k in sorted(payload) if not isinstance(payload[k], dict)
     )
-    prefix = f"{trace_id} " if trace_id else ""
     return (
-        f"{prefix}[it {event.get('iteration', 0)} t={event.get('time', 0.0):.1f}s] "
-        f"{event.get('event', '?')}{role}"
+        f"{prefix}[it {record.get('iteration', 0)} t={record.get('time', 0.0):.1f}s] "
+        f"{record.get('event', '?')}{role}"
         + (f"  {extras}" if extras else "")
     )
 
@@ -234,25 +258,27 @@ def _discover_safely(path: Path) -> List[Path]:
 
 
 class _FollowedTrace:
-    """One trace file read incrementally, expanded like :func:`load_trace`.
+    """One trace file read incrementally by the parser :func:`load_trace`
+    uses.
 
     Reads are offset-based and byte-oriented: only complete lines are
     consumed, so a writer caught mid-line just means the record shows up
-    on the next poll.  A tick's events appear once its ``iteration``
-    record is written.
+    on the next poll.  The parser keeps its state across reads but not
+    the records a read has returned.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.offset = 0
-        self.expander = TraceExpander()
+        self.data = TraceData(path)
 
     @property
     def trace_id(self) -> str:
-        return (self.expander.header or {}).get("trace_id", self.path.stem)
+        return self.data.trace_id
 
     def read(self) -> List[Dict[str, Any]]:
-        """The event records completed since the last read."""
+        """The event and tick records completed since the last read, in
+        file order."""
         try:
             with self.path.open("rb") as fh:
                 fh.seek(self.offset)
@@ -263,56 +289,62 @@ class _FollowedTrace:
         if not sep:
             return []
         self.offset += len(complete) + len(sep)
-        events: List[Dict[str, Any]] = []
+        records = []
         for raw in complete.splitlines():
-            try:
-                record = json.loads(raw.decode("utf-8", "replace"))
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                events.extend(
-                    r for r in self.expander.feed(record) if r.get("kind") == "event"
-                )
-        return events
+            record = self.data.feed(raw.decode("utf-8", "replace"))
+            if record is not None and record["kind"] in ("event", "iteration"):
+                records.append(record)
+        data = self.data
+        data.events, data.ticks, data.spans = [], [], []
+        return records
 
 
-def _follow_traces(
-    path: Path, event_filter: Optional[str], interval: float, lines: int
-) -> int:
-    """Print the last ``lines`` events, then poll for new ones until Ctrl-C.
+def cmd_tail(args: argparse.Namespace) -> int:
+    """Print the last ``-n`` lines of the traces under the path; with
+    ``--follow``, then poll for new records until Ctrl-C.
 
-    New trace files (a campaign spawning more units) are picked up on
-    every cycle.  The poll interval is clamped to 100 ms — like the
-    progress reporter, following must never become the load.
+    Traces are read in trace id order, then as they grow; new trace
+    files (a campaign spawning more units) are picked up on every cycle.
+    A path that does not exist yet is fine for ``--follow``: it waits.
+    The poll interval is clamped to 100 ms — like the progress reporter,
+    following must never become the load.
     """
-    interval = max(interval, 0.1)
+    path = Path(args.path)
+    discover = _discover_safely if args.follow else discover_traces
     followed: Dict[Path, _FollowedTrace] = {}
-    with_events: set = set()
+    with_records: set = set()
 
     def poll() -> List[Tuple[_FollowedTrace, List[Dict[str, Any]]]]:
         batches = []
-        for p in _discover_safely(path):
+        for p in discover(path):
             trace = followed.get(p)
             if trace is None:
                 trace = followed[p] = _FollowedTrace(p)
-            events = trace.read()
-            if events:
-                with_events.add(p)
-                batches.append((trace, events))
+            records = trace.read()
+            if records:
+                with_records.add(p)
+                batches.append((trace, records))
         return batches
 
     def rows(batches: List[Tuple[_FollowedTrace, List[Dict[str, Any]]]]) -> List[str]:
-        label = len(with_events) > 1
+        label = len(with_records) > 1
         return [
-            _format_event(event, trace.trace_id if label else None)
-            for trace, events in batches
-            for event in events
-            if not event_filter or event.get("event") == event_filter
+            _format_record(record, trace.trace_id if label else None)
+            for trace, records in batches
+            for record in records
+            if not args.event
+            or args.event == ("iteration" if record["kind"] == "iteration" else record.get("event"))
         ]
 
-    # The first read orders traces by id, as plain ``tail`` does.
-    for row in _last(rows(sorted(poll(), key=lambda batch: batch[0].trace_id)), lines):
+    first = rows(sorted(poll(), key=lambda batch: batch[0].trace_id))
+    if not with_records and not args.follow:
+        print("no traces found", file=sys.stderr)
+        return 1
+    for row in first[-args.lines:] if args.lines else []:
         print(row, flush=True)
+    if not args.follow:
+        return 0
+    interval = max(args.interval, 0.1)
     try:
         while True:
             time.sleep(interval)
@@ -320,43 +352,6 @@ def _follow_traces(
                 print(row, flush=True)
     except KeyboardInterrupt:
         return 0
-
-
-def _last(rows: List[str], count: int) -> List[str]:
-    """The last ``count`` rows (none for 0)."""
-    return rows[-count:] if count else []
-
-
-def _tail_traces(path: "str | Path") -> List[TraceData]:
-    """Every event-bearing trace under ``path``, in stable id order.
-
-    Unlike ``summarize`` this does not restrict to run traces: tailing a
-    ``falsify`` service job must show the search driver's events (its
-    only traces live under ``<job>/search/``), and ``discover_traces``
-    already resolves job directories via their ``job.json`` marker.
-    """
-    traces = [load_trace(p) for p in discover_traces(path)]
-    return sorted((t for t in traces if t.events), key=lambda t: t.trace_id)
-
-
-def cmd_tail(args: argparse.Namespace) -> int:
-    if args.follow:
-        # A path that does not exist yet is fine: wait for it.
-        return _follow_traces(Path(args.path), args.event, args.interval, args.lines)
-    traces = _tail_traces(args.path)
-    if not traces:
-        print("no traces found", file=sys.stderr)
-        return 1
-    rows: List[str] = []
-    label = len(traces) > 1
-    for trace in traces:
-        for event in trace.events:
-            if args.event and event.get("event") != args.event:
-                continue
-            rows.append(_format_event(event, trace.trace_id if label else None))
-    for row in _last(rows, args.lines):
-        print(row)
-    return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -532,17 +527,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_summarize)
 
-    p = sub.add_parser("tail", help="human-readable event stream")
+    p = sub.add_parser("tail", help="human-readable event and tick stream")
     p.add_argument("path", type=Path)
-    p.add_argument("-n", "--lines", type=_at_least(0), default=40, help="events to show")
-    p.add_argument("--event", default=None, help="only this event kind")
+    p.add_argument("-n", "--lines", type=_at_least(0), default=40, help="lines to show")
     p.add_argument(
-        "-f", "--follow", action="store_true",
-        help="keep polling for new events until Ctrl-C (exits 0)",
+        "--event", default=None,
+        help="only this event kind ('iteration': only tick lines)",
     )
     p.add_argument(
-        "--interval", type=float, default=0.5,
-        help="poll interval in seconds for --follow (clamped to >= 0.1)",
+        "-f", "--follow", action="store_true",
+        help="keep polling for new records until Ctrl-C (exits 0)",
+    )
+    p.add_argument(
+        "--interval", type=_seconds, default=0.5,
+        help="poll interval in seconds for --follow (> 0; clamped to >= 0.1)",
     )
     p.set_defaults(fn=cmd_tail)
 

@@ -41,6 +41,7 @@ from ..jsonutil import dumps as strict_dumps
 from .trace import (
     JOB_FILE_NAME,
     TraceData,
+    count_events,
     discover_traces,
     load_trace,
     recompute_counts,
@@ -107,10 +108,11 @@ class IndexError_(Exception):
 def build_row(trace: TraceData, *, job: Optional[str] = None, file: str = "") -> Dict[str, Any]:
     """One index row recomputed from a parsed run trace.
 
-    Counts come from raw event records (never the footer summary); the
-    only footer-sourced fields are ``rho`` (recorded STL robustness,
-    which needs the world-state frames the trace does not carry) and the
-    span/event totals used for timing.
+    Counts come from the raw records (never the footer summary): the
+    event records and the milestones, role latencies and spans each tick
+    record stands for.  The only footer-sourced field is ``rho``
+    (recorded STL robustness, which needs the world-state frames the
+    trace does not carry).
     """
     counts = recompute_counts(trace)
     by_role: Dict[str, int] = {}
@@ -121,6 +123,12 @@ def build_row(trace: TraceData, *, job: Optional[str] = None, file: str = "") ->
     meta = (trace.header or {}).get("meta") or {}
     wall_s = 0.0
     role_s = 0.0
+    spans = len(trace.spans)
+    for tick in trace.ticks:
+        roles = tick["roles"] or ()
+        spans += 1 + len(roles)
+        for _name, _verdict, latency in roles:
+            role_s += max(float(latency), 0.0)
     for span in trace.spans:
         kind = span.get("span_kind")
         duration = max(float(span.get("duration_s", 0.0)), 0.0)
@@ -140,10 +148,10 @@ def build_row(trace: TraceData, *, job: Optional[str] = None, file: str = "") ->
         "faults": counts["fault_count"],
         "recoveries": counts["recovery_activations"],
         "rho": rho if isinstance(rho, (int, float)) else None,
-        "events": len(trace.events),
+        "events": sum(count_events(trace).values()),
         "wall_s": round(wall_s, 9),
         "role_s": round(role_s, 9),
-        "spans": len(trace.spans),
+        "spans": spans,
         "file": file,
     }
 

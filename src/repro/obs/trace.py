@@ -12,12 +12,13 @@ campaign work unit).  Schema v2 writes five record kinds:
     "iteration": i, "seq": [first, last], "time": [t_start, t_end],
     "start_s", "duration_s", "roles": [[name, verdict, latency_s], ...],
     "action": [action, source]}``.  It stands for the tick's
-    ``iteration_started``, ``state_updated``, ``role_executed``,
-    ``action_executed`` and ``iteration_finished`` events and for its
-    iteration and role spans.  ``seq`` is the range of sequence numbers
-    the tick used, its milestones numbered as if each were published;
-    ``latency_s`` is rounded to 1 ns.  A tick cut short by a crash is
-    written by :meth:`TraceRecorder.finalize` with ``t_end`` null (no
+    milestones, the ``iteration_started``, ``state_updated``,
+    ``role_executed``, ``action_executed`` and ``iteration_finished``
+    events (schema v1 wrote them as ``event`` records, with an iteration
+    span and one role span per role).  ``seq`` is the range of sequence
+    numbers the tick used, its milestones numbered as if each were
+    published; ``latency_s`` is rounded to 1 ns.  A tick cut short by a
+    crash is written by :meth:`TraceRecorder.finalize` with ``t_end`` null (no
     ``iteration_finished``), ``action`` null (no ``action_executed``) and
     ``roles`` null if it stopped before ``state_updated``.
 ``event``
@@ -38,12 +39,11 @@ campaign work unit).  Schema v2 writes five record kinds:
     written last so ``repro.obs summarize`` can *recompute* counts from the
     events and cross-check them against what the metrics collector saw.
 
-:func:`load_trace` expands every ``iteration`` record back into the
-schema-v1 ``event`` and ``span`` records it stands for (seq numbers,
-span ids and parents included), so each reader has one code path and v1
-traces, which carry those records as they are, still load.  The only v1
-fact a tick record drops is each role span's wall-clock start; the
-expansion lays a tick's role spans end to end from the tick's start.
+:func:`load_trace` files each record under its kind
+(:class:`TraceData`), and every reader counts a tick's milestones, role
+verdicts and role latencies from its ``iteration`` record.  A v1 trace
+carries those facts as ``event`` and role ``span`` records, which the
+same readers count, so v1 traces still load, verify and summarize.
 
 :class:`TraceRecorder` attaches to an
 :class:`~repro.core.orchestrator.OrchestrationController`: it subscribes
@@ -170,11 +170,10 @@ class TraceRecorder:
     writes the tick as one ``iteration`` record then, and every other
     event as an ``event`` record as it arrives.  An event's ``seq`` counts
     the tick milestones reached before it (started, state updated, each
-    role executed, action executed) as the events :func:`load_trace`
-    regenerates for them.  The per-tick ``events.*`` and ``verdicts.*``
-    tallies, the role latency histograms and the ``iterations`` gauge
-    are derived from each written tick.  The recorder holds the
-    controller until :meth:`finalize`.
+    role executed, action executed) as if each had been published.  The
+    per-tick ``events.*`` and ``verdicts.*`` tallies, the role latency
+    histograms and the ``iterations`` gauge are derived from each written
+    tick.  The recorder holds the controller until :meth:`finalize`.
     """
 
     def __init__(
@@ -189,7 +188,8 @@ class TraceRecorder:
         self.telemetry = TelemetryRegistry()
         self._t0 = wall_clock.perf_counter()
         self._seq = 0
-        #: Spans the expansion of this trace yields (run, iteration, role).
+        #: Spans this trace stands for: the run span, and each tick's
+        #: iteration span and role spans.
         self._spans = 0
         self._run_span: Optional[Tuple[int, float]] = None  # (span_id, start)
         self._controller: Optional["OrchestrationController"] = None
@@ -531,170 +531,29 @@ def write_manifest(trace_dir: "str | Path", unit_keys: Iterable[str]) -> Path:
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-class TraceExpander:
-    """Turn a trace's records, fed in file order, into schema-v1 records.
-
-    Each ``iteration`` record becomes the tick's ``event`` records, merged
-    by ``seq`` with the tick's other events (which the file holds just
-    before it), then its role spans and its iteration span.  In a v2 run
-    trace an ``event`` record is therefore held back until the tick that
-    may claim it is written, a span or the footer arrives, or
-    :meth:`flush` is called at the end of the input.  Every other record,
-    and every record of a v1, engine or search trace, passes through
-    unchanged.
-    """
-
-    def __init__(self) -> None:
-        self.header: Optional[Dict[str, Any]] = None
-        #: ``iteration`` records skipped as malformed or inconsistent.
-        self.corrupt = 0
-        self._hold = False
-        self._held: List[Dict[str, Any]] = []
-        self._next_span_id = 1
-        self._run_span_id: Optional[int] = None
-
-    def feed(self, record: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """The records ready to read once ``record`` is fed in."""
-        kind = record.get("kind")
-        if kind == "event":
-            if self._hold:
-                self._held.append(record)
-                return []
-            return [record]
-        if kind == "iteration":
-            return self._expand(record)
-        if kind not in ("trace_header", "trace_footer", "span"):
-            return [record]
-        out = self.flush()
-        if kind == "trace_header":
-            self.header = record
-            schema = record.get("schema")
-            self._hold = (
-                record.get("trace_kind", "run") == "run"
-                and isinstance(schema, int)
-                and schema >= 2
-            )
-        elif kind == "trace_footer":
-            self._hold = False
-        elif kind == "span" and record.get("span_kind") == "run":
-            self._run_span_id = None
-        out.append(record)
-        return out
-
-    def flush(self) -> List[Dict[str, Any]]:
-        """Release the held events (end of input, or no tick can claim them)."""
-        held, self._held = self._held, []
-        return held
-
-    def _expand(self, record: Dict[str, Any]) -> List[Dict[str, Any]]:
-        try:
-            iteration = record["iteration"]
-            first, last = (int(seq) for seq in record["seq"])
-            start_time, end_time = record["time"]
-            start_s = float(record["start_s"])
-            duration_s = float(record["duration_s"])
-            roles = record["roles"]
-            action = record["action"]
-            folded = [("iteration_started", None, {}, start_time)]
-            if roles is not None:
-                folded.append(("state_updated", None, {}, start_time))
-                folded.extend(
-                    ("role_executed", name, {"verdict": verdict, "elapsed_s": latency}, start_time)
-                    for name, verdict, latency in roles
-                )
-            if action is not None:
-                acted, source = action
-                folded.append(
-                    ("action_executed", None, {"action": acted, "source": source}, start_time)
-                )
-            if end_time is not None:
-                folded.append(("iteration_finished", None, {}, end_time))
-            latencies = [float(latency) for _, _, latency in roles or ()]
-        except (KeyError, TypeError, ValueError):
-            self.corrupt += 1
-            return self.flush()
-
-        out: List[Dict[str, Any]] = []
-        inside: List[Dict[str, Any]] = []
-        held, self._held = self._held, []
-        for event in held:
-            seq = event.get("seq")
-            if not isinstance(seq, int) or seq < first:
-                out.append(event)
-            elif seq <= last:
-                inside.append(event)
-            else:
-                self._held.append(event)
-        taken = {event["seq"] for event in inside}
-        if last - first + 1 != len(folded) + len(inside) or len(taken) != len(inside):
-            # A tick whose seq range does not hold exactly its own events
-            # (an event line lost or added) is not evidence: skip it.
-            self.corrupt += 1
-            return out + inside
-        free = [seq for seq in range(first, last + 1) if seq not in taken]
-        events = inside + [
-            {
-                "kind": "event",
-                "seq": seq,
-                "event": name,
-                "iteration": iteration,
-                "time": time,
-                "role": role,
-                "payload": payload,
-            }
-            for seq, (name, role, payload, time) in zip(free, folded)
-        ]
-        events.sort(key=lambda event: event["seq"])
-        out.extend(events)
-
-        if self._run_span_id is None:
-            self._run_span_id = self._next_span_id
-            self._next_span_id += 1
-        iteration_span_id = self._next_span_id
-        self._next_span_id += 1
-        role_start = start_s
-        for (name, verdict, _), latency in zip(roles or (), latencies):
-            out.append(
-                {
-                    "kind": "span",
-                    "span_id": self._next_span_id,
-                    "parent_id": iteration_span_id,
-                    "span_kind": "role",
-                    "name": name,
-                    "start_s": round(role_start, 9),
-                    "duration_s": latency,
-                    "iteration": iteration,
-                    "attrs": {"verdict": verdict},
-                }
-            )
-            self._next_span_id += 1
-            role_start += latency
-        out.append(
-            {
-                "kind": "span",
-                "span_id": iteration_span_id,
-                "parent_id": self._run_span_id,
-                "span_kind": "iteration",
-                "name": f"iteration[{iteration}]",
-                "start_s": start_s,
-                "duration_s": duration_s,
-                "iteration": iteration,
-                "attrs": {},
-            }
-        )
-        return out
-
-
 class TraceData:
-    """Parsed contents of one trace file, in schema-v1 records."""
+    """The records of one trace file, filed by kind as they are read.
+
+    ``ticks`` holds the ``iteration`` records, ``events`` the ``event``
+    records and ``spans`` the ``span`` records, each in file order; a
+    tick record stands for the milestones :func:`tick_milestones` names,
+    and every reader counts them from it.  A tick whose ``seq`` range
+    does not hold exactly its milestones plus the event records written
+    since the previous tick record (an event line lost, added or moved)
+    is not evidence: it is skipped and counted in ``corrupt_lines``, like
+    a line that does not parse.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.header: Optional[Dict[str, Any]] = None
         self.footer: Optional[Dict[str, Any]] = None
+        self.ticks: List[Dict[str, Any]] = []
         self.events: List[Dict[str, Any]] = []
         self.spans: List[Dict[str, Any]] = []
         self.corrupt_lines = 0
+        # The seqs of the event records written since the last tick record.
+        self._unclaimed: List[Any] = []
 
     @property
     def trace_kind(self) -> str:
@@ -709,11 +568,25 @@ class TraceData:
             return TelemetryRegistry.from_snapshot(self.footer["telemetry"])
         return None
 
-    def add(self, record: Dict[str, Any]) -> None:
-        """File one expanded record under its kind."""
-        kind = record.get("kind")
+    def feed(self, line: str) -> Optional[Dict[str, Any]]:
+        """Parse one line and file its record under its kind.
+
+        Returns the record, or None for a blank line or one skipped as
+        corrupt.
+        """
+        line = line.strip()
+        if not line:
+            return None
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            record = None
+        kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "event":
             self.events.append(record)
+            self._unclaimed.append(record.get("seq"))
+        elif kind == "iteration" and self._claims(record):
+            self.ticks.append(record)
         elif kind == "span":
             self.spans.append(record)
         elif kind == "trace_header":
@@ -722,31 +595,56 @@ class TraceData:
             self.footer = record
         else:
             self.corrupt_lines += 1
+            return None
+        return record
+
+    def _claims(self, tick: Dict[str, Any]) -> bool:
+        """Whether ``tick`` is well formed and its ``seq`` range holds
+        exactly its milestones plus the unclaimed event records in it."""
+        unclaimed, self._unclaimed = self._unclaimed, []
+        try:
+            first, last = (int(seq) for seq in tick["seq"])
+            _start, _end = tick["time"]
+            for _name, _verdict, latency in tick["roles"] or ():
+                float(latency)
+            if tick["action"] is not None:
+                _action, _source = tick["action"]
+            milestones = sum(tick_milestones(tick).values())
+        except (KeyError, TypeError, ValueError):
+            return False
+        inside = [seq for seq in unclaimed if isinstance(seq, int) and first <= seq <= last]
+        return (
+            "iteration" in tick
+            and len(set(inside)) == len(inside) == last - first + 1 - milestones
+        )
+
+
+def tick_milestones(tick: Dict[str, Any]) -> Dict[str, int]:
+    """The events a tick record stands for, counted by kind: one
+    ``iteration_started``; one ``state_updated`` unless ``roles`` is null;
+    one ``role_executed`` per role; one ``action_executed`` when
+    ``action`` is set; one ``iteration_finished`` when the tick finished."""
+    counts = {EventKind.ITERATION_STARTED.value: 1}
+    roles = tick["roles"]
+    if roles is not None:
+        counts[EventKind.STATE_UPDATED.value] = 1
+        if roles:
+            counts[EventKind.ROLE_EXECUTED.value] = len(roles)
+    if tick["action"] is not None:
+        counts[EventKind.ACTION_EXECUTED.value] = 1
+    if tick["time"][1] is not None:
+        counts[EventKind.ITERATION_FINISHED.value] = 1
+    return counts
 
 
 def load_trace(path: "str | Path") -> TraceData:
-    """Parse one trace file, tolerating a truncated final line."""
+    """Parse one trace file, tolerating a truncated final line and bytes
+    that are not UTF-8 (decoded as U+FFFD, as ``tail --follow`` reads)."""
     path = Path(path)
     data = TraceData(path)
-    expander = TraceExpander()
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                data.corrupt_lines += 1
-                continue
-            if not isinstance(record, dict):
-                data.corrupt_lines += 1
-                continue
-            for expanded in expander.feed(record):
-                data.add(expanded)
-    for expanded in expander.flush():
-        data.add(expanded)
-    data.corrupt_lines += expander.corrupt
+            data.feed(line)
     return data
 
 
@@ -796,8 +694,22 @@ def load_run_traces(path: "str | Path") -> List[TraceData]:
 # ----------------------------------------------------------------------
 # recomputation (the self-certification core of `repro.obs summarize`)
 # ----------------------------------------------------------------------
+def count_events(trace: TraceData) -> Dict[str, int]:
+    """Events per kind: one per event record, plus the milestones each
+    tick record stands for (:func:`tick_milestones`)."""
+    counts: Dict[str, int] = {}
+    for event in trace.events:
+        name = event.get("event", "?")
+        counts[name] = counts.get(name, 0) + 1
+    for tick in trace.ticks:
+        for name, n in tick_milestones(tick).items():
+            counts[name] = counts.get(name, 0) + n
+    return counts
+
+
 def recompute_counts(trace: TraceData) -> Dict[str, Any]:
-    """Recompute the metrics-summary count fields from event records only.
+    """Recompute the metrics-summary count fields from the trace's
+    records only.
 
     Returns the same shape as the count fields of
     :meth:`DependabilityMetrics.summary` — ``iterations_completed``,
@@ -805,49 +717,44 @@ def recompute_counts(trace: TraceData) -> Dict[str, Any]:
     a traced run is self-certifying: recomputed counts must equal the
     footer's recorded summary.
     """
-    iterations = 0
     violations: Dict[str, int] = {}
-    faults = 0
-    recoveries = 0
     for event in trace.events:
-        name = event.get("event")
-        if name == EventKind.ITERATION_FINISHED.value:
-            iterations += 1
-        elif name == EventKind.VIOLATION_DETECTED.value:
+        if event.get("event") == EventKind.VIOLATION_DETECTED.value:
             category = (event.get("payload") or {}).get("category", "generic")
             violations[category] = violations.get(category, 0) + 1
-        elif name == EventKind.FAULT_INJECTED.value:
-            faults += 1
-        elif name == EventKind.RECOVERY_ACTIVATED.value:
-            recoveries += 1
+    counts = count_events(trace)
     return {
-        "iterations_completed": iterations,
+        "iterations_completed": counts.get(EventKind.ITERATION_FINISHED.value, 0),
         "violation_counts": violations,
-        "fault_count": faults,
-        "recovery_activations": recoveries,
+        "fault_count": counts.get(EventKind.FAULT_INJECTED.value, 0),
+        "recovery_activations": counts.get(EventKind.RECOVERY_ACTIVATED.value, 0),
     }
 
 
 def recompute_tallies(trace: TraceData) -> Dict[str, int]:
-    """Per-kind event counts and role verdict counts from event records,
-    named like the recorder's telemetry counters (``events.<kind>``,
-    ``verdicts.<verdict>``)."""
-    tallies: Dict[str, int] = {}
-    for event in trace.events:
-        name = f"events.{event.get('event')}"
-        tallies[name] = tallies.get(name, 0) + 1
-        if event.get("event") == EventKind.ROLE_EXECUTED.value:
-            verdict = (event.get("payload") or {}).get("verdict")
-            if verdict is not None:
-                name = f"verdicts.{verdict}"
-                tallies[name] = tallies.get(name, 0) + 1
+    """Per-kind event counts and role verdict counts from the trace's
+    records, named like the recorder's telemetry counters
+    (``events.<kind>``, ``verdicts.<verdict>``).  A verdict is read from
+    each tick's roles and from each ``role_executed`` event record (a
+    schema-v1 trace's)."""
+    tallies = {f"events.{name}": n for name, n in count_events(trace).items()}
+    verdicts = [
+        (event.get("payload") or {}).get("verdict")
+        for event in trace.events
+        if event.get("event") == EventKind.ROLE_EXECUTED.value
+    ]
+    verdicts.extend(verdict for tick in trace.ticks for _, verdict, _ in tick["roles"] or ())
+    for verdict in verdicts:
+        if verdict is not None:
+            name = f"verdicts.{verdict}"
+            tallies[name] = tallies.get(name, 0) + 1
     return tallies
 
 
 def verify_trace(trace: TraceData) -> Tuple[bool, List[str]]:
-    """Check a run trace's event records against its footer.
+    """Check a run trace's records against its footer.
 
-    The counts recomputed from the events must equal the recorded
+    The counts recomputed from the records must equal the recorded
     metrics summary, and the per-kind event and verdict tallies must
     equal the recorder's telemetry counters (so a lost, added or edited
     event of any kind shows).  Returns ``(consistent,
@@ -956,7 +863,6 @@ def aggregate_counts(traces: Iterable[TraceData]) -> Dict[str, Any]:
             total["violation_counts"][category] = (
                 total["violation_counts"].get(category, 0) + n
             )
-        for event in trace.events:
-            name = event.get("event", "?")
-            total["events"][name] = total["events"].get(name, 0) + 1
+        for name, n in count_events(trace).items():
+            total["events"][name] = total["events"].get(name, 0) + n
     return total

@@ -308,9 +308,6 @@ class FaultPipeline:
         """Deactivate the fault of the given kind (no-op when absent)."""
         self._faults.pop(kind, None)
 
-    def disarm_all(self) -> None:
-        self._faults.clear()
-
     @property
     def active_kinds(self) -> List[str]:
         return sorted(self._faults)

@@ -283,19 +283,6 @@ class Scheduler:
             "telemetry": telemetry.snapshot(),
         }
 
-    def wait_idle(self, timeout: float = 60.0) -> bool:
-        """Test helper: block until nothing is queued or running."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._cond:
-                busy = bool(self._running)
-            if not busy and len(self.queue) == 0:
-                return True
-            time.sleep(0.02)
-        return False
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------

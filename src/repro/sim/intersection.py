@@ -195,14 +195,6 @@ class Route:
         direction = self.waypoints[index + 1] - self.waypoints[index]
         return direction.angle()
 
-    def arc_length_of_nearest(self, point: Vec2) -> float:
-        """Arc length of the waypoint closest to ``point`` (coarse projection)."""
-        best_index = min(
-            range(len(self.waypoints)),
-            key=lambda i: self.waypoints[i].distance_to(point),
-        )
-        return self._cumulative[best_index]
-
     @property
     def entry_s(self) -> float:
         """Arc length at which the route enters the intersection box."""

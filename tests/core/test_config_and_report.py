@@ -11,7 +11,6 @@ from repro.core import (
     RoleResult,
     Verdict,
     build_report,
-    metrics_digest,
 )
 from tests.conftest import ScriptedRole, StubEnvironment, collect_events, constant_generator
 
@@ -137,68 +136,3 @@ class TestReport:
         assert "Telemetry digest" in report
         assert "events.role_executed" in report
         assert "role_latency_s.Monitor" in report
-
-    def test_metrics_digest_one_line(self):
-        _, result = self._run()
-        digest = metrics_digest(result.metrics)
-        assert "\n" not in digest
-        assert "iterations=3" in digest
-        assert "safety=1" in digest
-
-    def test_digest_clean(self):
-        controller = OrchestrationController(
-            [constant_generator("go")], StubEnvironment(steps=1)
-        )
-        digest = metrics_digest(controller.run().metrics)
-        assert "clean" in digest
-
-
-class TestMarkdownReport:
-    def _run(self):
-        from repro.core import build_markdown_report
-
-        monitor = ScriptedRole(
-            [RoleResult(verdict=Verdict.FAIL, narrative="too | close")],
-            name="Monitor",
-            kind=RoleKind.SAFETY_MONITOR,
-        )
-        controller = OrchestrationController(
-            [constant_generator("go"), monitor], StubEnvironment(steps=2)
-        )
-        return build_markdown_report(controller.run())
-
-    def test_markdown_structure(self):
-        report = self._run()
-        assert report.startswith("# DURA-CPS assurance report")
-        assert "## Violations" in report
-        assert "| safety | 2 |" in report
-        assert "## Interventions" in report
-
-    def test_pipe_characters_escaped_in_table(self):
-        report = self._run()
-        # The narrative "too | close" must not break the Markdown table.
-        assert "too / close" in report
-
-    def test_markdown_telemetry_digest_fenced(self):
-        from repro.core import build_markdown_report
-        from repro.obs.telemetry import TelemetryRegistry
-
-        controller = OrchestrationController(
-            [constant_generator("go")], StubEnvironment(steps=1)
-        )
-        result = controller.run()
-        registry = TelemetryRegistry()
-        registry.counter("events.role_executed").inc(1)
-        report = build_markdown_report(result, telemetry=registry)
-        assert "## Telemetry digest" in report
-        assert "```" in report
-        assert "events.role_executed" in report
-
-    def test_clean_run_markdown(self):
-        from repro.core import build_markdown_report
-
-        controller = OrchestrationController(
-            [constant_generator("go")], StubEnvironment(steps=1)
-        )
-        report = build_markdown_report(controller.run())
-        assert "None detected." in report

@@ -19,7 +19,6 @@ from repro.core import (
     RoleResult,
     TerminationReason,
     Verdict,
-    build_markdown_report,
     build_report,
 )
 
@@ -135,9 +134,6 @@ class TestBreakerLifecycle:
         text = build_report(result, published)
         assert "Resilience" in text
         assert "degraded_entered" in text
-        markdown = build_markdown_report(result)
-        assert "## Resilience" in markdown
-        assert "Degraded-mode entries" in markdown
 
     def test_rerun_resets_breaker_state(self):
         controller, env, _ = self.build()

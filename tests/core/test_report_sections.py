@@ -1,7 +1,7 @@
-"""Tests for the STL and counterexample sections of the report builders."""
+"""Tests for the STL and counterexample sections of the report builder."""
 
 from repro.analysis.trace_checks import PropertyVerdict
-from repro.core import OrchestrationController, build_markdown_report, build_report
+from repro.core import OrchestrationController, build_report
 from tests.conftest import StubEnvironment, constant_generator
 
 
@@ -50,24 +50,3 @@ class TestPlainReport:
     def test_empty_counterexample_list_still_renders_section(self):
         report = build_report(_result(), counterexamples=[])
         assert "Counterexamples (scenario search)" in report
-
-
-class TestMarkdownReport:
-    def test_sections_absent_by_default(self):
-        report = build_markdown_report(_result())
-        assert "## STL properties" not in report
-        assert "## Counterexamples" not in report
-
-    def test_stl_table(self):
-        verdicts = [PropertyVerdict("safety", "G (x >= 1)", -1.5)]
-        report = build_markdown_report(_result(), stl=verdicts)
-        assert "## STL properties" in report
-        assert "| `safety` |" in report
-        assert "**VIOLATED**" in report
-
-    def test_counterexample_bullets(self):
-        report = build_markdown_report(
-            _result(), counterexamples=[_counterexample()]
-        )
-        assert "## Counterexamples (scenario search)" in report
-        assert "[pedestrian#0]" in report

@@ -122,7 +122,8 @@ class TestTail:
         path, _ = _write_trace(tmp_path)
         assert main(["tail", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "iteration_started" in out
+        assert "violation_detected role=Monitor" in out
+        assert "[it 0 t=0.0s] iteration  end=0.1s roles=Generator:info:" in out
         assert "run_terminated" in out
 
     def test_tail_line_limit(self, tmp_path, capsys):
@@ -145,10 +146,13 @@ class TestTail:
 
     def test_tail_event_filter(self, tmp_path, capsys):
         path, result = _write_trace(tmp_path)
-        main(["tail", str(path), "--event", "iteration_finished", "-n", "100"])
+        main(["tail", str(path), "--event", "iteration", "-n", "100"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == result.iterations
-        assert all("iteration_finished" in line for line in lines)
+        assert all("] iteration  end=" in line for line in lines)
+        main(["tail", str(path), "--event", "violation_detected", "-n", "100"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and "violation_detected" in lines[0]
 
     def test_tail_no_traces(self, tmp_path, capsys):
         assert main(["tail", str(tmp_path)]) == 1
@@ -163,7 +167,7 @@ class TestTail:
         _write_trace(job_dir / "search", name="falsify")
         assert main(["tail", str(job_dir)]) == 0
         out = capsys.readouterr().out
-        assert "iteration_started" in out
+        assert "] iteration  end=" in out
 
     def test_tail_follow_picks_up_appended_events(
         self, tmp_path, capsys, monkeypatch
@@ -262,19 +266,81 @@ class TestTail:
         followed = capsys.readouterr().out
         assert main(["tail", str(live), "-n", "1000"]) == 0
         printed = capsys.readouterr().out
-        footer = json.loads(data.splitlines()[-1])
-        assert len(printed.splitlines()) == footer["events"]
-        first_tick = [line.split("] ")[1].split()[0] for line in printed.splitlines()[:7]]
-        assert first_tick == [
-            "iteration_started",
-            "state_updated",
-            "role_executed",
-            "role_executed",
-            "violation_detected",
-            "action_executed",
-            "iteration_finished",
-        ]
+        kinds = [json.loads(line)["kind"] for line in data.splitlines()]
+        assert len(printed.splitlines()) == kinds.count("event") + kinds.count("iteration")
+        first_tick = [line.split("] ")[1].split()[0] for line in printed.splitlines()[:2]]
+        assert first_tick == ["violation_detected", "iteration"]
         assert followed == printed
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            (
+                "stub-crash-role",
+                [
+                    "[it 0 t=0.0s] violation_detected role=Monitor  category=safety detail=too close",
+                    "[it 0 t=0.0s] iteration  end=0.1s "
+                    "roles=Generator:info:1.4853e-05s,Monitor:fail:6.669e-06s "
+                    "action=go source=Generator",
+                    "[it 1 t=0.1s] violation_detected role=Monitor  category=safety detail=too close",
+                    "[it 1 t=0.1s] iteration  end=0.2s "
+                    "roles=Generator:info:5.404e-06s,Monitor:fail:4.949e-06s "
+                    "action=go source=Generator",
+                    "[it 2 t=0.2s] iteration  end=unfinished roles=Generator:info:4.481e-06s",
+                ],
+            ),
+            (
+                "stub-crash-observe",
+                [
+                    "[it 0 t=0.0s] iteration  end=0.1s "
+                    "roles=Generator:info:7.36e-06s,Monitor:pass:5.373e-06s "
+                    "action=go source=Generator",
+                    "[it 1 t=0.1s] iteration  end=0.2s "
+                    "roles=Generator:info:7.546e-06s,Monitor:pass:4.054e-06s "
+                    "action=go source=Generator",
+                    "[it 2 t=0.2s] iteration  end=unfinished roles=none",
+                ],
+            ),
+        ],
+    )
+    def test_a_tick_is_one_line_after_its_events(self, name, expected, capsys):
+        # Each tick line carries its iteration, start and end sim time (or
+        # ``unfinished``), each role's verdict and latency in execution
+        # order (``none``: it stopped before its state update) and the
+        # action with its source; events written during it come first.
+        from tests.obs.test_trace_fixtures import DATA
+
+        assert main(["tail", str(DATA / f"{name}.trace.jsonl"), "-n", "100"]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+    def test_follow_interval_must_be_positive_and_finite(
+        self, tmp_path, capsys, monkeypatch, interval
+    ):
+        path, _ = _write_trace(tmp_path)
+
+        def no_reading(_path):
+            raise AssertionError("a trace was read before --interval was checked")
+
+        monkeypatch.setattr(cli_module, "_discover_safely", no_reading)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tail", str(path), "--follow", "--interval", interval])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--interval" in captured.err
+        assert captured.out == ""
+
+    def test_follow_interval_keeps_its_floor(self, tmp_path, capsys, monkeypatch):
+        path, _ = _write_trace(tmp_path)
+        slept = []
+
+        def scripted_sleep(interval):
+            slept.append(interval)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module.time, "sleep", scripted_sleep)
+        assert main(["tail", str(path), "--follow", "--interval", "0.01"]) == 0
+        assert slept == [0.1]
 
 
 class TestEvidenceTampering:

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.exec import CampaignEngine, EnginePolicy, WorkUnit
 from repro.experiments.campaign import CampaignOptions, run_once
+from repro.obs.cli import latency_registry
 from repro.obs.trace import (
     ENGINE_TRACE_NAME,
     MANIFEST_NAME,
@@ -25,6 +26,7 @@ from repro.obs.trace import (
     load_trace,
     load_run_traces,
     recompute_counts,
+    recompute_tallies,
     safe_trace_name,
     trace_controller,
     unit_trace_path,
@@ -39,26 +41,28 @@ from tests.conftest import (
 )
 from tests.obs.test_trace_fixtures import crashed_controller
 
-#: The tick milestones a trace regenerates from each tick record; the
-#: controller publishes none of them.
-MILESTONES = {"iteration_started", "state_updated", "role_executed", "action_executed"}
-
-
 def assert_trace_holds(trace, published):
-    """The loaded events are numbered 1..N in order, and the events a
-    subscriber collected appear among them in order and field for field;
-    every other loaded event is a tick milestone the expansion regenerated."""
+    """The trace's event records are the published events but the
+    ``iteration_finished`` that closed each tick, field for field and in
+    order; those live in the tick records, one per finished tick with
+    its end time; and the event seqs plus the tick ranges cover
+    1..footer ``events`` exactly once."""
     assert trace.corrupt_lines == 0
-    assert [r["seq"] for r in trace.events] == list(range(1, len(trace.events) + 1))
-    wanted = [(e.kind.value, e.iteration, e.time, e.role, e.payload) for e in published]
-    found = []
-    for r in trace.events:
-        got = (r["event"], r["iteration"], r["time"], r["role"], r["payload"])
-        if len(found) < len(wanted) and got == wanted[len(found)]:
-            found.append(got)
-        else:
-            assert r["event"] in MILESTONES, r
-    assert found == wanted
+    wanted = [
+        (e.kind.value, e.iteration, e.time, e.role, e.payload)
+        for e in published
+        if e.kind is not EventKind.ITERATION_FINISHED
+    ]
+    assert [
+        (r["event"], r["iteration"], r["time"], r["role"], r["payload"]) for r in trace.events
+    ] == wanted
+    assert [
+        (tick["iteration"], tick["time"][1]) for tick in trace.ticks if tick["time"][1] is not None
+    ] == [(e.iteration, e.time) for e in published if e.kind is EventKind.ITERATION_FINISHED]
+    ranges = [range(tick["seq"][0], tick["seq"][1] + 1) for tick in trace.ticks]
+    outside = [r["seq"] for r in trace.events if not any(r["seq"] in tick for tick in ranges)]
+    covered = sorted(outside + [seq for tick in ranges for seq in tick])
+    assert covered == list(range(1, trace.footer["events"] + 1))
 
 
 def assert_ticks_match_history(path, history):
@@ -141,28 +145,32 @@ class TestTraceRecorder:
         assert counts["recovery_activations"] == summary["recovery_activations"]
 
     def test_span_nesting(self, tmp_path):
+        # One run span; each tick record stands for an iteration span
+        # inside it, and its roles for role spans inside the tick.
         _, result, path = _traced_run(tmp_path)
         trace = load_trace(path)
-        runs = [s for s in trace.spans if s["span_kind"] == "run"]
-        iterations = [s for s in trace.spans if s["span_kind"] == "iteration"]
-        roles = [s for s in trace.spans if s["span_kind"] == "role"]
-        assert len(runs) == 1
-        assert len(iterations) == result.iterations
-        # 3 roles per iteration, all executed.
-        assert len(roles) == 3 * result.iterations
-        run_id = runs[0]["span_id"]
-        assert all(s["parent_id"] == run_id for s in iterations)
-        iteration_ids = {s["span_id"] for s in iterations}
-        assert all(s["parent_id"] in iteration_ids for s in roles)
-        assert all(s["duration_s"] >= 0.0 for s in trace.spans)
+        (run,) = trace.spans
+        assert run["span_kind"] == "run"
+        assert len(trace.ticks) == result.iterations
+        assert trace.footer["spans"] == 1 + sum(1 + len(t["roles"]) for t in trace.ticks)
+        run_end = run["start_s"] + run["duration_s"]
+        for tick in trace.ticks:
+            # 3 roles per iteration, all executed.
+            assert [name for name, _, _ in tick["roles"]] == ["Generator", "Monitor", "Recovery"]
+            latencies = [latency for _, _, latency in tick["roles"]]
+            assert all(latency >= 0.0 for latency in latencies)
+            assert run["start_s"] <= tick["start_s"]
+            assert tick["start_s"] + tick["duration_s"] <= run_end + 1e-6
+            assert sum(latencies) <= tick["duration_s"] + 1e-6
 
     def test_role_spans_carry_verdicts(self, tmp_path):
         _, _, path = _traced_run(tmp_path)
         trace = load_trace(path)
         verdicts = {
-            s["attrs"]["verdict"]
-            for s in trace.spans
-            if s["span_kind"] == "role" and s["name"] == "Monitor"
+            verdict
+            for tick in trace.ticks
+            for name, verdict, _ in tick["roles"]
+            if name == "Monitor"
         }
         assert verdicts == {"fail", "pass"}
 
@@ -224,6 +232,14 @@ class TestTraceRecorder:
         trace = load_trace(path)
         assert trace.corrupt_lines == 1
         assert verify_trace(trace)[0]
+
+    def test_bytes_that_are_not_utf8_are_replaced(self, tmp_path):
+        _, _, path = _traced_run(tmp_path)
+        with path.open("ab") as fh:
+            fh.write(b'{"kind": "event", "seq": 99, "event": "probe\xff"}\n{trunc\xff\n')
+        trace = load_trace(path)
+        assert trace.corrupt_lines == 1
+        assert trace.events[-1]["event"] == "probe\ufffd"
 
 
 class TestTraceNames:
@@ -321,7 +337,7 @@ class TestDiscovery:
 
 
 # ----------------------------------------------------------------------
-# schema v2: one iteration record per tick, expanded back on load
+# schema v2: one iteration record per tick, read as it is written
 # ----------------------------------------------------------------------
 @pytest.fixture
 def built_events(monkeypatch):
@@ -415,8 +431,7 @@ class TestSchemaV2:
         assert_trace_holds(trace, published)
         assert_ticks_match_history(path, controller.state.history)
         assert verify_trace(trace) == (True, [])
-        ticks = [s for s in trace.spans if s["span_kind"] == "iteration"]
-        assert [s["iteration"] for s in ticks] == [0, 1, 2]
+        assert [tick["iteration"] for tick in trace.ticks] == [0, 1, 2]
 
     def test_events_that_do_not_fit_a_tick_are_kept(self, tmp_path):
         # Sim time may move while a tick runs: the tick's milestones carry
@@ -452,18 +467,34 @@ class TestSchemaV2:
         assert verify_trace(trace) == (True, [])
         starts = {r.iteration: r.time for r in controller.state.history}
         assert starts == {0: 0.0, 1: 0.11}
-        milestones = [
-            e for e in trace.events if e["event"] in MILESTONES and e["iteration"] != 7
-        ]
-        assert {(e["iteration"], e["time"]) for e in milestones} == set(starts.items())
+        assert [tuple(tick["time"]) for tick in trace.ticks] == [(0.0, 0.11), (0.11, 0.22)]
         finished = [e.time for e in published if e.kind is EventKind.ITERATION_FINISHED]
         assert finished == [0.11, 0.22]
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        plain = [r for r in records if r["kind"] == "event"]
-        assert [(e["event"], e["iteration"]) for e in plain[-2:]] == [
+        assert [(e["event"], e["iteration"]) for e in trace.events[-2:]] == [
             ("iteration_started", 7),
             ("state_updated", 7),
         ]
+
+    def test_an_event_moved_past_its_tick_corrupts_the_tick(self, tmp_path):
+        # The seq check: a tick's range must hold exactly its milestones
+        # and the event lines written before its record.  Moving one
+        # evidence event line past its tick record skips that tick.
+        recorded = Path(__file__).parent / "data" / "stub-resilient.trace.jsonl"
+        records = [json.loads(line) for line in recorded.read_text().splitlines()]
+        kinds = [record.get("event", record["kind"]) for record in records]
+        moved = kinds.index("violation_detected")
+        records.insert(kinds.index("iteration", moved), records.pop(moved))
+        path = tmp_path / recorded.name
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        trace = load_trace(path)
+        assert trace.corrupt_lines == 1
+        assert len(trace.ticks) == 13
+        # The moved event still counts; only its tick is skipped.
+        assert trace.events == [record for record in records if record["kind"] == "event"]
+        assert recompute_counts(trace)["iterations_completed"] == 13
+        assert trace.footer["metrics_summary"]["iterations_completed"] == 14
+        ok, mismatches = verify_trace(trace)
+        assert not ok and len(mismatches) == 9
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "stub-v1.trace.jsonl"
@@ -473,18 +504,6 @@ class TestSchemaV1:
     """``data/stub-v1.trace.jsonl`` is ``_traced_run(name="stub-v1")``
     recorded by the schema-v1 writer."""
 
-    @staticmethod
-    def _untimed(records):
-        out = []
-        for record in records:
-            record = {k: v for k, v in record.items() if k not in ("start_s", "duration_s")}
-            if "payload" in record:
-                record["payload"] = {
-                    k: v for k, v in record["payload"].items() if k != "elapsed_s"
-                }
-            out.append(record)
-        return out
-
     def test_v1_trace_loads_and_verifies(self):
         trace = load_trace(V1_FIXTURE)
         assert trace.header["schema"] == 1
@@ -492,11 +511,28 @@ class TestSchemaV1:
         assert verify_trace(trace) == (True, [])
         assert recompute_counts(trace)["iterations_completed"] == 3
 
-    def test_expansion_yields_the_v1_records(self, tmp_path):
+    def test_v1_and_v2_traces_of_one_run_count_alike(self, tmp_path):
+        # The v1 fixture carries each tick's milestones as event records
+        # and its role latencies as role spans; the same run traced today
+        # carries them in tick records.  Both count the same.
         _, _, path = _traced_run(tmp_path, name="stub-v1")
         old, new = load_trace(V1_FIXTURE), load_trace(path)
         assert new.header["schema"] == TRACE_SCHEMA_VERSION == 2
-        assert self._untimed(new.events) == self._untimed(old.events)
-        assert self._untimed(new.spans) == self._untimed(old.spans)
+        assert old.ticks == [] and len(new.ticks) == 3
+        assert recompute_counts(new) == recompute_counts(old)
+        assert recompute_tallies(new) == recompute_tallies(old)
+        latencies = {
+            name: histogram.count
+            for name, histogram in latency_registry([new]).histograms.items()
+        }
+        assert latencies == {
+            name: histogram.count
+            for name, histogram in latency_registry([old]).histograms.items()
+        }
+        assert latencies == {
+            "role_latency_s.Generator": 3,
+            "role_latency_s.Monitor": 3,
+            "role_latency_s.Recovery": 3,
+        }
         assert new.footer["events"] == old.footer["events"]
-        assert new.footer["spans"] == old.footer["spans"] == len(new.spans)
+        assert new.footer["spans"] == old.footer["spans"]
