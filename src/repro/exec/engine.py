@@ -2,10 +2,10 @@
 
 :class:`CampaignEngine` turns a list of :class:`~repro.exec.work.WorkUnit`
 into settled :class:`TaskRecord` results.  It owns both campaign
-*semantics* — unit identity, journaling/resume, tracing, progress, the
-summary — and *execution*: a ``ProcessPoolExecutor`` of forked workers
-for ``jobs > 1``, or a deterministic in-process loop for ``jobs=1`` and
-for platforms without ``fork``.  Guarantees, in either mode:
+*semantics* — unit identity, journaling/resume, progress, the summary —
+and *execution*: a ``ProcessPoolExecutor`` of forked workers for
+``jobs > 1``, or a deterministic in-process loop for ``jobs=1`` and for
+platforms without ``fork``.  Guarantees, in either mode:
 
 * **order independence** — records come back in unit order, and each task
   derives everything from its own payload, so ``jobs=N`` equals ``jobs=1``
@@ -23,6 +23,9 @@ for platforms without ``fork``.  Guarantees, in either mode:
   reporter) and a :class:`~repro.exec.progress.CampaignSummary` with
   retry counts and per-worker utilization.
 
+The engine writes no file besides its journal: in a traced campaign each
+unit records its own run trace.
+
 The worker function must be a module-level (picklable) callable taking a
 unit's payload; with a journal, its results must round-trip through the
 ``encode``/``decode`` hooks to JSON.
@@ -30,7 +33,6 @@ unit's payload; with a journal, its results must round-trip through the
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.telemetry import TelemetryRegistry
-from ..obs.trace import EngineTracer
 from .journal import RunJournal, check_spec_fingerprint, load_journal
 from .progress import (
     CAMPAIGN_FINISHED,
@@ -143,8 +143,6 @@ class ExecutionReport:
 
     records: List[TaskRecord]
     summary: CampaignSummary
-    #: Engine telemetry registry — populated only for traced campaigns.
-    telemetry: Optional[TelemetryRegistry] = None
 
     def record_map(self) -> Dict[str, TaskRecord]:
         return {r.key: r for r in self.records}
@@ -239,11 +237,6 @@ class CampaignEngine:
         resume: replay journaled successes instead of re-running them.
         progress: a ``ProgressHook``, ``None`` to silence, or ``"auto"``
             (default) for a stderr ticker when stderr is a terminal.
-        trace: campaign trace directory; when set, an
-            :class:`~repro.obs.trace.EngineTracer` records dispatch/settle
-            spans to ``<trace>/engine.trace.jsonl`` and writes a
-            deterministic ``manifest.json`` merging per-unit run traces at
-            campaign end.  ``None`` (default) writes nothing.
         spec_fingerprint: hash of the normalized campaign spec (options)
             that produced the units.  Recorded in the journal header;
             resuming against a journal whose header carries a *different*
@@ -267,7 +260,6 @@ class CampaignEngine:
         journal: "str | Path | None" = None,
         resume: bool = False,
         progress: "ProgressHook | str | None" = "auto",
-        trace: "str | Path | None" = None,
         spec_fingerprint: Optional[str] = None,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -279,8 +271,6 @@ class CampaignEngine:
         self.resume = resume
         self.spec_fingerprint = spec_fingerprint
         self.cancel = cancel
-        self.trace_dir = Path(trace) if trace is not None else None
-        self._tracer: Optional[EngineTracer] = None
         self.progress: Optional[ProgressHook]
         if progress == "auto":
             self.progress = default_progress_hook()
@@ -301,27 +291,11 @@ class CampaignEngine:
             jobs=self.policy.jobs if use_pool else 1,
             mode="process-pool" if use_pool else "serial",
         )
-        if self.trace_dir is not None:
-            self._tracer = EngineTracer(self.trace_dir)
-            self._tracer.campaign_started(len(units), summary.jobs, summary.mode)
         self._emit(ProgressEvent(kind=CAMPAIGN_STARTED, total=len(units)))
 
-        try:
-            journal = self._open_journal(units, records)
-        except Exception:
-            self._abandon_observers()
-            raise
+        journal = self._open_journal(units, records)
         summary.cached = len(records)
         for record in records.values():
-            if self._tracer is not None:
-                self._tracer.task_settled(
-                    record.key,
-                    record.status,
-                    record.attempts,
-                    record.elapsed_s,
-                    record.worker,
-                    record.cached,
-                )
             self._emit_finished(record, len(records), len(units), started)
         pending = [u for u in units if u.key not in records]
 
@@ -335,11 +309,6 @@ class CampaignEngine:
                     self._run_pool(pending, settle, record_retry)
                 else:
                     self._run_serial(pending, settle, record_retry)
-        except BaseException:
-            # Cancellation (or a crash) must not leak open trace handles
-            # in a long-lived server; settled tasks are already journaled.
-            self._abandon_observers()
-            raise
         finally:
             if journal is not None:
                 journal.close()
@@ -353,17 +322,8 @@ class CampaignEngine:
                 wall_s=summary.wall_time_s,
             )
         )
-        telemetry: Optional[TelemetryRegistry] = None
-        if self._tracer is not None:
-            self._tracer.campaign_finished(
-                dataclasses.asdict(summary), [u.key for u in units]
-            )
-            telemetry = self._tracer.telemetry
-            self._tracer = None
         return ExecutionReport(
-            records=[records[u.key] for u in units],
-            summary=summary,
-            telemetry=telemetry,
+            records=[records[u.key] for u in units], summary=summary
         )
 
     # ------------------------------------------------------------------
@@ -523,13 +483,6 @@ class CampaignEngine:
     def _backoff_s(self, attempts: int) -> float:
         return self.policy.retry_backoff_s * (2 ** (attempts - 1))
 
-    def _abandon_observers(self) -> None:
-        """Close the tracer's file without writing footers/manifests —
-        the next (resumed) run rewrites them whole."""
-        if self._tracer is not None:
-            self._tracer.writer.close()
-            self._tracer = None
-
     def _check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
             raise CampaignCancelled("campaign cancelled")
@@ -595,15 +548,6 @@ class CampaignEngine:
                     + record.elapsed_s
                 )
             summary.busy_time_s += record.elapsed_s
-            if self._tracer is not None:
-                self._tracer.task_settled(
-                    record.key,
-                    record.status,
-                    record.attempts,
-                    record.elapsed_s,
-                    record.worker,
-                    record.cached,
-                )
             if journal is not None:
                 if record.ok:
                     journal.append_task(
@@ -629,8 +573,6 @@ class CampaignEngine:
         return settle
 
     def _emit(self, event: ProgressEvent) -> None:
-        if self._tracer is not None and event.kind == TASK_RETRY:
-            self._tracer.task_retry(event.key or "?", event.attempts)
         if self.progress is not None:
             self.progress(event)
 
@@ -654,7 +596,7 @@ class CampaignEngine:
     def _make_retry_recorder(
         self, summary: CampaignSummary
     ) -> Callable[[str, int], None]:
-        """Each retry is reported here; the engine counts and traces it."""
+        """Each retry is reported here; the engine counts and reports it."""
 
         def record_retry(key: str, attempts: int) -> None:
             summary.retries += 1

@@ -34,7 +34,8 @@ class ExecutionOptions:
         jobs: worker process count (``1`` runs in-process).
         journal: JSONL run journal path (checkpoint/resume).
         resume: replay the journal's settled units; requires ``journal``.
-        trace: campaign trace directory (``None`` records nothing).
+        trace: campaign trace directory; each unit writes its run trace
+            under ``<trace>/units/`` (``None`` records nothing).
 
     Raises:
         ValueError: on a combination no run can honour.
@@ -84,7 +85,8 @@ class ExecutionOptions:
         cancel: Optional[Callable[[], bool]] = None,
     ) -> ExecutionReport:
         """Run ``fn`` over ``units`` on a :class:`CampaignEngine`; the
-        keyword arguments pass through to the engine."""
+        keyword arguments pass through to the engine.  ``trace`` is not
+        the engine's: the units carry it to their workers."""
         return CampaignEngine(
             fn,
             EnginePolicy(jobs=self.jobs),
@@ -93,7 +95,6 @@ class ExecutionOptions:
             journal=self.journal,
             resume=self.resume,
             progress=progress,
-            trace=self.trace,
             spec_fingerprint=spec_fingerprint,
             cancel=cancel,
         ).run(units)
@@ -131,7 +132,7 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
-        help="record JSONL run + engine traces into DIR "
+        help="record one JSONL run trace per run under DIR/units/ "
         "(inspect with `python -m repro.obs summarize DIR`)",
     )
     parser.add_argument(

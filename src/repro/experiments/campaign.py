@@ -11,7 +11,6 @@ aggregate).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -524,10 +523,8 @@ def execute_suite(
     ``execution`` takes the :class:`~repro.exec.ExecutionOptions` fields
     (``jobs``, ``journal``, ``resume``, ``trace``); any other keyword is
     a ``TypeError``.  With ``trace`` each run writes a run trace under
-    ``<trace>/units/``, the engine records dispatch telemetry to
-    ``<trace>/engine.trace.jsonl``, and a deterministic
-    ``<trace>/manifest.json`` merges them (``python -m repro.obs
-    summarize <trace>`` reads the lot).
+    ``<trace>/units/`` and nothing else is written there (``python -m
+    repro.obs summarize <trace>`` reads them).
     """
     executor = ExecutionOptions(**execution)
     units = [

@@ -5,10 +5,10 @@ A run's evidence lives in process memory — the events its
 history and its :class:`~repro.core.metrics.DependabilityMetrics`.  This
 package makes it durable and queryable across every layer:
 
-* :mod:`repro.obs.trace` — span-based JSONL tracing (run → iteration →
-  role execution), :class:`TraceRecorder` for orchestration runs,
-  :class:`EngineTracer` for the execution engine's task dispatch, and a
-  deterministic campaign manifest merging per-worker trace files.
+* :mod:`repro.obs.trace` — JSONL run traces (one record per tick, plus
+  the run's evidence events), written by :class:`TraceRecorder`: one file
+  per orchestration run, one per work unit under ``DIR/units/`` for a
+  campaign traced into ``DIR``.
 * :mod:`repro.obs.telemetry` — a picklable registry of counters, gauges
   and log-linear histograms, mergeable across worker processes.
 * :mod:`repro.obs.metrics` — Prometheus text exposition over the
@@ -61,11 +61,8 @@ from .metrics import (
 )
 from .telemetry import Counter, Gauge, Histogram, TelemetryRegistry
 from .trace import (
-    ENGINE_TRACE_NAME,
-    MANIFEST_NAME,
     TRACE_SCHEMA_VERSION,
     TRACE_SUFFIX,
-    EngineTracer,
     TraceData,
     TraceRecorder,
     TraceWriter,
@@ -78,7 +75,6 @@ from .trace import (
     trace_controller,
     unit_trace_path,
     verify_trace,
-    write_manifest,
 )
 
 
@@ -107,14 +103,11 @@ def configure_logging(level: "int | str" = logging.INFO, stream=None) -> logging
 
 __all__ = [
     "Counter",
-    "ENGINE_TRACE_NAME",
     "EXPOSITION_CONTENT_TYPE",
-    "EngineTracer",
     "Gauge",
     "Histogram",
     "INDEX_FILE_NAME",
     "INDEX_SCHEMA_VERSION",
-    "MANIFEST_NAME",
     "METRICS_FILE_NAME",
     "METRICS_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
@@ -141,6 +134,5 @@ __all__ = [
     "validate_exposition",
     "verify_index",
     "verify_trace",
-    "write_manifest",
     "write_metrics_json",
 ]

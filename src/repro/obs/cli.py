@@ -68,7 +68,7 @@ from .trace import (
 # ----------------------------------------------------------------------
 def latency_registry(traces: Sequence[TraceData]) -> TelemetryRegistry:
     """Per-role latency histograms recomputed from each tick's roles (and
-    a v1 trace's role spans), plus the engine's task latencies."""
+    a v1 trace's role spans)."""
     registry = TelemetryRegistry()
     for trace in traces:
         for tick in trace.ticks:
@@ -79,11 +79,6 @@ def latency_registry(traces: Sequence[TraceData]) -> TelemetryRegistry:
                 registry.histogram(f"role_latency_s.{span['name']}").record(
                     max(float(span.get("duration_s", 0.0)), 0.0)
                 )
-            elif span.get("span_kind") == "task":
-                if not (span.get("attrs") or {}).get("cached"):
-                    registry.histogram("task_latency_s").record(
-                        max(float(span.get("duration_s", 0.0)), 0.0)
-                    )
     return registry
 
 
@@ -101,7 +96,6 @@ def summarize_path(path: "str | Path") -> Dict[str, Any]:
     runs = sorted(
         (t for t in all_traces if t.trace_kind == "run"), key=lambda t: t.trace_id
     )
-    engines = [t for t in all_traces if t.trace_kind == "engine"]
     searches = sorted(
         (t for t in all_traces if t.trace_kind == "search"),
         key=lambda t: t.trace_id,
@@ -118,7 +112,7 @@ def summarize_path(path: "str | Path") -> Dict[str, Any]:
         for t, (ok, problems) in zip(searches, search_verified)
         for problem in problems
     ]
-    latencies = latency_registry(runs + engines)
+    latencies = latency_registry(runs)
     return {
         "schema": TRACE_SCHEMA_VERSION,
         "counts": counts,
@@ -190,7 +184,7 @@ def render_summary(summary: Dict[str, Any], timing: bool = True) -> str:
             lines.append(f"  {name:<28} {counts['events'][name]}")
     if timing and summary["latency"]:
         lines.append("")
-        lines.append("latency (s, recomputed from spans):")
+        lines.append("latency (s, recomputed from records):")
         lines.append(
             f"  {'name':<36} {'count':>6} {'mean':>9} {'p50':>9} "
             f"{'p90':>9} {'p99':>9} {'max':>9}"

@@ -1,7 +1,7 @@
 """Prometheus text exposition over the telemetry registry.
 
 The :class:`~repro.obs.telemetry.TelemetryRegistry` is the repo's one
-aggregation substrate — runs, engines, the service scheduler and the
+aggregation substrate — runs, searches, the service scheduler and the
 HTTP layer all feed it.  This module renders a registry into the
 Prometheus *text exposition format* (version 0.0.4) so any scraper can
 consume ``GET /v1/metrics``, and snapshots the same data to
@@ -11,7 +11,7 @@ the endpoint exposes.
 Three invariants drive the implementation:
 
 * **valid names, escaped labels** — free-form instrument names (which
-  may embed role names, worker ids, routes like ``GET /v1/jobs/{id}``)
+  may embed role names, event kinds, routes like ``GET /v1/jobs/{id}``)
   are sanitized into ``[a-zA-Z_:][a-zA-Z0-9_:]*`` metric names, and
   dynamic name segments become *label values* (escaped per the spec)
   rather than exploding the metric namespace;
@@ -63,16 +63,12 @@ _LABEL_RULES: Tuple[Tuple[str, str, str], ...] = (
     ("verdicts.", "verdicts_total", "verdict"),
     ("resilience.", "resilience_events_total", "kind"),
     ("recovery.", "recovery_total", "kind"),
-    ("tasks.", "engine_tasks_total", "status"),
     ("search.", "search_events_total", "kind"),
     ("role_latency_s.", "role_latency_seconds", "role"),
     ("http.requests.", "http_requests_total", "route"),
     ("http.request_s.", "http_request_seconds", "route"),
     ("jobs.state.", "service_jobs", "state"),
 )
-
-#: ``worker.<id>.tasks`` is the one infix pattern.
-_WORKER_RULE = re.compile(r"^worker\.(?P<worker>.+)\.tasks$")
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -96,12 +92,9 @@ def escape_label_value(value: str) -> str:
 def split_instrument(name: str) -> Tuple[str, Dict[str, str]]:
     """Map an instrument name to ``(family, labels)``.
 
-    Known dynamic prefixes (event kinds, roles, routes, workers) become
-    labels; anything else sanitizes wholesale with no labels.
+    Known dynamic prefixes (event kinds, roles, routes, job states)
+    become labels; anything else sanitizes wholesale with no labels.
     """
-    match = _WORKER_RULE.match(name)
-    if match is not None:
-        return "worker_tasks_total", {"worker": match.group("worker")}
     for prefix, family, label in _LABEL_RULES:
         if name.startswith(prefix) and len(name) > len(prefix):
             return family, {label: name[len(prefix):]}

@@ -4,7 +4,7 @@ A *trace* is a versioned JSONL file — one per orchestration run (or per
 campaign work unit).  Schema v2 writes five record kinds:
 
 ``trace_header``
-    ``{"kind": "trace_header", "schema": 2, "trace_kind": "run"|"engine",
+    ``{"kind": "trace_header", "schema": 2, "trace_kind": "run"|"search",
     "trace_id": ..., "meta": {...}}`` — identity and provenance.
 ``iteration``
     one line per assurance-loop tick, the tick the controller hands the
@@ -30,9 +30,8 @@ campaign work unit).  Schema v2 writes five record kinds:
     "role": ..., "payload": {...}}``.
 ``span``
     a closed timing interval: ``{"kind": "span", "span_id", "parent_id",
-    "span_kind": "run"|"task", "name", "start_s", "duration_s",
-    "iteration", "attrs"}``.  Run traces write one ``run`` span; engine
-    traces carry one ``task`` span per settled work unit.
+    "span_kind": "run", "name", "start_s", "duration_s", "iteration",
+    "attrs"}``; a run trace writes one, its ``run`` span.
 ``trace_footer``
     the run's recorded :meth:`~repro.core.metrics.DependabilityMetrics.summary`
     and the run's :class:`~repro.obs.telemetry.TelemetryRegistry` snapshot —
@@ -47,11 +46,13 @@ same readers count, so v1 traces still load, verify and summarize.
 
 :class:`TraceRecorder` attaches to an
 :class:`~repro.core.orchestrator.OrchestrationController`: it subscribes
-to its event bus and reads its open tick; :class:`EngineTracer` attaches to a
-:class:`~repro.exec.engine.CampaignEngine` and additionally merges the
-per-unit trace files written by worker processes into a deterministic
-``manifest.json``.  Tracing is strictly opt-in: without a recorder the
-bus has no tracing subscriber and nothing is written.
+to its event bus and reads its open tick.  Tracing is strictly opt-in:
+without a recorder the bus has no tracing subscriber and nothing is
+written.  A traced campaign directory holds one run trace per work unit
+under ``units/`` (:func:`unit_trace_path`) and nothing else: each
+unit's status, attempts and worker are in the campaign's journal and
+summary.  An ``engine.trace.jsonl`` an older version wrote beside
+``units/`` still loads, as a trace of kind ``engine`` no reader counts.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ TRACE_SCHEMA_VERSION = 2
 
 #: File name suffix every trace file carries.
 TRACE_SUFFIX = ".trace.jsonl"
-
-#: Engine (task-dispatch) trace file name inside a campaign trace dir.
-ENGINE_TRACE_NAME = "engine" + TRACE_SUFFIX
-
-#: Campaign manifest file name inside a campaign trace dir.
-MANIFEST_NAME = "manifest.json"
 
 #: Marker file of a service job directory (see :mod:`repro.service.store`;
 #: duplicated here so obs never imports the service package).
@@ -386,149 +381,6 @@ def trace_controller(
 
 
 # ----------------------------------------------------------------------
-# engine (task-dispatch) tracing
-# ----------------------------------------------------------------------
-class EngineTracer:
-    """Record a :class:`~repro.exec.engine.CampaignEngine` campaign.
-
-    Writes ``<dir>/engine.trace.jsonl`` (one ``task`` span per settled
-    unit, retry events, a campaign-level footer with the engine's
-    telemetry registry) and, at campaign end, merges whatever per-unit
-    run traces the workers produced into ``<dir>/manifest.json`` —
-    deterministically, in unit-submission order, regardless of the order
-    the pool settled them in.
-    """
-
-    def __init__(self, trace_dir: "str | Path") -> None:
-        self.trace_dir = Path(trace_dir)
-        self.writer = TraceWriter(self.trace_dir / ENGINE_TRACE_NAME)
-        self.telemetry = TelemetryRegistry()
-        self._t0 = wall_clock.perf_counter()
-        self._seq = 0
-        self._next_span_id = 1
-
-    def _now(self) -> float:
-        return wall_clock.perf_counter() - self._t0
-
-    def campaign_started(self, total: int, jobs: int, mode: str) -> None:
-        self.writer.write(
-            {
-                "kind": "trace_header",
-                "schema": TRACE_SCHEMA_VERSION,
-                "trace_kind": "engine",
-                "trace_id": "campaign",
-                "meta": {"total": total, "jobs": jobs, "mode": mode},
-            }
-        )
-
-    def task_retry(self, key: str, attempts: int) -> None:
-        self._seq += 1
-        self.writer.write(
-            {
-                "kind": "event",
-                "seq": self._seq,
-                "event": "task_retry",
-                "iteration": attempts,
-                "time": round(self._now(), 6),
-                "role": key,
-                "payload": {"attempts": attempts},
-            }
-        )
-        self.telemetry.counter("tasks.retries").inc()
-
-    def task_settled(
-        self,
-        key: str,
-        status: str,
-        attempts: int,
-        elapsed_s: float,
-        worker: Optional[str],
-        cached: bool,
-    ) -> None:
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        self.writer.write(
-            {
-                "kind": "span",
-                "span_id": span_id,
-                "parent_id": None,
-                "span_kind": "task",
-                "name": key,
-                "start_s": round(self._now() - elapsed_s, 9),
-                "duration_s": round(elapsed_s, 9),
-                "iteration": None,
-                "attrs": {
-                    "status": status,
-                    "attempts": attempts,
-                    "worker": worker,
-                    "cached": cached,
-                },
-            }
-        )
-        self.telemetry.counter(f"tasks.{status}").inc()
-        if cached:
-            self.telemetry.counter("tasks.cached").inc()
-        else:
-            self.telemetry.histogram("task_latency_s").record(max(elapsed_s, 0.0))
-        if worker is not None:
-            self.telemetry.counter(f"worker.{worker}.tasks").inc()
-
-    def campaign_finished(
-        self, summary: Dict[str, Any], unit_keys: Iterable[str]
-    ) -> None:
-        """Footer + manifest; closes the engine trace file."""
-        self.telemetry.gauge("wall_time_s").set(float(summary.get("wall_time_s", 0.0)))
-        self.telemetry.gauge("busy_time_s").set(float(summary.get("busy_time_s", 0.0)))
-        self.writer.write(
-            {
-                "kind": "trace_footer",
-                "schema": TRACE_SCHEMA_VERSION,
-                "trace_id": "campaign",
-                "events": self._seq,
-                "spans": self._next_span_id - 1,
-                "metrics_summary": None,
-                "campaign_summary": summary,
-                "telemetry": self.telemetry.snapshot(),
-            }
-        )
-        self.writer.close()
-        write_manifest(self.trace_dir, unit_keys)
-
-
-def write_manifest(trace_dir: "str | Path", unit_keys: Iterable[str]) -> Path:
-    """Merge per-worker unit traces into a deterministic campaign manifest.
-
-    Entries appear in unit-submission order and reference only trace
-    files that actually exist (a unit that never produced a trace — e.g.
-    resumed from a journal without re-running — is listed with
-    ``"file": null``).
-    """
-    trace_dir = Path(trace_dir)
-    entries = []
-    for key in unit_keys:
-        path = unit_trace_path(trace_dir, key)
-        entries.append(
-            {
-                "key": key,
-                "file": str(path.relative_to(trace_dir)) if path.exists() else None,
-            }
-        )
-    manifest = {
-        "kind": "campaign_manifest",
-        "schema": TRACE_SCHEMA_VERSION,
-        "engine_trace": ENGINE_TRACE_NAME
-        if (trace_dir / ENGINE_TRACE_NAME).exists()
-        else None,
-        "total": len(entries),
-        "traces": entries,
-    }
-    out = trace_dir / MANIFEST_NAME
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(strict_dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-# ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
 class TraceData:
@@ -649,12 +501,12 @@ def load_trace(path: "str | Path") -> TraceData:
 
 
 def discover_traces(path: "str | Path") -> List[Path]:
-    """Trace files under ``path``: the file itself, a manifest's entries
-    (in manifest order), every ``*.trace.jsonl`` below a directory
-    (sorted by relative path) — or, for a service job directory (marked
-    by ``job.json``), the traces of its ``trace/`` and ``search/``
-    sub-trees plus any trace files directly inside it, so ``repro.obs
-    summarize <job-dir>`` works on whatever the job produced."""
+    """Trace files under ``path``: the file itself, every
+    ``*.trace.jsonl`` below a directory (sorted by relative path) — or,
+    for a service job directory (marked by ``job.json``), the traces of
+    its ``trace/`` and ``search/`` sub-trees plus any trace files
+    directly inside it, so ``repro.obs summarize <job-dir>`` works on
+    whatever the job produced."""
     path = Path(path)
     if path.is_file():
         return [path]
@@ -668,14 +520,6 @@ def discover_traces(path: "str | Path") -> List[Path]:
                 found.extend(discover_traces(subdir))
         found.extend(sorted(path.glob("*" + TRACE_SUFFIX)))
         return found
-    manifest = path / MANIFEST_NAME
-    if manifest.exists():
-        entries = json.loads(manifest.read_text()).get("traces", [])
-        found = [path / e["file"] for e in entries if e.get("file")]
-        engine = path / ENGINE_TRACE_NAME
-        if engine.exists():
-            found.append(engine)
-        return found
     return sorted(
         (p for p in path.rglob("*" + TRACE_SUFFIX)),
         key=lambda p: str(p.relative_to(path)),
@@ -683,8 +527,8 @@ def discover_traces(path: "str | Path") -> List[Path]:
 
 
 def load_run_traces(path: "str | Path") -> List[TraceData]:
-    """Every *run* trace under ``path`` (engine traces excluded), sorted
-    by trace id for deterministic aggregation."""
+    """Every *run* trace under ``path`` (search and engine traces
+    excluded), sorted by trace id for deterministic aggregation."""
     traces = [load_trace(p) for p in discover_traces(path)]
     runs = [t for t in traces if t.trace_kind == "run"]
     runs.sort(key=lambda t: t.trace_id)

@@ -18,7 +18,7 @@ knobs those builders hard-code.  Layers:
     the search visited and what it found there.
 :mod:`repro.search.corpus`
     JSONL corpus of found counterexamples, replayable through the
-    ``ScenarioSpec`` round-trip and the scenario registry.
+    ``ScenarioSpec`` round-trip.
 :mod:`repro.search.driver`
     The search loop: random/LHS exploration plus a mutation-based
     hill-descender that minimizes robustness, fanned out over

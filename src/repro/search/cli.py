@@ -11,7 +11,7 @@
     Deterministic for a fixed ``--seed`` regardless of ``--jobs``;
     ``--resume`` replays the journal and only runs what is missing.
 ``replay``
-    Re-run one corpus entry through the scenario registry and print its
+    Re-run one corpus entry from its recorded spec and print its
     full assurance report (STL verdict + counterexample section).
 ``cover``
     Render a written coverage map: occupancy, falsifying cells,

@@ -22,13 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.campaign import CampaignOptions
 from ..jsonutil import dumps as strict_dumps
-from ..sim.scenario import (
-    ScenarioSpec,
-    build_scenario,
-    register_scenario,
-    spec_from_dict,
-    unregister_scenario,
-)
+from ..sim.scenario import ScenarioSpec, spec_from_dict
 
 #: Version stamp of the corpus JSONL layout.
 CORPUS_SCHEMA_VERSION = 1
@@ -55,7 +49,8 @@ class CorpusEntry:
 
     @property
     def scenario_name(self) -> str:
-        """Registry name this entry replays under."""
+        """Name this entry replays under (its replay's trace id is
+        ``replay:<name>``)."""
         return f"search-{self.family}-{self.index}"
 
     def to_dict(self) -> Dict[str, Any]:
@@ -101,35 +96,21 @@ def replay_entry(
     minimized: bool = True,
     trace: "str | Path | None" = None,
 ):
-    """Re-run one corpus entry through the scenario registry.
+    """Re-run one corpus entry's spec (:func:`entry_spec`) and re-score it.
 
-    The spec is registered under :attr:`CorpusEntry.scenario_name` and
-    instantiated via :func:`~repro.sim.scenario.build_scenario` — the
-    same entry point the six paper scenarios use — then executed and
-    re-scored.  Returns the resulting
+    The spec is evaluated as recorded, on the run path every scenario
+    takes, without touching the scenario registry: two replays running
+    at once (the service runs each replay job on its own thread) cannot
+    see each other's form.  Returns the resulting
     :class:`~repro.search.objective.Evaluation`.
     """
     from .objective import evaluate_spec  # deferred: objective imports campaign
 
-    template = entry_spec(entry, minimized=minimized)
-
-    def _builder(seed: int, _template: ScenarioSpec = template) -> ScenarioSpec:
-        spec = spec_from_dict(
-            entry.minimized_spec if minimized else entry.spec
-        )
-        spec.seed = seed
-        return spec
-
-    register_scenario(entry.scenario_name, _builder, overwrite=True)
-    try:
-        spec = build_scenario(entry.scenario_name, template.seed)
-        return evaluate_spec(
-            f"replay:{entry.scenario_name}",
-            entry.family,
-            entry.minimized_params if minimized else entry.params,
-            spec,
-            options,
-            trace=trace,
-        )
-    finally:
-        unregister_scenario(entry.scenario_name)
+    return evaluate_spec(
+        f"replay:{entry.scenario_name}",
+        entry.family,
+        entry.minimized_params if minimized else entry.params,
+        entry_spec(entry, minimized=minimized),
+        options,
+        trace=trace,
+    )

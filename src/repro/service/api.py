@@ -14,8 +14,9 @@ Endpoints (all JSON unless noted)::
 
 The events endpoint is a byte-offset cursor over the job's append-only
 ``events.jsonl``: ``?offset=N`` resumes where the last poll stopped,
-``?wait=S`` long-polls up to S seconds for new lines, and the response
-carries ``X-Next-Offset`` (feed it back) and ``X-Job-State`` headers.
+``?wait=S`` long-polls up to S seconds (at most 30) for new lines, and
+the response carries ``X-Next-Offset`` (feed it back) and
+``X-Job-State`` headers; a negative offset or a NaN wait is a 400.
 Polling a terminal job returns immediately, so a ``watch`` client
 terminates cleanly.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -241,10 +243,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
         scheduler = self.server.scheduler
         try:
             offset = int(query.get("offset", 0))
-            wait_s = min(float(query.get("wait", 0.0)), MAX_EVENT_WAIT_S)
+            wait_s = float(query.get("wait", 0.0))
+            if offset < 0:
+                raise ValueError(f"offset must be >= 0, got {offset}")
+            if math.isnan(wait_s):
+                raise ValueError("wait must be a number of seconds, got nan")
         except ValueError as exc:
             raise ApiError(400, f"bad query parameter: {exc}") from exc
-        deadline = time.monotonic() + max(wait_s, 0.0)
+        deadline = time.monotonic() + min(max(wait_s, 0.0), MAX_EVENT_WAIT_S)
         while True:
             # The state before the read: every terminal transition appends
             # its event first, so a terminal state here means the read sees

@@ -9,7 +9,7 @@ Layout under the service root (see DESIGN.md §9)::
           state.json      full mutable JobRecord (atomic replace on save)
           events.jsonl    append-only progress/lifecycle event stream
           journal.jsonl   engine run journal   (campaign jobs)
-          trace/          schema-v2 trace dir  (campaign jobs; v1 still read)
+          trace/units/    one run trace per run (campaign jobs; schema v2)
           search/         driver artifacts     (falsify jobs)
           report.json     canonical final report
           error.txt       traceback, when the job failed

@@ -15,7 +15,6 @@ from repro.experiments import DEFAULT_SEEDS, execute_suite, run_once, run_suite
 from repro.experiments.campaign import options_digest, unit_key
 from repro.experiments.campaign import CampaignOptions
 from repro.obs.cli import render_summary, summarize_path
-from repro.obs.trace import ENGINE_TRACE_NAME, MANIFEST_NAME
 from repro.sim import ScenarioType
 
 SCENARIOS = (ScenarioType.NOMINAL, ScenarioType.CONGESTED)
@@ -109,8 +108,8 @@ class TestJournalledCampaign:
         results, _ = execute_suite(
             SCENARIOS, SEEDS, jobs=1, trace=trace_dir, progress=None
         )
-        assert (trace_dir / ENGINE_TRACE_NAME).exists()
-        assert (trace_dir / MANIFEST_NAME).exists()
+        # Each run writes its own trace under units/; the engine writes none.
+        assert [p.name for p in trace_dir.iterdir()] == ["units"]
         outcomes = [o for group in results.values() for o in group]
         # Every outcome records where its trace landed.
         assert all(
@@ -136,10 +135,12 @@ class TestJournalledCampaign:
         serial = render_summary(summarize_path(serial_dir), timing=False)
         parallel = render_summary(summarize_path(parallel_dir), timing=False)
         assert serial == parallel
-        # Same per-unit trace files regardless of worker count.
+        # Same per-unit trace files regardless of worker count, and
+        # nothing beside them.
         assert sorted(p.name for p in (serial_dir / "units").iterdir()) == sorted(
             p.name for p in (parallel_dir / "units").iterdir()
         )
+        assert [p.name for p in parallel_dir.iterdir()] == ["units"]
 
     def test_resume_under_parallel_execution(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"

@@ -51,9 +51,6 @@ class TestNameSanitization:
         assert split_instrument("jobs.state.running") == (
             "service_jobs", {"state": "running"}
         )
-        assert split_instrument("worker.w3.tasks") == (
-            "worker_tasks_total", {"worker": "w3"}
-        )
 
     def test_split_unknown_name_sanitizes_wholesale(self):
         family, labels = split_instrument("store.append_s")

@@ -1,8 +1,9 @@
 """Tests for span-based tracing: recorder round trips, self-certification,
-engine traces, manifests, and the serial == parallel guarantee."""
+trace discovery, and the serial == parallel guarantee."""
 
 import gc
 import json
+import shutil
 import weakref
 from pathlib import Path
 
@@ -18,10 +19,9 @@ from repro.core import (
 )
 from repro.exec import CampaignEngine, EnginePolicy, WorkUnit
 from repro.experiments.campaign import CampaignOptions, run_once
-from repro.obs.cli import latency_registry
+from repro.obs import TelemetryRegistry
+from repro.obs.cli import latency_registry, render_summary, summarize_path
 from repro.obs.trace import (
-    ENGINE_TRACE_NAME,
-    MANIFEST_NAME,
     TRACE_SCHEMA_VERSION,
     load_trace,
     load_run_traces,
@@ -266,48 +266,26 @@ def boom(payload):
 
 
 class TestEngineTracer:
-    def test_engine_trace_and_manifest(self, tmp_path):
-        trace_dir = tmp_path / "traces"
-        units = [WorkUnit(key=f"sq:{i}", payload=i) for i in range(4)]
-        report = CampaignEngine(
-            square, EnginePolicy(jobs=1), progress=None, trace=trace_dir
-        ).run(units)
-        assert report.telemetry is not None
-        assert report.telemetry.counter("tasks.ok").value == 4
-        engine_trace = load_trace(trace_dir / ENGINE_TRACE_NAME)
-        assert engine_trace.trace_kind == "engine"
-        tasks = [s for s in engine_trace.spans if s["span_kind"] == "task"]
-        assert {s["name"] for s in tasks} == {u.key for u in units}
-        assert engine_trace.footer["campaign_summary"]["total"] == 4
-        manifest = json.loads((trace_dir / MANIFEST_NAME).read_text())
-        assert [e["key"] for e in manifest["traces"]] == [u.key for u in units]
-        # square() writes no per-unit run traces.
-        assert all(e["file"] is None for e in manifest["traces"])
+    """The engine writes no trace: a traced campaign's units record their
+    own run traces, and the journal and summary hold the rest."""
 
-    def test_task_errors_and_retries_counted(self, tmp_path):
-        trace_dir = tmp_path / "traces"
+    def test_untraced_engine_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         report = CampaignEngine(
             boom,
-            EnginePolicy(jobs=1, max_retries=2, retry_backoff_s=0.0),
+            EnginePolicy(jobs=1, max_retries=1, retry_backoff_s=0.0),
             progress=None,
-            trace=trace_dir,
         ).run([WorkUnit(key="bad", payload=0)])
-        assert report.telemetry.counter("tasks.error").value == 1
-        assert report.telemetry.counter("tasks.retries").value == 2
-        engine_trace = load_trace(trace_dir / ENGINE_TRACE_NAME)
-        retries = [e for e in engine_trace.events if e["event"] == "task_retry"]
-        assert len(retries) == 2
-
-    def test_untraced_engine_writes_nothing(self, tmp_path):
-        report = CampaignEngine(square, EnginePolicy(jobs=1), progress=None).run(
-            [WorkUnit(key="sq:0", payload=2)]
-        )
-        assert report.telemetry is None
+        assert report.summary.retries == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_trace_keyword_is_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="trace"):
+            CampaignEngine(square, progress=None, trace=tmp_path / "traces")
 
 
 class TestDiscovery:
-    def test_manifest_order_respected(self, tmp_path):
+    def test_runs_sorted_by_trace_id(self, tmp_path):
         for name in ("run-b", "run-a"):
             _traced_run(tmp_path / "units", name=name)
         runs = load_run_traces(tmp_path)
@@ -334,6 +312,48 @@ class TestDiscovery:
         ]
         runs = load_run_traces(job_dir)
         assert [t.trace_id for t in runs] == ["eval-b", "replay", "unit-a"]
+
+    def test_older_engine_trace_and_manifest_change_no_reading(self, tmp_path):
+        # A campaign dir in the older layout: units/ plus the engine trace
+        # (a task span and a task_retry event) and manifest.json beside it.
+        old, new = tmp_path / "old", tmp_path / "new"
+        for name in ("run-b", "run-a"):
+            _traced_run(new / "units", name=name)
+        shutil.copytree(new, old)
+        engine_telemetry = TelemetryRegistry()
+        engine_telemetry.counter("tasks.ok").inc(2)
+        engine_telemetry.histogram("task_latency_s").record(0.25)
+        engine_records = [
+            {"kind": "trace_header", "schema": 2, "trace_kind": "engine",
+             "trace_id": "campaign", "meta": {"total": 2, "jobs": 1, "mode": "serial"}},
+            {"kind": "event", "seq": 1, "event": "task_retry", "iteration": 1,
+             "time": 0.1, "role": "run-a", "payload": {"attempts": 1}},
+            {"kind": "span", "span_id": 1, "parent_id": None, "span_kind": "task",
+             "name": "run-a", "start_s": 0.0, "duration_s": 0.25, "iteration": None,
+             "attrs": {"status": "ok", "attempts": 2, "worker": "main", "cached": False}},
+            {"kind": "trace_footer", "schema": 2, "trace_id": "campaign", "events": 1,
+             "spans": 1, "metrics_summary": None, "campaign_summary": {"total": 2},
+             "telemetry": engine_telemetry.snapshot()},
+        ]
+        (old / "engine.trace.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in engine_records)
+        )
+        (old / "manifest.json").write_text(json.dumps({
+            "kind": "campaign_manifest", "schema": 2,
+            "engine_trace": "engine.trace.jsonl", "total": 2,
+            "traces": [{"key": name, "file": f"units/{name}.trace.jsonl"}
+                       for name in ("run-b", "run-a")],
+        }))
+        summary = summarize_path(old)
+        assert summary == summarize_path(new)
+        assert summary["counts"]["runs"] == 2
+        assert "task_latency_s" not in summary["latency"]
+        assert render_summary(summary, timing=False) == render_summary(
+            summarize_path(new), timing=False
+        )
+        # The engine trace still loads, as a trace no reader counts.
+        assert load_trace(old / "engine.trace.jsonl").trace_kind == "engine"
+        assert [t.trace_id for t in load_run_traces(old)] == ["run-a", "run-b"]
 
 
 # ----------------------------------------------------------------------

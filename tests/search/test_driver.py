@@ -111,3 +111,37 @@ class TestTrace:
         counts = recompute_search_counts(trace)
         assert counts["counterexamples"] >= 1
         assert counts["evaluations"] > counts["candidates"] > 0
+
+
+class TestReplayEntry:
+    def test_replay_leaves_a_registered_scenario_alone(self, falsify_run):
+        # A replay evaluates the entry's recorded spec: a builder already
+        # registered under the entry's name survives replays of both
+        # forms, and each form re-scores to the corpus's recorded value.
+        from repro.search.corpus import replay_entry
+        from repro.sim import ScenarioType, build_scenario
+        from repro.sim.scenario import (
+            known_scenarios,
+            register_scenario,
+            spec_to_dict,
+            unregister_scenario,
+        )
+
+        result, _ = falsify_run
+        entry = result.counterexamples[0]
+
+        def nominal(seed):
+            return build_scenario(ScenarioType.NOMINAL, seed)
+
+        register_scenario(entry.scenario_name, nominal)
+        try:
+            minimized = replay_entry(entry)
+            original = replay_entry(entry, minimized=False)
+            assert entry.scenario_name in known_scenarios()
+            assert spec_to_dict(build_scenario(entry.scenario_name, 3)) == spec_to_dict(
+                nominal(3)
+            )
+        finally:
+            unregister_scenario(entry.scenario_name)
+        assert minimized.robustness == entry.minimized_robustness
+        assert original.robustness == entry.robustness

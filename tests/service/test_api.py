@@ -126,6 +126,23 @@ class TestEvents:
         assert offset2 == offset
         assert state == "done"
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # NaN passes min()/max() unchanged, so the long-poll deadline
+            # would never pass; a negative offset reaches seek().
+            "offset=0&wait=nan",
+            "offset=-1&wait=0",
+        ],
+    )
+    def test_bad_poll_parameter_is_400(self, client, query):
+        record = client.submit("ok", {"x": 1})
+        _wait_done(client, record["id"])
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/v1/jobs/{record['id']}/events?{query}")
+        assert excinfo.value.status == 400
+        assert "bad query parameter" in excinfo.value.message
+
     def test_watch_terminates(self, client):
         record = client.submit("ok", {"x": 1})
         started = time.monotonic()

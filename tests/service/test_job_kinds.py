@@ -70,7 +70,9 @@ def test_campaign_job_with_seed_list(tmp_path):
         report = json.loads((job_dir / "report.json").read_text())
         seeds = [r["seed"] for r in report["scenarios"]["nominal"]["runs"]]
         assert seeds == [0, 3]
-        assert (job_dir / "trace" / "manifest.json").exists()
+        # The job's trace dir holds the runs' traces and nothing else.
+        assert [p.name for p in (job_dir / "trace").iterdir()] == ["units"]
+        assert len(list((job_dir / "trace" / "units").iterdir())) == 2
         # Progress made it into the persisted record.
         assert final.progress_total == 2
         assert final.progress_done == 2

@@ -1,8 +1,9 @@
 """Tests for the scenario registry and builder determinism guarantees.
 
-The search subsystem replays counterexamples through runtime-registered
-builders and fans evaluations over spawned worker processes, so the
-registry error surface and cross-process determinism are load-bearing.
+Registered builders share ``build_scenario`` with the six paper
+scenarios, and the search fans evaluations over spawned worker
+processes, so the registry error surface and cross-process determinism
+are load-bearing.
 """
 
 import multiprocessing
