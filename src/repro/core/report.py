@@ -14,9 +14,8 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Mapping, Optional, Sequen
 from .events import Event, EventKind
 from .orchestrator import OrchestrationResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime obs import)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.trace_checks import PropertyVerdict
-    from ..obs.telemetry import TelemetryRegistry
 
 
 def _heading(title: str) -> List[str]:
@@ -48,7 +47,6 @@ def build_report(
     result: OrchestrationResult,
     events: Optional[Iterable[Event]] = None,
     title: str = "DURA-CPS assurance report",
-    telemetry: "Optional[TelemetryRegistry]" = None,
     stl: "Optional[Sequence[PropertyVerdict]]" = None,
     counterexamples: "Optional[Sequence[Mapping[str, Any]]]" = None,
 ) -> str:
@@ -58,10 +56,6 @@ def build_report(
     list whose ``append`` was subscribed to ``controller.events`` before
     ``run()``) appends the evidence trail: violations, faults and
     recoveries, in publication order.
-
-    ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryRegistry`,
-    e.g. a :class:`~repro.obs.trace.TraceRecorder`'s) appends a telemetry
-    digest section — counters, gauges and latency histograms.
 
     ``stl`` (a sequence of
     :class:`~repro.analysis.trace_checks.PropertyVerdict`, typically from
@@ -186,11 +180,6 @@ def build_report(
                 f"mean={stats['mean_s']*1e6:8.1f} us"
             )
     lines.append("")
-
-    if telemetry is not None:
-        lines += _heading("Telemetry digest")
-        lines.extend(telemetry.render_lines())
-        lines.append("")
 
     if events is not None:
         lines += _heading("Evidence trail (violations & recoveries)")

@@ -44,7 +44,6 @@ from .progress import (
     ProgressEvent,
     ProgressHook,
     StderrReporter,
-    TelemetryProgress,
 )
 from .work import WorkUnit, check_unique_keys, fingerprint
 
@@ -62,7 +61,6 @@ __all__ = [
     "ProgressHook",
     "RunJournal",
     "StderrReporter",
-    "TelemetryProgress",
     "TaskError",
     "TaskRecord",
     "TaskTimeout",

@@ -1,7 +1,7 @@
-"""Progress and telemetry hooks for campaign execution.
+"""Progress hooks and the campaign summary for campaign execution.
 
 The engine reports through a plain callable — ``hook(ProgressEvent)`` —
-so anything from a TUI to a metrics exporter can subscribe.  The default
+so anything from a TUI to a job-event writer can subscribe.  The default
 is :class:`StderrReporter`, a single-line live ticker (runs/s and ETA)
 that only engages when stderr is a terminal, keeping test output and
 piped logs clean.
@@ -104,42 +104,6 @@ class StderrReporter:
         )
         self.stream.write(f"\r{line}" if self.is_tty else f"{line}\n")
         self.stream.flush()
-
-
-class TelemetryProgress:
-    """Progress hook that mirrors engine lifecycle into a registry.
-
-    Feeds the fleet-observability layer: counters for finished / cached
-    / retried units plus ``progress.done``/``progress.total`` gauges, so
-    a registry shared with a service scheduler (or merged into a trace
-    footer) exposes engine progress through ``GET /v1/metrics`` without
-    the engine knowing anything about HTTP.  Chains to ``inner`` so it
-    composes with the stderr ticker or a job-event writer.
-    """
-
-    def __init__(self, telemetry, inner: Optional[ProgressHook] = None) -> None:
-        self.telemetry = telemetry
-        self.inner = inner
-
-    def __call__(self, event: ProgressEvent) -> None:
-        telemetry = self.telemetry
-        if event.kind == CAMPAIGN_STARTED:
-            telemetry.counter("exec.campaigns_started").inc()
-        elif event.kind == TASK_RETRY:
-            telemetry.counter("exec.unit_retries").inc()
-        elif event.kind == TASK_FINISHED:
-            telemetry.counter("exec.units_finished").inc()
-            if event.cached:
-                telemetry.counter("exec.units_cached").inc()
-            if event.status and event.status != "ok":
-                telemetry.counter("exec.units_failed").inc()
-        elif event.kind == CAMPAIGN_FINISHED:
-            telemetry.counter("exec.campaigns_finished").inc()
-        if event.kind in (TASK_FINISHED, CAMPAIGN_FINISHED, CAMPAIGN_STARTED):
-            telemetry.gauge("progress.done").set(float(event.done))
-            telemetry.gauge("progress.total").set(float(event.total))
-        if self.inner is not None:
-            self.inner(event)
 
 
 def default_progress_hook() -> Optional[ProgressHook]:

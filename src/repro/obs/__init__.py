@@ -9,11 +9,12 @@ package makes it durable and queryable across every layer:
   the run's evidence events), written by :class:`TraceRecorder`: one file
   per orchestration run, one per work unit under ``DIR/units/`` for a
   campaign traced into ``DIR``.
-* :mod:`repro.obs.telemetry` — a picklable registry of counters, gauges
-  and log-linear histograms, mergeable across worker processes.
+* :mod:`repro.obs.telemetry` — a registry of counters, gauges and
+  log-linear histograms: a run's (in its trace footer) and the job
+  service's.
 * :mod:`repro.obs.metrics` — Prometheus text exposition over the
-  telemetry registry (rendering, parsing, validation, ``metrics.json``
-  snapshots); what ``GET /v1/metrics`` serves.
+  telemetry registry (rendering, parsing, validation); what
+  ``GET /v1/metrics`` serves.
 * :mod:`repro.obs.index` — the cross-run trace query engine: an
   incrementally refreshed, schema-versioned index over run/job trace
   trees, with filters, group-by aggregation and drift verification.
@@ -51,13 +52,9 @@ from .index import (
 )
 from .metrics import (
     EXPOSITION_CONTENT_TYPE,
-    METRICS_FILE_NAME,
-    METRICS_SCHEMA_VERSION,
-    load_metrics_json,
     parse_exposition,
     render_exposition,
     validate_exposition,
-    write_metrics_json,
 )
 from .telemetry import Counter, Gauge, Histogram, TelemetryRegistry
 from .trace import (
@@ -108,8 +105,6 @@ __all__ = [
     "Histogram",
     "INDEX_FILE_NAME",
     "INDEX_SCHEMA_VERSION",
-    "METRICS_FILE_NAME",
-    "METRICS_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "TRACE_SUFFIX",
     "TelemetryRegistry",
@@ -121,7 +116,6 @@ __all__ = [
     "configure_logging",
     "discover_traces",
     "index_rows",
-    "load_metrics_json",
     "load_run_traces",
     "load_trace",
     "parse_exposition",
@@ -134,5 +128,4 @@ __all__ = [
     "validate_exposition",
     "verify_index",
     "verify_trace",
-    "write_metrics_json",
 ]

@@ -1,49 +1,38 @@
 """Prometheus text exposition over the telemetry registry.
 
-The :class:`~repro.obs.telemetry.TelemetryRegistry` is the repo's one
-aggregation substrate — runs, searches, the service scheduler and the
-HTTP layer all feed it.  This module renders a registry into the
-Prometheus *text exposition format* (version 0.0.4) so any scraper can
-consume ``GET /v1/metrics``, and snapshots the same data to
-``metrics.json`` inside job directories so batch CLIs see exactly what
-the endpoint exposes.
+The job service keeps one :class:`~repro.obs.telemetry.TelemetryRegistry`
+for the whole service (job, slot, engine, store and HTTP instruments).
+This module renders it into the Prometheus *text exposition format*
+(version 0.0.4), which is what ``GET /v1/metrics`` serves to any scraper.
 
 Three invariants drive the implementation:
 
 * **valid names, escaped labels** — free-form instrument names (which
-  may embed role names, event kinds, routes like ``GET /v1/jobs/{id}``)
-  are sanitized into ``[a-zA-Z_:][a-zA-Z0-9_:]*`` metric names, and
-  dynamic name segments become *label values* (escaped per the spec)
-  rather than exploding the metric namespace;
+  may embed routes like ``GET /v1/jobs/{id}`` or job states) are
+  sanitized into ``[a-zA-Z_:][a-zA-Z0-9_:]*`` metric names, and dynamic
+  name segments become *label values* (escaped per the spec) rather
+  than exploding the metric namespace;
 * **monotone histograms** — the log-linear buckets render as cumulative
   ``_bucket{le="..."}`` series (monotone by construction, terminated by
   ``le="+Inf"``) with exact ``_sum``/``_count``;
 * **finite output** — a non-finite instrument value never reaches the
   wire: it renders as ``0`` and bumps
-  ``<ns>_exposition_nonfinite_total`` so the corruption is visible
+  ``repro_exposition_nonfinite_total`` so the corruption is visible
   instead of poisoning downstream rate() math (and so the CI grep-gate
-  banning ``Infinity``/``NaN`` tokens holds for metrics artifacts too).
+  banning ``Infinity``/``NaN`` tokens holds for the exposition too).
 
 :func:`parse_exposition` and :func:`validate_exposition` are the
-self-certification half: tests (and ``obs top``) round-trip the rendered
-text back into samples instead of trusting the renderer.
+self-certification half: tests (and CI's service smoke job) round-trip
+the rendered text back into samples instead of trusting the renderer.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..jsonutil import dumps as strict_dumps
 from .telemetry import SUBBUCKETS, Histogram, TelemetryRegistry
-
-#: Version stamp of the ``metrics.json`` snapshot layout.
-METRICS_SCHEMA_VERSION = 1
-
-#: Snapshot file name inside a service job directory.
-METRICS_FILE_NAME = "metrics.json"
 
 #: Content type of the text exposition format.
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -52,19 +41,14 @@ _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
+#: Every rendered family is ``repro_<family>``.
+NAMESPACE = "repro"
+
 #: Instrument-name prefixes whose dynamic tail becomes a label value.
-#: ``(prefix, family, label)`` — ``events.iteration_finished`` renders as
-#: ``<ns>_events_total{kind="iteration_finished"}`` instead of minting a
-#: new metric name per event kind.
+#: ``(prefix, family, label)`` — ``jobs.state.running`` renders as
+#: ``repro_service_jobs{state="running"}`` instead of minting a new
+#: metric name per job state.
 _LABEL_RULES: Tuple[Tuple[str, str, str], ...] = (
-    ("events.", "events_total", "kind"),
-    ("violations.", "violations_total", "category"),
-    ("faults.", "faults_total", "fault"),
-    ("verdicts.", "verdicts_total", "verdict"),
-    ("resilience.", "resilience_events_total", "kind"),
-    ("recovery.", "recovery_total", "kind"),
-    ("search.", "search_events_total", "kind"),
-    ("role_latency_s.", "role_latency_seconds", "role"),
     ("http.requests.", "http_requests_total", "route"),
     ("http.request_s.", "http_request_seconds", "route"),
     ("jobs.state.", "service_jobs", "state"),
@@ -92,8 +76,8 @@ def escape_label_value(value: str) -> str:
 def split_instrument(name: str) -> Tuple[str, Dict[str, str]]:
     """Map an instrument name to ``(family, labels)``.
 
-    Known dynamic prefixes (event kinds, roles, routes, job states)
-    become labels; anything else sanitizes wholesale with no labels.
+    Known dynamic prefixes (routes, job states) become labels; anything
+    else sanitizes wholesale with no labels.
     """
     for prefix, family, label in _LABEL_RULES:
         if name.startswith(prefix) and len(name) > len(prefix):
@@ -138,23 +122,13 @@ def _format_value(value: Any) -> str:
     return _format_float(float(value))
 
 
-def render_exposition(
-    registry: TelemetryRegistry,
-    *,
-    namespace: str = "repro",
-    extra_labels: Optional[Dict[str, str]] = None,
-) -> str:
+def render_exposition(registry: TelemetryRegistry) -> str:
     """Render a registry as Prometheus text exposition (version 0.0.4).
 
-    ``extra_labels`` are attached to every sample (e.g. ``instance``).
     Families render sorted by name, samples sorted by labels, so two
     renders of equal registries are byte-identical.
     """
-    ns = sanitize_metric_name(namespace).rstrip("_")
     nonfinite = 0
-
-    def full(family: str) -> str:
-        return f"{ns}_{family}" if ns else family
 
     # family -> (type, [Sample])
     families: Dict[str, Tuple[str, List[_Sample]]] = {}
@@ -164,31 +138,27 @@ def render_exposition(
         if not math.isfinite(value):
             nonfinite += 1
             value = 0.0
-        merged = dict(extra_labels or {})
-        merged.update(labels)
-        entry = families.setdefault(family, (kind, []))
-        entry[1].append(_Sample(family, merged, value))
+        family = f"{NAMESPACE}_{family}"
+        families.setdefault(family, (kind, []))[1].append(_Sample(family, labels, value))
 
     for name in sorted(registry.counters):
         family, labels = split_instrument(name)
         if not family.endswith("_total"):
             family += "_total"
-        add(full(family), "counter", labels, float(registry.counters[name].value))
+        add(family, "counter", labels, float(registry.counters[name].value))
     for name in sorted(registry.gauges):
         family, labels = split_instrument(name)
-        add(full(family), "gauge", labels, registry.gauges[name].value)
+        add(family, "gauge", labels, registry.gauges[name].value)
 
-    histogram_blocks: Dict[str, Tuple[str, List[str]]] = {}
+    histogram_blocks: Dict[str, List[str]] = {}
     for name in sorted(registry.histograms):
         family, labels = split_instrument(name)
-        family = full(family)
-        merged = dict(extra_labels or {})
-        merged.update(labels)
-        lines = histogram_blocks.setdefault(family, ("histogram", []))[1]
-        lines.extend(_render_histogram(family, merged, registry.histograms[name]))
+        family = f"{NAMESPACE}_{family}"
+        lines = histogram_blocks.setdefault(family, [])
+        lines.extend(_render_histogram(family, labels, registry.histograms[name]))
 
     if nonfinite:
-        add(full("exposition_nonfinite_total"), "counter", {}, float(nonfinite))
+        add("exposition_nonfinite_total", "counter", {}, float(nonfinite))
 
     out: List[str] = []
     for family in sorted(set(families) | set(histogram_blocks)):
@@ -199,7 +169,7 @@ def render_exposition(
                 out.append(sample.render())
         if family in histogram_blocks:
             out.append(f"# TYPE {family} histogram")
-            out.extend(histogram_blocks[family][1])
+            out.extend(histogram_blocks[family])
     return "\n".join(out) + "\n" if out else ""
 
 
@@ -239,7 +209,7 @@ def _render_histogram(
 
 
 # ----------------------------------------------------------------------
-# parsing (round-trip verification; also feeds `obs top`)
+# parsing (round-trip verification)
 # ----------------------------------------------------------------------
 _SAMPLE_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -342,48 +312,3 @@ def validate_exposition(text: str) -> List[str]:
                     f"{entries[-1][1]} != _count {expected}"
                 )
     return problems
-
-
-# ----------------------------------------------------------------------
-# metrics.json snapshots (job directories / batch CLIs)
-# ----------------------------------------------------------------------
-def write_metrics_json(
-    path: "str | Path",
-    registry: TelemetryRegistry,
-    *,
-    meta: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Snapshot a registry to ``metrics.json`` (atomic via temp+replace).
-
-    The snapshot is the registry's JSON round-trip form plus a schema
-    stamp, so ``TelemetryRegistry.from_snapshot(data["telemetry"])``
-    rebuilds exactly what the exposition endpoint rendered.
-    """
-    import os
-
-    path = Path(path)
-    payload = {
-        "kind": "metrics_snapshot",
-        "schema": METRICS_SCHEMA_VERSION,
-        "meta": dict(meta or {}),
-        "telemetry": registry.snapshot(),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(strict_dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def load_metrics_json(path: "str | Path") -> Tuple[TelemetryRegistry, Dict[str, Any]]:
-    """Load a ``metrics.json`` snapshot back into ``(registry, meta)``."""
-    import json
-
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != METRICS_SCHEMA_VERSION:
-        raise ValueError(
-            f"metrics snapshot schema {data.get('schema')!r} != "
-            f"{METRICS_SCHEMA_VERSION} at {path}"
-        )
-    registry = TelemetryRegistry.from_snapshot(data.get("telemetry") or {})
-    return registry, dict(data.get("meta") or {})

@@ -1,18 +1,12 @@
 """Telemetry registry: counters, gauges and log-linear histograms.
 
-The registry is the aggregate side of the observability spine: the tracer
-populates one per run (per-role latency, verdict and violation counts),
-the execution engine populates one per campaign (task latency, retries,
-worker utilization), and parallel workers ship theirs back to the parent
-embedded in trace footers.  Three properties drive the design:
-
-* **picklable** — instruments are plain-attribute objects so a registry
-  crosses a ``ProcessPoolExecutor`` boundary untouched;
-* **mergeable** — :meth:`TelemetryRegistry.merge` folds a worker's
-  registry into the parent's, instrument by instrument;
-* **JSON round-trippable** — :meth:`TelemetryRegistry.snapshot` /
-  :meth:`TelemetryRegistry.from_snapshot` embed registries in trace
-  files and rebuild them for the ``repro.obs`` CLI.
+A registry holds named instruments.  Three places fill one: the trace
+recorder (one per run: event, verdict and violation counts and per-role
+latency) and the search driver (one per search), each snapshotted into
+its trace footer, and the job service (one per store: job, slot, engine,
+store and HTTP instruments), rendered by ``GET /v1/metrics`` and snapshotted
+into ``/v1/stats``, where ``obs top`` rebuilds it with
+:meth:`TelemetryRegistry.from_snapshot`.
 
 Histograms are log-linear (HdrHistogram-style): values bucket into
 ``SUBBUCKETS`` linear slots per power-of-two octave, bounding the relative
@@ -24,7 +18,7 @@ count.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Optional
 
 #: Linear subdivisions per power-of-two octave; quantile estimates are
 #: accurate to ~1/SUBBUCKETS relative error.
@@ -44,9 +38,6 @@ class Counter:
             raise ValueError(f"counters only go up, got {by}")
         self.value += by
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
 
 class Gauge:
     """A last-write-wins float measurement."""
@@ -58,15 +49,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, by: float) -> None:
-        self.value += float(by)
-
-    def merge(self, other: "Gauge") -> None:
-        # Merging run-level gauges across workers: sum is the only
-        # aggregation that composes (utilization-style gauges should be
-        # recomputed from counters instead).
-        self.value += other.value
 
 
 class Histogram:
@@ -117,18 +99,6 @@ class Histogram:
         index = self._bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        for bound in ("min", "max"):
-            mine, theirs = getattr(self, bound), getattr(other, bound)
-            if theirs is not None:
-                pick = min if bound == "min" else max
-                setattr(self, bound, theirs if mine is None else pick(mine, theirs))
-        self.zeros += other.zeros
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-
     # ------------------------------------------------------------------
     @property
     def mean(self) -> float:
@@ -165,7 +135,7 @@ class Histogram:
 
 
 class TelemetryRegistry:
-    """Named instruments behind one picklable, mergeable switchboard."""
+    """Named instruments, created on first use."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -192,26 +162,6 @@ class TelemetryRegistry:
         if instrument is None:
             instrument = self.histograms[name] = Histogram()
         return instrument
-
-    # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
-    def merge(self, other: "TelemetryRegistry") -> "TelemetryRegistry":
-        """Fold ``other`` into this registry (returns self for chaining)."""
-        for name, counter in other.counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, histogram in other.histograms.items():
-            self.histogram(name).merge(histogram)
-        return self
-
-    @staticmethod
-    def merged(registries: Iterable["TelemetryRegistry"]) -> "TelemetryRegistry":
-        out = TelemetryRegistry()
-        for registry in registries:
-            out.merge(registry)
-        return out
 
     # ------------------------------------------------------------------
     # JSON round trip
@@ -250,30 +200,3 @@ class TelemetryRegistry:
             hist.zeros = int(dump.get("zeros", 0))
             hist.buckets = {int(i): int(n) for i, n in (dump.get("buckets") or {}).items()}
         return registry
-
-    # ------------------------------------------------------------------
-    # rendering (consumed by core.report's telemetry digest section)
-    # ------------------------------------------------------------------
-    def render_lines(self, timing: bool = True) -> List[str]:
-        """Plain-text digest; ``timing=False`` omits histogram latencies,
-        which is what deterministic (byte-comparable) summaries need."""
-        lines: List[str] = []
-        if self.counters:
-            lines.append("counters:")
-            for name in sorted(self.counters):
-                lines.append(f"  {name:<40} {self.counters[name].value}")
-        if self.gauges:
-            lines.append("gauges:")
-            for name in sorted(self.gauges):
-                lines.append(f"  {name:<40} {self.gauges[name].value:g}")
-        if timing and self.histograms:
-            lines.append("histograms (count mean p50 p90 p99 max):")
-            for name in sorted(self.histograms):
-                s = self.histograms[name].summary()
-                lines.append(
-                    f"  {name:<40} {int(s['count']):>6} {s['mean']:.6f} "
-                    f"{s['p50']:.6f} {s['p90']:.6f} {s['p99']:.6f} {s['max']:.6f}"
-                )
-        if not lines:
-            lines.append("no instruments recorded")
-        return lines

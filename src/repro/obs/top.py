@@ -1,16 +1,16 @@
 """Live fleet dashboard: ``python -m repro.obs top``.
 
-A polling view over a running assurance service — queue depth, slot
-occupancy, per-job progress and throughput, rolling violation and
-robustness counts — or, in batch mode, over a directory of traces via
-the :mod:`repro.obs.index` query engine.
+A polling view over a running assurance service — slot occupancy,
+queue, per-job progress and throughput, job wait/run latency — or, in
+batch mode, over a directory of traces (violation, fault and robustness
+counts per scenario) via the :mod:`repro.obs.index` query engine.
 
 Two deliberate constraints:
 
 * **no service import** — like the rest of :mod:`repro.obs`, this module
-  talks to the service only over its public HTTP API (``/v1/stats``,
-  ``/v1/jobs``, ``/v1/metrics``) through :mod:`urllib`, so the obs CLI
-  works against any server speaking the API, not just an in-process one;
+  talks to the service only over its public HTTP API (``/v1/stats`` and
+  ``/v1/jobs``) through :mod:`urllib`, so the obs CLI works against any
+  server speaking the API, not just an in-process one;
 * **non-TTY safe** — on a terminal each refresh redraws in place (ANSI
   home+clear); on a pipe or CI log each refresh is a plain
   ``\\n``-separated block, so redirected output stays readable.
@@ -24,10 +24,9 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .index import group_rows, index_rows, refresh_index
-from .metrics import parse_exposition
 from .telemetry import TelemetryRegistry
 
 #: Written by ``python -m repro.service serve`` next to the job store
@@ -66,27 +65,10 @@ def _fetch(url: str, timeout: float = 10.0) -> bytes:
 
 
 def service_snapshot(base_url: str) -> Dict[str, Any]:
-    """One poll of the service: stats + job table + parsed exposition."""
+    """One poll of the service: stats (with its registry) + job table."""
     stats = json.loads(_fetch(base_url + "/v1/stats"))
     jobs = json.loads(_fetch(base_url + "/v1/jobs")).get("jobs", [])
-    samples = parse_exposition(_fetch(base_url + "/v1/metrics").decode("utf-8"))
-    return {"stats": stats, "jobs": jobs, "samples": samples}
-
-
-def _series(
-    samples: List[Tuple[str, Dict[str, str], float]], name: str
-) -> Dict[str, float]:
-    """``label-values -> value`` for every sample of one metric name."""
-    out: Dict[str, float] = {}
-    for sample_name, labels, value in samples:
-        if sample_name == name:
-            key = ",".join(f"{k}={labels[k]}" for k in sorted(labels)) or "_"
-            out[key] = out.get(key, 0.0) + value
-    return out
-
-
-def _num(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else f"{value:.3f}"
+    return {"stats": stats, "jobs": jobs}
 
 
 def _bar(busy: float, total: float, width: int = 20) -> str:
@@ -106,7 +88,6 @@ class TopView:
     def render_service(self, snapshot: Dict[str, Any]) -> str:
         stats = snapshot.get("stats") or {}
         jobs = snapshot.get("jobs") or []
-        samples = snapshot.get("samples") or []
         now = time.monotonic()
         dt = (now - self._last_time) if self._last_time is not None else None
         self._last_time = now
@@ -157,21 +138,6 @@ class TopView:
                     f"{job_id:<10}{str(spec.get('kind') or '?'):<10}"
                     f"{str(record.get('state')):<9}"
                     f"{f'{done}/{total}' if total else '-':<12}{rate}"
-                )
-
-        violations = _series(samples, "repro_violations_total")
-        faults = _series(samples, "repro_faults_total")
-        if violations or faults:
-            lines.append("")
-            if violations:
-                lines.append(
-                    "violations  "
-                    + "  ".join(f"{k}={_num(v)}" for k, v in sorted(violations.items()))
-                )
-            if faults:
-                lines.append(
-                    "faults      "
-                    + "  ".join(f"{k}={_num(v)}" for k, v in sorted(faults.items()))
                 )
 
         latency_lines = []

@@ -415,11 +415,6 @@ class TraceData:
     def trace_id(self) -> str:
         return (self.header or {}).get("trace_id", self.path.stem)
 
-    def telemetry(self) -> Optional[TelemetryRegistry]:
-        if self.footer and self.footer.get("telemetry") is not None:
-            return TelemetryRegistry.from_snapshot(self.footer["telemetry"])
-        return None
-
     def feed(self, line: str) -> Optional[Dict[str, Any]]:
         """Parse one line and file its record under its kind.
 

@@ -27,8 +27,8 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..exec import CampaignCancelled, ProgressEvent, TelemetryProgress
-from ..obs.metrics import METRICS_FILE_NAME, write_metrics_json
+from ..exec import CampaignCancelled, ProgressEvent
+from ..exec.progress import CAMPAIGN_FINISHED, CAMPAIGN_STARTED, TASK_FINISHED, TASK_RETRY
 from ..obs.telemetry import TelemetryRegistry
 from .jobs import (
     CANCELLED,
@@ -52,6 +52,14 @@ STATS_SCHEMA_VERSION = 1
 #: Every lifecycle state, for per-state job-count gauges (a state with
 #: zero jobs still exposes an explicit 0, so scrapers see absence).
 ALL_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
+
+#: The ``exec.*`` counter each engine progress event kind bumps.
+_PROGRESS_COUNTERS = {
+    CAMPAIGN_STARTED: "exec.campaigns_started",
+    TASK_RETRY: "exec.unit_retries",
+    TASK_FINISHED: "exec.units_finished",
+    CAMPAIGN_FINISHED: "exec.campaigns_finished",
+}
 
 
 def _transition_latency(record: JobRecord, from_state: str) -> Optional[float]:
@@ -81,17 +89,12 @@ class Scheduler:
             job asking for ``jobs=4`` occupies 4 slots (clamped to the
             budget, so a too-wide request degrades instead of deadlocks).
         max_jobs: cap on *concurrently running* jobs regardless of width.
-        telemetry: optional shared registry for service counters.
+
+    The scheduler counts into the store's registry
+    (:attr:`JobStore.telemetry`), which the HTTP layer shares.
     """
 
-    def __init__(
-        self,
-        store: JobStore,
-        *,
-        workers: int = 2,
-        max_jobs: int = 4,
-        telemetry: Optional[TelemetryRegistry] = None,
-    ) -> None:
+    def __init__(self, store: JobStore, *, workers: int = 2, max_jobs: int = 4) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_jobs < 1:
@@ -99,9 +102,7 @@ class Scheduler:
         self.store = store
         self.workers = workers
         self.max_jobs = max_jobs
-        self.telemetry = telemetry or TelemetryRegistry()
-        if store.telemetry is None:
-            store.telemetry = self.telemetry
+        self.telemetry = store.telemetry
         self._started_at = time.monotonic()
         self.queue = JobQueue()
         self._cond = self.queue.condition
@@ -332,6 +333,7 @@ class Scheduler:
             self.telemetry.histogram("jobs.wait_s").record(wait_s)
 
         def record_progress(event: ProgressEvent) -> None:
+            self._count_progress(event)
             self.store.append_event(
                 job_id,
                 {
@@ -354,7 +356,7 @@ class Scheduler:
         ctx = JobContext(
             job_dir=job_dir,
             jobs=slots,
-            progress=TelemetryProgress(self.telemetry, inner=record_progress),
+            progress=record_progress,
             cancel=flag.is_set,
             resolve_job_dir=self.store.job_dir,
         )
@@ -402,8 +404,19 @@ class Scheduler:
             run_s = _transition_latency(record, RUNNING)
             if run_s is not None:
                 self.telemetry.histogram("jobs.run_s").record(run_s)
-            self._snapshot_metrics(record, wait_s=wait_s, run_s=run_s)
             self.queue.kick()
+
+    def _count_progress(self, event: ProgressEvent) -> None:
+        """Count an engine progress event into the ``exec.*`` counters."""
+        counter = self.telemetry.counter
+        name = _PROGRESS_COUNTERS.get(event.kind)
+        if name is not None:
+            counter(name).inc()
+        if event.kind == TASK_FINISHED:
+            if event.cached:
+                counter("exec.units_cached").inc()
+            if event.status and event.status != "ok":
+                counter("exec.units_failed").inc()
 
     def _settle(self, record: JobRecord, slots: int, state: str, **fields: Any) -> None:
         """Move a job out of ``running``: transition, save, release slots.
@@ -423,32 +436,3 @@ class Scheduler:
         if self._running.pop(job_id, None) is not None:
             self._free_slots += slots
         self._cancel_flags.pop(job_id, None)
-
-    def _snapshot_metrics(
-        self,
-        record: JobRecord,
-        *,
-        wait_s: Optional[float],
-        run_s: Optional[float],
-    ) -> None:
-        """Write ``metrics.json`` into the settled job's directory.
-
-        The snapshot is the shared service registry (gauges refreshed)
-        plus per-job meta, so batch CLIs read exactly what a scraper of
-        ``GET /v1/metrics`` would have seen at settle time.  Best-effort:
-        a snapshot failure never un-settles a job.
-        """
-        try:
-            registry = self.collect()
-            write_metrics_json(
-                self.store.job_dir(record.id) / METRICS_FILE_NAME,
-                registry,
-                meta={
-                    "job": record.id,
-                    "state": record.state,
-                    "wait_s": wait_s,
-                    "run_s": run_s,
-                },
-            )
-        except Exception:  # noqa: BLE001 - observability must not break settling
-            logger.exception("failed to snapshot metrics for job %s", record.id)

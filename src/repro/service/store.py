@@ -63,18 +63,14 @@ class JobStore:
     HTTP handlers) always see a consistent record.
     """
 
-    def __init__(
-        self,
-        root: "str | Path",
-        *,
-        telemetry: Optional[TelemetryRegistry] = None,
-    ) -> None:
+    def __init__(self, root: "str | Path") -> None:
         self.root = Path(root)
         self.jobs_root = self.root / JOBS_DIR_NAME
         self.jobs_root.mkdir(parents=True, exist_ok=True)
-        #: Optional shared registry; the scheduler injects its own so
-        #: store I/O timings show up in ``GET /v1/metrics``.
-        self.telemetry = telemetry
+        #: The service's one registry: the store records its write
+        #: timings here, and the scheduler and the HTTP layer count
+        #: into it too; ``GET /v1/metrics`` renders it.
+        self.telemetry = TelemetryRegistry()
         self._lock = threading.Lock()
         self._event_locks: Dict[str, threading.Lock] = {}
 
@@ -113,10 +109,7 @@ class JobStore:
     def save(self, record: JobRecord) -> None:
         start = time.perf_counter()
         _atomic_write_json(self.job_dir(record.id) / STATE_FILE, record.to_dict())
-        if self.telemetry is not None:
-            self.telemetry.histogram("store.save_s").record(
-                time.perf_counter() - start
-            )
+        self.telemetry.histogram("store.save_s").record(time.perf_counter() - start)
 
     def load(self, job_id: str) -> JobRecord:
         path = self.job_dir(job_id) / STATE_FILE
@@ -156,13 +149,8 @@ class JobStore:
             with path.open("a", encoding="utf-8") as fh:
                 fh.write(line)
                 fh.flush()
-                stream_bytes = fh.tell()
-        if self.telemetry is not None:
-            self.telemetry.histogram("store.append_s").record(
-                time.perf_counter() - start
-            )
-            self.telemetry.counter("store.events_appended").inc()
-            self.telemetry.gauge("store.events_bytes").set(float(stream_bytes))
+        self.telemetry.histogram("store.append_s").record(time.perf_counter() - start)
+        self.telemetry.counter("store.events_appended").inc()
 
     def read_events(self, job_id: str, offset: int = 0) -> Tuple[List[str], int]:
         """Complete event lines from byte ``offset``; returns (lines, next).
@@ -176,25 +164,11 @@ class JobStore:
         with path.open("rb") as fh:
             fh.seek(offset)
             blob = fh.read()
-            end = fh.tell()
-        if not blob:
-            self._record_lag(end, offset)
-            return [], offset
-        complete, _, partial = blob.rpartition(b"\n")
-        if not complete and partial:
-            self._record_lag(end, offset)
+        complete, newline, _ = blob.rpartition(b"\n")
+        if not newline:
             return [], offset
         lines = complete.decode("utf-8").splitlines()
-        next_offset = offset + len(complete) + 1
-        self._record_lag(end, next_offset)
-        return lines, next_offset
-
-    def _record_lag(self, stream_end: int, consumed: int) -> None:
-        """Gauge how far the slowest-observed reader trails the stream."""
-        if self.telemetry is not None:
-            self.telemetry.gauge("store.read_lag_bytes").set(
-                float(max(stream_end - consumed, 0))
-            )
+        return lines, offset + len(complete) + 1
 
     def write_error(self, job_id: str, text: str) -> None:
         (self.job_dir(job_id) / ERROR_FILE).write_text(text)

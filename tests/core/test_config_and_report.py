@@ -124,15 +124,6 @@ class TestReport:
     def test_report_without_telemetry_has_no_digest(self):
         _, result = self._run()
         assert "Telemetry digest" not in build_report(result)
-
-    def test_report_telemetry_digest(self):
-        from repro.obs.telemetry import TelemetryRegistry
-
-        _, result = self._run()
-        registry = TelemetryRegistry()
-        registry.counter("events.role_executed").inc(9)
-        registry.histogram("role_latency_s.Monitor").record(0.004)
-        report = build_report(result, telemetry=registry)
-        assert "Telemetry digest" in report
-        assert "events.role_executed" in report
-        assert "role_latency_s.Monitor" in report
+        # A run's telemetry lives in its trace footer; the report takes none.
+        with pytest.raises(TypeError):
+            build_report(result, telemetry=None)

@@ -1,4 +1,4 @@
-"""Prometheus exposition validity: names, labels, histograms, snapshots."""
+"""Prometheus exposition validity: names, labels, histograms."""
 
 import math
 
@@ -6,30 +6,25 @@ import pytest
 
 from repro.obs.metrics import (
     EXPOSITION_CONTENT_TYPE,
-    METRICS_FILE_NAME,
-    METRICS_SCHEMA_VERSION,
     escape_label_value,
-    load_metrics_json,
     parse_exposition,
     render_exposition,
     sanitize_metric_name,
     split_instrument,
     validate_exposition,
-    write_metrics_json,
 )
 from repro.obs.telemetry import TelemetryRegistry
 
 
 def registry_with_everything() -> TelemetryRegistry:
     registry = TelemetryRegistry()
-    registry.counter("events.iteration_finished").inc(12)
-    registry.counter("violations.safety").inc(3)
+    registry.counter("http.requests.GET /v1/stats").inc(12)
     registry.counter("service.jobs_done").inc(2)
     registry.counter("worker.pool-1.tasks").inc(7)
     registry.counter('http.requests.GET /v1/jobs/{id}').inc(4)
     registry.gauge("jobs.queue_depth").set(5.0)
     registry.gauge("jobs.state.queued").set(2.0)
-    hist = registry.histogram("role_latency_s.SafetyMonitor")
+    hist = registry.histogram("http.request_s.GET /v1/stats")
     for value in (0.0, 0.001, 0.02, 0.02, 0.5, 3.0, 3.1, 120.0):
         hist.record(value)
     return registry
@@ -45,8 +40,11 @@ class TestNameSanitization:
         assert validate_exposition(f"{name} 1\n") == []
 
     def test_split_known_prefixes_become_labels(self):
-        assert split_instrument("events.run_started") == (
-            "events_total", {"kind": "run_started"}
+        assert split_instrument("http.requests.GET /v1/stats") == (
+            "http_requests_total", {"route": "GET /v1/stats"}
+        )
+        assert split_instrument("http.request_s.POST /v1/jobs") == (
+            "http_request_seconds", {"route": "POST /v1/jobs"}
         )
         assert split_instrument("jobs.state.running") == (
             "service_jobs", {"state": "running"}
@@ -64,11 +62,11 @@ class TestLabelEscaping:
 
     def test_round_trip_through_parser(self):
         registry = TelemetryRegistry()
-        registry.counter('events.we"ird\\kind\nx').inc(1)
+        registry.counter('http.requests.GET /we"ird\\route\nx').inc(1)
         text = render_exposition(registry)
         assert validate_exposition(text) == []
         ((name, labels, value),) = parse_exposition(text)
-        assert labels["kind"] == 'we"ird\\kind\nx'
+        assert labels["route"] == 'GET /we"ird\\route\nx'
         assert value == 1.0
 
 
@@ -81,9 +79,7 @@ class TestExposition:
         by_name = {}
         for name, labels, value in samples:
             by_name.setdefault(name, []).append((labels, value))
-        assert by_name["repro_events_total"] == [
-            ({"kind": "iteration_finished"}, 12.0)
-        ]
+        assert ({"route": "GET /v1/stats"}, 12.0) in by_name["repro_http_requests_total"]
         assert ({"state": "queued"}, 2.0) in by_name["repro_service_jobs"]
         assert by_name["repro_jobs_queue_depth"] == [({}, 5.0)]
 
@@ -99,22 +95,22 @@ class TestExposition:
         buckets = [
             (labels["le"], value)
             for name, labels, value in parse_exposition(text)
-            if name == "repro_role_latency_seconds_bucket"
+            if name == "repro_http_request_seconds_bucket"
         ]
         assert buckets[-1][0] == "+Inf"
         counts = [value for _, value in buckets]
         assert counts == sorted(counts)
-        hist = registry.histograms["role_latency_s.SafetyMonitor"]
+        hist = registry.histograms["http.request_s.GET /v1/stats"]
         assert counts[-1] == hist.count
         # Zeros count toward every bucket (cumulative from the left).
         assert counts[0] >= hist.zeros
 
     def test_histogram_sum_exact(self):
         registry = registry_with_everything()
-        hist = registry.histograms["role_latency_s.SafetyMonitor"]
+        hist = registry.histograms["http.request_s.GET /v1/stats"]
         samples = parse_exposition(render_exposition(registry))
         (total,) = [
-            v for n, _, v in samples if n == "repro_role_latency_seconds_sum"
+            v for n, _, v in samples if n == "repro_http_request_seconds_sum"
         ]
         assert total == pytest.approx(hist.total)
 
@@ -137,13 +133,6 @@ class TestExposition:
         a = render_exposition(registry_with_everything())
         b = render_exposition(registry_with_everything())
         assert a == b
-
-    def test_extra_labels_attach_everywhere(self):
-        text = render_exposition(
-            registry_with_everything(), extra_labels={"instance": "s1"}
-        )
-        for name, labels, _ in parse_exposition(text):
-            assert labels.get("instance") == "s1", name
 
     def test_validator_flags_non_monotone_buckets(self):
         bad = (
@@ -170,31 +159,3 @@ class TestExposition:
     def test_content_type_pins_the_format_version(self):
         assert "version=0.0.4" in EXPOSITION_CONTENT_TYPE
 
-
-class TestMetricsJson:
-    def test_round_trip(self, tmp_path):
-        registry = registry_with_everything()
-        path = write_metrics_json(
-            tmp_path / METRICS_FILE_NAME, registry, meta={"job": "j000001"}
-        )
-        loaded, meta = load_metrics_json(path)
-        assert meta["job"] == "j000001"
-        assert render_exposition(loaded) == render_exposition(registry)
-
-    def test_no_nonfinite_tokens_in_file(self, tmp_path):
-        registry = registry_with_everything()
-        registry.gauge("broken").value = math.inf
-        path = write_metrics_json(tmp_path / METRICS_FILE_NAME, registry, meta={})
-        text = path.read_text()
-        assert "Infinity" not in text and "NaN" not in text
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        path = write_metrics_json(
-            tmp_path / METRICS_FILE_NAME, TelemetryRegistry(), meta={}
-        )
-        data = path.read_text().replace(
-            f'"schema": {METRICS_SCHEMA_VERSION}', '"schema": 999'
-        )
-        path.write_text(data)
-        with pytest.raises(ValueError, match="schema"):
-            load_metrics_json(path)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,30 @@ class TestServiceView:
         assert "repro service v" in frame
         assert "slots [" in frame
         assert "done=1" in frame
+
+    def test_frame_reads_stats_and_jobs_only(self, served):
+        server, scheduler = served
+        from repro.service import ServiceClient
+
+        client = ServiceClient(server.url, timeout=10.0)
+        record = client.submit("instant", {})
+        assert client.wait(record["id"], timeout=10.0)["state"] == "done"
+        frame = TopView().render_service(service_snapshot(server.url))
+        assert "job latency  wait n=1 " in frame
+
+        # Each request is counted once per route after its response is
+        # sent; wait until every request begun has been counted.
+        counters = scheduler.telemetry.counters
+        deadline = time.monotonic() + 5.0
+        while sum(
+            c.value for name, c in list(counters.items())
+            if name.startswith("http.requests.")
+        ) != counters["service.http_requests"].value:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        routes = {name for name in counters if name.startswith("http.requests.")}
+        assert "http.requests.GET /v1/stats" in routes
+        assert "http.requests.GET /v1/metrics" not in routes
 
     def test_run_top_non_tty_blocks(self, served):
         server, _scheduler = served

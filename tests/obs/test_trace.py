@@ -189,8 +189,7 @@ class TestTraceRecorder:
 
     def test_telemetry_counts_events(self, tmp_path):
         controller, result, path = _traced_run(tmp_path)
-        telemetry = load_trace(path).telemetry()
-        assert telemetry is not None
+        telemetry = TelemetryRegistry.from_snapshot(load_trace(path).footer["telemetry"])
         assert (
             telemetry.counter("events.role_executed").value == 3 * result.iterations
         )

@@ -1,18 +1,20 @@
-"""Service observability: /v1/metrics, stats schema, per-job metrics
-snapshots, and telemetry surviving a scheduler restart."""
+"""Service observability: /v1/metrics, stats schema, what a settled job
+directory holds, and telemetry surviving a scheduler restart."""
 
 import threading
 import time
 
 import pytest
 
-from repro.obs.metrics import (
-    METRICS_FILE_NAME,
-    load_metrics_json,
-    parse_exposition,
-    validate_exposition,
+from repro.exec import CampaignEngine, EnginePolicy, WorkUnit
+from repro.obs.metrics import parse_exposition, validate_exposition
+from repro.service import (
+    JobStore,
+    Scheduler,
+    ServiceClient,
+    register_job_kind,
+    unregister_job_kind,
 )
-from repro.service import JobStore, Scheduler, ServiceClient
 from repro.service.jobs import JobSpec, QUEUED, RUNNING, DONE
 from repro.service.scheduler import ALL_STATES, STATS_SCHEMA_VERSION
 
@@ -102,21 +104,82 @@ class TestStats:
         assert isinstance(stats["uptime_s"], float) and stats["uptime_s"] >= 0
 
 
-class TestMetricsSnapshot:
-    def test_metrics_json_written_at_settle(self, client, scheduler):
+class TestPerJobProgress:
+    @pytest.fixture
+    def gates(self):
+        """Register ``sized``: a job of ``count`` engine units whose last
+        unit holds until the job's gate opens, so two jobs of different
+        sizes can be caught mid-run together."""
+        gates = {}
+
+        def run_sized(spec, ctx):
+            gate, last = gates[spec["gate"]], spec["count"] - 1
+
+            def unit(index):
+                if index == last:
+                    gate.wait(10.0)
+                return index
+
+            engine = CampaignEngine(
+                unit, EnginePolicy(jobs=1), progress=ctx.progress, cancel=ctx.cancel
+            )
+            engine.run([WorkUnit(key=f"u{i}", payload=i) for i in range(spec["count"])])
+            return {}
+
+        register_job_kind("sized", run_sized)
+        yield gates
+        for gate in gates.values():
+            gate.set()
+        unregister_job_kind("sized")
+
+    def _progress(self, client):
+        return {job["id"]: job["progress"] for job in client.jobs()}
+
+    def test_concurrent_jobs_keep_their_own_progress(self, client, gates):
+        """No service-wide gauge holds one job's progress or stream size:
+        those would read whichever job reported last."""
+        gates.update(big=threading.Event(), small=threading.Event())
+        big = client.submit("sized", {"count": 6, "gate": "big"})["id"]
+        small = client.submit("sized", {"count": 2, "gate": "small"})["id"]
+        held = {big: {"done": 5, "total": 6}, small: {"done": 1, "total": 2}}
+        deadline = time.monotonic() + 10.0
+        while self._progress(client) != held:
+            assert time.monotonic() < deadline, self._progress(client)
+            time.sleep(0.01)
+
+        per_job = {
+            "repro_progress_done", "repro_progress_total",
+            "repro_store_events_bytes", "repro_store_read_lag_bytes",
+        }
+        text = client.metrics()
+        assert validate_exposition(text) == []
+        assert not per_job & {name for name, _, _ in parse_exposition(text)}
+
+        for gate in gates.values():
+            gate.set()
+        assert client.wait(big, timeout=10.0)["state"] == "done"
+        assert client.wait(small, timeout=10.0)["state"] == "done"
+        assert self._progress(client) == {
+            big: {"done": 6, "total": 6}, small: {"done": 2, "total": 2},
+        }
+        text = client.metrics()
+        assert not per_job & {name for name, _, _ in parse_exposition(text)}
+        assert _series(text, "repro_exec_units_finished_total") == {"": 8.0}
+
+
+class TestSettledJobDir:
+    def test_holds_no_metrics_snapshot(self, client, scheduler):
         record = client.submit("ok", {"x": 7})
         assert client.wait(record["id"], timeout=10.0)["state"] == "done"
-        path = scheduler.store.job_dir(record["id"]) / METRICS_FILE_NAME
-        # The snapshot lands just after the terminal state is saved.
-        deadline = time.monotonic() + 5.0
-        while not path.exists() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        registry, meta = load_metrics_json(path)
-        assert meta["job"] == record["id"]
-        assert meta["state"] == "done"
-        assert meta["run_s"] >= 0
-        assert registry.counters["service.jobs_submitted"].value >= 1
-        assert "Infinity" not in path.read_text()
+        # Let the runner thread finish everything it does after settling.
+        for thread in threading.enumerate():
+            if thread.name == f"job-{record['id']}":
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        job_dir = scheduler.store.job_dir(record["id"])
+        assert sorted(path.name for path in job_dir.iterdir()) == [
+            "events.jsonl", "job.json", "out.txt", "state.json",
+        ]
 
 
 class TestRestartReconcile:
@@ -165,14 +228,17 @@ class TestRestartReconcile:
             sched.stop(wait=True, timeout=5.0)
 
     def test_store_telemetry_rebinds_to_new_scheduler(self, tmp_path, fake_kinds):
+        # The store owns the service's one registry: every scheduler over
+        # it counts into it, so store timings and job counts accumulate
+        # in the registry a restarted scheduler exposes.
         store = JobStore(tmp_path / "root")
         first = Scheduler(store, workers=1)
-        assert store.telemetry is first.telemetry
-        # A fresh scheduler over the same (already bound) store keeps the
-        # original registry: append/save timings keep accumulating.
         second = Scheduler(store, workers=1)
-        assert store.telemetry is first.telemetry
-        assert second.telemetry is not None
+        assert first.telemetry is store.telemetry
+        assert second.telemetry is store.telemetry
+        first.submit(JobSpec(kind="ok", spec={"x": 1}))
+        assert second.collect().counters["service.jobs_submitted"].value == 1
+        assert second.collect().counters["store.events_appended"].value == 1
 
 
 class TestWatchQueuePosition:

@@ -88,10 +88,7 @@ class TestDispatch:
 
 
 class TestSettleOrdering:
-    def test_scrapes_never_count_a_settled_job_as_running(self, scheduler, monkeypatch):
-        # The settle path's own metrics snapshot refreshes the gauges too;
-        # with it off, each read below is the scraper's own scrape.
-        monkeypatch.setattr(scheduler, "_snapshot_metrics", lambda *args, **kwargs: None)
+    def test_scrapes_never_count_a_settled_job_as_running(self, scheduler):
         stop = threading.Event()
         violations = []
         scrapes = [0]

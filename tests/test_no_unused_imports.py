@@ -5,7 +5,8 @@ misleads the reader about what a module depends on; deleting a feature
 tends to leave such imports behind.  Each non-package module under
 ``src/repro`` and ``benchmarks/`` is parsed with :mod:`ast`: an imported
 name must occur as a name somewhere in the module, or inside a string
-constant (a quoted annotation, an ``__all__`` entry).
+constant (a quoted annotation, an ``__all__`` entry).  A string that is a
+statement of its own (a docstring) is prose, not a use.
 """
 
 import ast
@@ -33,10 +34,19 @@ def unused_imports(source: str) -> List[Tuple[str, int]]:
     tree = ast.parse(source)
     used: Set[str] = set()
     strings: List[str] = []
+    prose = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in prose
+        ):
             strings.append(node.value)
     text = "\n".join(strings)
     return [
@@ -50,10 +60,13 @@ def test_the_scan_sees_an_unused_import():
     source = (
         "from typing import Dict, List, Optional\n"
         "import os.path\n"
+        "import json\n"
         "x: 'Optional[int]' = None\n"
         "y: Dict = {}\n"
+        "def f():\n"
+        "    'Writes a json file.'\n"
     )
-    assert unused_imports(source) == [("List", 1), ("os", 2)]
+    assert unused_imports(source) == [("List", 1), ("os", 2), ("json", 3)]
 
 
 def test_no_module_imports_a_name_it_never_uses():
