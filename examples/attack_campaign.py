@@ -2,7 +2,7 @@
 """Security campaign: compare the planner under both attack types.
 
 Runs nominal / ghost-obstacle / trajectory-spoofing runs over a handful of
-seeds, records full traces, and prints a side-by-side impact summary plus
+seeds, reads each run's history, and prints a side-by-side impact summary plus
 the evidence trail of one attacked run — the §V.B analysis as a script.
 
 Run::
@@ -12,7 +12,7 @@ Run::
 
 import sys
 
-from repro import ScenarioType, TraceRecorder, build_controller, build_scenario
+from repro import ScenarioType, build_controller, build_scenario
 from repro.analysis import MeanStd, Rate, render_table
 from repro.core import EventKind
 
@@ -22,12 +22,11 @@ def run_scenario(scenario: ScenarioType, seeds: range):
     example_events = None
     for seed in seeds:
         controller = build_controller(build_scenario(scenario, seed))
-        recorder = TraceRecorder.attach(controller)
         # The event bus keeps nothing; a subscribed list collects the trail.
         events = []
         controller.events.subscribe(events.append)
         result = controller.run()
-        outcomes.append((result, recorder))
+        outcomes.append((result, controller.state))
         if example_events is None and result.metrics.faults:
             example_events = events
     return outcomes, example_events
@@ -62,7 +61,8 @@ def main() -> None:
             if result.environment_info["clearance_time"] is not None
         ]
         min_speed_dips = [
-            min(recorder.signal("ego_speed") or [0.0]) for _, recorder in outcomes
+            min(record.world_state["ego_speed"] for record in state.run_history())
+            for _, state in outcomes
         ]
         rows.append(
             [

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""STL monitoring demo: formal specs over live runs and recorded traces.
+"""STL monitoring demo: formal specs over live runs and their history.
 
 Shows both faces of the :mod:`repro.stl` substrate (the paper's RTAMT
 integration point, §III.B.2):
 
 1. **In the loop** — an :class:`~repro.roles.safety_monitor.STLSafetyMonitor`
    replaces the geometric monitor inside the orchestrator.
-2. **Post hoc** — a recorded trace is re-checked offline against several
-   STL properties, robustness values and all.
+2. **Post hoc** — the finished run's history is re-checked offline against
+   several STL properties, robustness values and all.
 
 Run::
 
@@ -19,7 +19,6 @@ from repro import (
     OrchestratorConfig,
     RoleGraph,
     ScenarioType,
-    TraceRecorder,
     build_scenario,
 )
 from repro.env import IntersectionSimInterface
@@ -43,14 +42,13 @@ def run_with_stl_monitor(seed: int = 0):
         environment,
         OrchestratorConfig(max_iterations=int(spec.timeout_s / 0.1) + 10),
     )
-    recorder = TraceRecorder.attach(controller)
     result = controller.run()
-    return result, recorder
+    return result, controller.state
 
 
 def main() -> None:
     print("1) Online STL monitoring inside the assurance loop")
-    result, recorder = run_with_stl_monitor()
+    result, state = run_with_stl_monitor()
     stl_flags = result.metrics.violations_of("safety")
     print(f"   iterations            : {result.iterations}")
     print(f"   STL property failures : {len(stl_flags)}")
@@ -60,10 +58,10 @@ def main() -> None:
     print("\n2) Offline robustness over the recorded trace")
     records = [
         {
-            "min_separation": frame.world["min_separation"],
-            "ego_speed": frame.world["ego_speed"],
+            "min_separation": record.world_state["min_separation"],
+            "ego_speed": record.world_state["ego_speed"],
         }
-        for frame in recorder.frames
+        for record in state.run_history()
     ]
     trace = Trace.from_records(records, period=0.1)
 

@@ -18,7 +18,7 @@ Package map:
 * :mod:`repro.sim` — the intersection micro-simulator (CARLA substitute).
 * :mod:`repro.llm` — the surrogate LLM tactical planner (Llama substitute).
 * :mod:`repro.stl` — signal temporal logic monitoring (RTAMT substitute).
-* :mod:`repro.env` — environment interfaces and trace recording.
+* :mod:`repro.env` — environment interfaces (the simulator binding).
 * :mod:`repro.exec` — parallel campaign execution (pool, journal, resume).
 * :mod:`repro.obs` — observability: traces, telemetry, metrics, the trace index.
 * :mod:`repro.search` — coverage-guided scenario search & STL falsification.
@@ -42,7 +42,7 @@ from .core import (
     Verdict,
     build_report,
 )
-from .env import EnvironmentInterface, IntersectionSimInterface, TraceRecorder
+from .env import EnvironmentInterface, IntersectionSimInterface
 from .experiments import CampaignOptions, RunOutcome, build_controller, run_once, run_suite
 from .sim import Maneuver, ScenarioType, World, build_scenario
 
@@ -65,7 +65,6 @@ __all__ = [
     "build_report",
     "EnvironmentInterface",
     "IntersectionSimInterface",
-    "TraceRecorder",
     "ScenarioType",
     "Maneuver",
     "World",

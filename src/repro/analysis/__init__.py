@@ -6,16 +6,13 @@ from .aggregate import (
     aggregate_suite,
     overall_average,
 )
-from .export import load_jsonl, to_csv, to_jsonl
 from .stats import MeanStd, Rate, mean, sample_std
 from .tables import render_bar_chart, render_table
 from .trace_checks import (
     SAFETY_FORMULA,
     PropertyVerdict,
     check_trace,
-    frames_to_trace,
     safety_robustness,
-    summarize,
 )
 
 __all__ = [
@@ -29,13 +26,8 @@ __all__ = [
     "sample_std",
     "render_table",
     "render_bar_chart",
-    "to_csv",
-    "to_jsonl",
-    "load_jsonl",
     "check_trace",
-    "frames_to_trace",
     "PropertyVerdict",
     "SAFETY_FORMULA",
     "safety_robustness",
-    "summarize",
 ]

@@ -1,14 +1,13 @@
 """Orchestrator configuration.
 
 Everything that tunes the assurance loop without changing code lives here;
-role-specific settings travel in ``role_config`` and reach roles through
-their :class:`~repro.core.role.RoleContext`.
+a role's own settings are its constructor arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ConfigurationError
 from .resilience import ResilienceConfig
@@ -33,11 +32,9 @@ class OrchestratorConfig:
             history is the run's one per-tick store (the event bus keeps
             nothing; subscribe to ``controller.events`` to collect
             events).  Evidence read from it after a run (STL robustness,
-            recorded frames) needs the whole run, so keep it at least
+            ``check_trace`` verdicts) needs the whole run, so keep it at least
             ``max_iterations``; reading a history that lost its first
             iterations raises.
-        role_config: free-form per-role settings, surfaced verbatim via
-            ``RoleContext.config``.
         resilience: containment policy wrapped around role execution —
             per-role deadline budgets, Generator retry/circuit-breaker
             with a fallback role, and the action-hold that replaces
@@ -50,7 +47,6 @@ class OrchestratorConfig:
     halt_on_violation: bool = False
     continue_on_role_error: bool = False
     history_limit: Optional[int] = 2000
-    role_config: Dict[str, Any] = field(default_factory=dict)
     resilience: Optional[ResilienceConfig] = None
 
     def __post_init__(self) -> None:

@@ -219,7 +219,6 @@ class OrchestrationController:
             metrics=self.metrics,
             iteration=iteration,
             time=env.time,
-            config=self.config.role_config,
         )
         violation = False
         for scheduled in self._order:

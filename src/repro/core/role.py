@@ -100,7 +100,6 @@ class RoleContext:
         metrics: the dependability metrics collector.
         iteration: current assurance-loop iteration (0-based).
         time: current simulated time in seconds.
-        config: orchestrator-level configuration values roles may consult.
         deadline_ms: wall-clock budget (milliseconds) the orchestrator's
             resilience layer grants the role now executing, or ``None``
             when deadlines are not enforced.  Roles with tunable depth
@@ -112,7 +111,6 @@ class RoleContext:
     metrics: "DependabilityMetrics"
     iteration: int
     time: float
-    config: Dict[str, Any] = field(default_factory=dict)
     deadline_ms: Optional[float] = None
 
 

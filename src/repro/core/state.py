@@ -7,7 +7,7 @@ talk to each other directly — everything flows through here, which is what
 makes role implementations swappable.
 
 The history is also the run's one per-tick store: post-hoc evidence (the
-STL safety robustness, recorded trace frames) is read from it through
+STL safety robustness, ``check_trace`` verdicts) is read from it through
 :meth:`StateManager.run_history` once the run is over.
 """
 

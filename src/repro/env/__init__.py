@@ -1,12 +1,9 @@
-"""Environment interfaces (§III.B.3): simulator bindings and trace tooling."""
+"""Environment interfaces (§III.B.3): the simulator binding."""
 
 from .interface import EnvironmentInterface
-from .recording import TraceFrame, TraceRecorder
 from .sim_interface import IntersectionSimInterface
 
 __all__ = [
     "EnvironmentInterface",
     "IntersectionSimInterface",
-    "TraceRecorder",
-    "TraceFrame",
 ]

@@ -111,7 +111,7 @@ def build_row(trace: TraceData, *, job: Optional[str] = None, file: str = "") ->
     Counts come from the raw records (never the footer summary): the
     event records and the milestones, role latencies and spans each tick
     record stands for.  The only footer-sourced field is ``rho``
-    (recorded STL robustness, which needs the world-state frames the
+    (recorded STL robustness, which needs the world-state signals the
     trace does not carry).
     """
     counts = recompute_counts(trace)

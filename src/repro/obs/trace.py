@@ -338,7 +338,7 @@ class TraceRecorder:
         A tick the controller left open (a crash cut it short) is written
         unfinished.  ``extras`` merges additional top-level fields into
         the footer record (e.g. ``stl_robustness``, computed from
-        world-state frames the trace itself does not carry); reserved
+        world-state signals the trace itself does not carry); reserved
         footer keys win.
         """
         if self._finalized:

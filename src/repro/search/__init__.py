@@ -10,8 +10,8 @@ knobs those builders hard-code.  Layers:
     and ``ScenarioSpec`` construction from a parameter vector.
 :mod:`repro.search.objective`
     Runs one candidate through the full assurance loop and scores it
-    with the minimum STL robustness of the safety spec over the recorded
-    trace — negative robustness means the candidate *falsifies* the
+    with the minimum STL robustness of the safety spec over the run's
+    history — negative robustness means the candidate *falsifies* the
     stack.
 :mod:`repro.search.coverage`
     Discretized parameter-cell occupancy map: which regions of the space

@@ -11,8 +11,9 @@
     Deterministic for a fixed ``--seed`` regardless of ``--jobs``;
     ``--resume`` replays the journal and only runs what is missing.
 ``replay``
-    Re-run one corpus entry from its recorded spec and print its
-    full assurance report (STL verdict + counterexample section).
+    Re-run one corpus entry from its recorded spec; ``--report`` prints
+    that run's full assurance report (STL verdict + counterexample
+    section).
 ``cover``
     Render a written coverage map: occupancy, falsifying cells,
     per-dimension histograms.
@@ -182,7 +183,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    evaluation = replay_entry(
+    evaluation, result, state = replay_entry(
         entry,
         CampaignOptions(planner=args.planner),
         minimized=not args.original,
@@ -198,14 +199,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.report:
         from ..analysis.trace_checks import check_trace, SAFETY_FORMULA
         from ..core.report import build_report
-        from .corpus import entry_spec
-        from .objective import run_spec
 
-        result, frames = run_spec(
-            entry_spec(entry, minimized=not args.original),
-            CampaignOptions(planner=args.planner),
-        )
-        verdicts = check_trace(frames, {"safety": SAFETY_FORMULA})
+        verdicts = check_trace(state, {"safety": SAFETY_FORMULA})
         print()
         print(
             build_report(

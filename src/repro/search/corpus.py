@@ -18,11 +18,14 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.orchestrator import OrchestrationResult
+from ..core.state import StateManager
 from ..experiments.campaign import CampaignOptions
 from ..jsonutil import dumps as strict_dumps
 from ..sim.scenario import ScenarioSpec, spec_from_dict
+from .objective import Evaluation, run_spec, score_run
 
 #: Version stamp of the corpus JSONL layout.
 CORPUS_SCHEMA_VERSION = 1
@@ -95,22 +98,18 @@ def replay_entry(
     *,
     minimized: bool = True,
     trace: "str | Path | None" = None,
-):
+) -> Tuple[Evaluation, OrchestrationResult, StateManager]:
     """Re-run one corpus entry's spec (:func:`entry_spec`) and re-score it.
 
     The spec is evaluated as recorded, on the run path every scenario
     takes, without touching the scenario registry: two replays running
     at once (the service runs each replay job on its own thread) cannot
     see each other's form.  Returns the resulting
-    :class:`~repro.search.objective.Evaluation`.
+    :class:`~repro.search.objective.Evaluation` with the run's result
+    and state manager, so a report on the replay needs no second run.
     """
-    from .objective import evaluate_spec  # deferred: objective imports campaign
-
-    return evaluate_spec(
-        f"replay:{entry.scenario_name}",
-        entry.family,
-        entry.minimized_params if minimized else entry.params,
-        entry_spec(entry, minimized=minimized),
-        options,
-        trace=trace,
-    )
+    key = f"replay:{entry.scenario_name}"
+    spec = entry_spec(entry, minimized=minimized)
+    result, state = run_spec(spec, options, trace=trace, trace_id=key)
+    params = entry.minimized_params if minimized else entry.params
+    return score_run(key, entry.family, params, spec, result, state), result, state

@@ -17,12 +17,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..analysis.trace_checks import safety_robustness
 from ..core.orchestrator import OrchestrationResult
 from ..core.state import StateManager
-from ..env.recording import TraceFrame, TraceRecorder as RunRecorder
 from ..exec import WorkUnit, fingerprint
 from ..experiments.campaign import CampaignOptions, build_controller
 from ..obs.trace import TraceRecorder, unit_trace_path
@@ -64,28 +63,15 @@ def run_spec(
     *,
     trace: "str | Path | None" = None,
     trace_id: Optional[str] = None,
-) -> "Tuple[OrchestrationResult, List[TraceFrame]]":
+) -> "Tuple[OrchestrationResult, StateManager]":
     """Run an explicit spec through the full assurance loop.
 
     The campaign's :func:`~repro.experiments.campaign.run_once` builds its
-    spec from ``(scenario_type, seed)``; search candidates arrive as
-    already-built specs, so this is the spec-first twin.  Returns the
-    orchestration result plus the run's world-state frames, built from its
-    history (the STL evidence).
+    spec from ``(scenario_type, seed)``; search candidates and corpus
+    replays arrive as already-built specs, and this is their one run
+    path.  Returns the orchestration result and the run's state manager,
+    whose history holds the STL evidence.
     """
-    result, state = _run_spec(spec, options, trace=trace, trace_id=trace_id)
-    return result, RunRecorder(state).frames
-
-
-def _run_spec(
-    spec: ScenarioSpec,
-    options: Optional[CampaignOptions] = None,
-    *,
-    trace: "str | Path | None" = None,
-    trace_id: Optional[str] = None,
-) -> "Tuple[OrchestrationResult, StateManager]":
-    """:func:`run_spec` returning the run's state manager instead of
-    frames: scoring reads the STL signals straight from its history."""
     controller = build_controller(spec, options)
     recorder: Optional[TraceRecorder] = None
     if trace is not None:
@@ -117,8 +103,21 @@ def evaluate_spec(
     *,
     trace: "str | Path | None" = None,
 ) -> Evaluation:
-    """Score one candidate spec with the safety-robustness objective."""
-    result, state = _run_spec(spec, options, trace=trace, trace_id=key)
+    """Run and score one candidate spec."""
+    result, state = run_spec(spec, options, trace=trace, trace_id=key)
+    return score_run(key, family, params, spec, result, state)
+
+
+def score_run(
+    key: str,
+    family: str,
+    params: Mapping[str, float],
+    spec: ScenarioSpec,
+    result: OrchestrationResult,
+    state: StateManager,
+) -> Evaluation:
+    """Score one finished run of ``spec`` with the safety-robustness
+    objective."""
     if state.last_record is not None:
         robustness = safety_robustness(state)
     else:  # pragma: no cover - the orchestrator always completes >= 1 tick

@@ -126,7 +126,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         telemetry = self.server.telemetry
-        telemetry.counter("service.http_requests").inc()
         self._route_label = f"{method} (unmatched)"
         start = time.perf_counter()
         try:

@@ -445,7 +445,7 @@ def run_replay_job(spec: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     options = CampaignOptions.from_dict(spec.get("options"))
     entry = _replay_entry_for(spec, ctx)
     minimized = not spec.get("original", False)
-    evaluation = replay_entry(
+    evaluation, _result, _state = replay_entry(
         entry,
         options,
         minimized=minimized,

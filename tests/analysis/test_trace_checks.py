@@ -5,11 +5,9 @@ import dataclasses
 import pytest
 
 from repro.analysis.trace_checks import (
-    PropertyVerdict,
+    SAFETY_FORMULA,
     check_trace,
-    frames_to_trace,
     safety_robustness,
-    summarize,
 )
 from repro.core import (
     EventKind,
@@ -17,71 +15,93 @@ from repro.core import (
     OrchestratorConfig,
     StateError,
 )
-from repro.env.recording import TraceFrame, TraceRecorder
 from repro.experiments import campaign
 from repro.experiments.campaign import CampaignOptions, build_controller, run_once
 from repro.search import objective
 from repro.search.space import get_space
 from repro.sim import ScenarioType, build_scenario
+from repro.stl import Trace, evaluate, parse
 from tests.conftest import StubEnvironment, constant_generator
 
 
-def frames(values):
-    return [
-        TraceFrame(iteration=i, time=i * 0.1, world={"speed": v, "gap": 5.0, "label": "x"})
-        for i, v in enumerate(values)
-    ]
+def stub_run(states, steps=None):
+    """The state manager of a finished stub run serving ``states``."""
+    controller = OrchestrationController(
+        [constant_generator("go")],
+        StubEnvironment(steps=len(states) if steps is None else steps, states=states),
+    )
+    controller.run()
+    return controller.state
 
 
-class TestFramesToTrace:
-    def test_extracts_signals(self):
-        trace = frames_to_trace(frames([1.0, 2.0, 3.0]), ["speed", "gap"])
-        assert trace.value("speed", 1) == 2.0
-        assert trace.value("gap", 2) == 5.0
-        assert len(trace) == 3
+def speeds(values):
+    return stub_run([{"speed": v, "gap": 5.0, "label": "x"} for v in values])
 
-    def test_empty_frames_rejected(self):
-        with pytest.raises(ValueError):
-            frames_to_trace([], ["speed"])
 
-    def test_missing_signal_rejected(self):
-        with pytest.raises(KeyError, match="missing"):
-            frames_to_trace(frames([1.0]), ["missing"])
+#: Both readers of a finished run's history: ``check_trace`` and
+#: ``safety_robustness``.
+READERS = {
+    "check": lambda state: check_trace(state, {"safety": SAFETY_FORMULA}),
+    "robustness": safety_robustness,
+}
 
-    def test_non_numeric_signal_rejected(self):
-        with pytest.raises(KeyError, match="label"):
-            frames_to_trace(frames([1.0]), ["label"])
+
+@pytest.fixture(params=sorted(READERS))
+def read(request):
+    return READERS[request.param]
+
+
+class TestHistoryStrictness:
+    def test_reads_one_sample_per_iteration(self):
+        (second, third) = check_trace(
+            speeds([1.0, 2.0, 3.0]),
+            {"second": "G[0.1,0.1] (speed <= 2)", "third": "G[0.2,0.2] (speed <= 5)"},
+        )
+        assert second.robustness == pytest.approx(0.0)
+        assert third.robustness == pytest.approx(2.0)
+
+    def test_empty_history_rejected(self, read):
+        with pytest.raises(ValueError, match="empty history"):
+            read(stub_run([{"min_separation": 5.0, "ego_speed": 1.0}], steps=0))
+
+    def test_missing_signal_rejected(self, read):
+        with pytest.raises(KeyError, match="min_separation"):
+            read(stub_run([{"ego_speed": 1.0}]))
+
+    @pytest.mark.parametrize("value", ["fast", True, None], ids=["str", "bool", "none"])
+    def test_non_numeric_rejected(self, read, value):
+        states = [
+            {"min_separation": 5.0, "ego_speed": 1.0},
+            {"min_separation": 5.0, "ego_speed": value},
+        ]
+        with pytest.raises(KeyError, match="ego_speed"):
+            read(stub_run(states))
 
 
 class TestCheckTrace:
     def test_satisfied_property(self):
-        verdicts = check_trace(frames([1.0, 2.0, 3.0]), {"slow": "G (speed <= 5)"})
+        verdicts = check_trace(speeds([1.0, 2.0, 3.0]), {"slow": "G (speed <= 5)"})
         assert len(verdicts) == 1
         assert verdicts[0].satisfied
         assert verdicts[0].robustness == pytest.approx(2.0)
 
     def test_violated_property(self):
-        verdicts = check_trace(frames([1.0, 9.0]), {"slow": "G (speed <= 5)"})
+        verdicts = check_trace(speeds([1.0, 9.0]), {"slow": "G (speed <= 5)"})
         assert not verdicts[0].satisfied
         assert verdicts[0].robustness == pytest.approx(-4.0)
 
     def test_multiple_properties_in_order(self):
         verdicts = check_trace(
-            frames([1.0, 2.0]),
+            speeds([1.0, 2.0]),
             {"a": "G (speed <= 5)", "b": "F (speed >= 2)"},
         )
         assert [v.name for v in verdicts] == ["a", "b"]
 
     def test_end_to_end_with_real_run(self):
-        from repro.env import TraceRecorder
-        from repro.experiments import build_controller
-        from repro.sim import ScenarioType, build_scenario
-
         controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
-        recorder = TraceRecorder.attach(controller)
         controller.run()
         verdicts = check_trace(
-            recorder.frames,
+            controller.state,
             {
                 "never catastrophic": "G (min_separation >= 0.1)",
                 "eventually crosses": "F (ego_s >= 70)",
@@ -91,36 +111,26 @@ class TestCheckTrace:
 
 
 class FrameSubscriber:
-    """The per-tick recorder the history replaced, kept as the reference:
-    on each ``iteration_finished`` event it copies a frame from the newest
-    history record."""
+    """The per-tick reference the history is checked against: on each
+    ``iteration_finished`` event it copies the safety signals of the tick
+    just finished, and it scores them through :mod:`repro.stl` alone."""
+
+    FORMULA = parse(SAFETY_FORMULA)
 
     def __init__(self, controller):
         self.frames = []
         state = controller.state
-        excluded = TraceRecorder.EXCLUDED_KEYS
+        names = sorted(self.FORMULA.variables())
 
         def on_event(event):
-            if event.kind is not EventKind.ITERATION_FINISHED:
-                return
-            record = state.last_record
-            self.frames.append(
-                TraceFrame(
-                    iteration=record.iteration,
-                    time=record.time,
-                    world={
-                        k: v for k, v in record.world_state.items() if k not in excluded
-                    },
-                    action=record.executed_action,
-                    action_source=record.action_source,
-                    verdicts={
-                        name: result.verdict.value
-                        for name, result in record.outputs.items()
-                    },
-                )
-            )
+            if event.kind is EventKind.ITERATION_FINISHED:
+                world = state.last_record.world_state
+                self.frames.append({name: world[name] for name in names})
 
         controller.events.subscribe(on_event)
+
+    def robustness(self):
+        return evaluate(self.FORMULA, Trace.from_records(self.frames, period=0.1))[0]
 
 
 @pytest.fixture
@@ -148,7 +158,7 @@ class TestRobustnessFromHistory:
         outcome = run_once(scenario, 0)
         (reference,) = reference_frames
         assert len(reference.frames) == outcome.iterations
-        assert outcome.stl_robustness == safety_robustness(reference.frames)
+        assert outcome.stl_robustness == reference.robustness()
 
     @pytest.mark.parametrize(
         "options",
@@ -161,7 +171,7 @@ class TestRobustnessFromHistory:
     def test_resilient_runs_equal_the_per_tick_frames(self, options, reference_frames):
         outcome = run_once(ScenarioType.GHOST_ATTACK, 0, options)
         (reference,) = reference_frames
-        assert outcome.stl_robustness == safety_robustness(reference.frames)
+        assert outcome.stl_robustness == reference.robustness()
 
     def test_search_objective_equals_the_per_tick_frames(self, reference_frames):
         space = get_space("crossing")
@@ -170,15 +180,18 @@ class TestRobustnessFromHistory:
             "test:history", "crossing", params, space.to_spec(params, 0)
         )
         (reference,) = reference_frames
-        assert evaluation.robustness == safety_robustness(reference.frames)
+        assert evaluation.robustness == reference.robustness()
 
     def test_frames_from_history_equal_the_per_tick_frames(self):
         controller = build_controller(build_scenario(ScenarioType.SPOOF_ATTACK, 1))
         reference = FrameSubscriber(controller)
-        recorder = TraceRecorder.attach(controller)
         controller.run()
-        assert recorder.frames == reference.frames
-        assert safety_robustness(controller.state) == safety_robustness(reference.frames)
+        names = sorted(FrameSubscriber.FORMULA.variables())
+        assert [
+            {name: record.world_state[name] for name in names}
+            for record in controller.state.run_history()
+        ] == reference.frames
+        assert safety_robustness(controller.state) == reference.robustness()
 
     def test_a_long_run_keeps_every_tick(self):
         # A ghost that never clears holds the ego until a 250 s timeout:
@@ -193,7 +206,7 @@ class TestRobustnessFromHistory:
         result = controller.run()
         assert result.iterations > OrchestratorConfig().history_limit
         assert len(controller.state.history) == result.iterations
-        assert safety_robustness(controller.state) == safety_robustness(reference.frames)
+        assert safety_robustness(controller.state) == reference.robustness()
 
     def test_a_truncated_history_raises(self):
         states = [{"min_separation": 5.0, "ego_speed": 1.0}]
@@ -203,34 +216,6 @@ class TestRobustnessFromHistory:
             OrchestratorConfig(history_limit=4),
         )
         controller.run()
-        with pytest.raises(StateError, match="starts at iteration 2"):
-            safety_robustness(controller.state)
-        with pytest.raises(StateError, match="starts at iteration 2"):
-            TraceRecorder.attach(controller).frames
-
-    def test_history_signals_keep_the_frames_strictness(self):
-        states = [{"min_separation": 5.0, "ego_speed": "fast"}]
-        controller = OrchestrationController(
-            [constant_generator("go")], StubEnvironment(steps=2, states=states)
-        )
-        controller.run()
-        with pytest.raises(KeyError, match="ego_speed"):
-            safety_robustness(controller.state)
-        controller = OrchestrationController(
-            [constant_generator("go")],
-            StubEnvironment(steps=2, states=[{"ego_speed": 1.0}]),
-        )
-        controller.run()
-        with pytest.raises(KeyError, match="min_separation"):
-            safety_robustness(controller.state)
-
-
-class TestSummarize:
-    def test_summary_counts(self):
-        verdicts = [
-            PropertyVerdict("ok", "G (x >= 0)", 1.0),
-            PropertyVerdict("bad", "G (x >= 9)", -2.0),
-        ]
-        text = summarize(verdicts)
-        assert "1/2 properties satisfied" in text
-        assert "VIOLATED" in text and "SAT" in text
+        for read in READERS.values():
+            with pytest.raises(StateError, match="starts at iteration 2"):
+                read(controller.state)

@@ -4,11 +4,14 @@ import pytest
 
 from repro.core import (
     ConfigurationError,
+    DependabilityMetrics,
     EventBus,
     OrchestrationController,
     OrchestratorConfig,
+    RoleContext,
     RoleKind,
     RoleResult,
+    StateManager,
     Verdict,
     build_report,
 )
@@ -50,22 +53,25 @@ class TestConfig:
         config = OrchestratorConfig(max_iterations=None, history_limit=None)
         assert config.max_iterations is None
 
-    def test_role_config_reaches_context(self):
-        seen = {}
-
-        class Probe(ScriptedRole):
-            def execute(self, context):
-                seen.update(context.config)
-                return RoleResult(verdict=Verdict.INFO, data={"action": None})
-
-        probe = Probe([RoleResult()], name="G", kind=RoleKind.GENERATOR)
-        controller = OrchestrationController(
-            [probe],
-            StubEnvironment(steps=1),
-            OrchestratorConfig(role_config={"threshold": 2.5}),
-        )
-        controller.run()
-        assert seen == {"threshold": 2.5}
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OrchestratorConfig(role_config={"threshold": 2.5}),
+            lambda: RoleContext(
+                state=StateManager(),
+                metrics=DependabilityMetrics(),
+                iteration=0,
+                time=0.0,
+                config={"threshold": 2.5},
+            ),
+        ],
+        ids=["role_config", "context_config"],
+    )
+    def test_retired_role_config_keywords(self, build):
+        # No role read the free-form settings: a role's own settings are
+        # its constructor arguments, so the knob is refused.
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestReport:

@@ -77,10 +77,8 @@ class TestRoleBase:
 class TestRoleContext:
     def test_carries_shared_services(self):
         state, metrics = StateManager(), DependabilityMetrics()
-        context = RoleContext(
-            state=state, metrics=metrics, iteration=3, time=0.3, config={"x": 1}
-        )
+        context = RoleContext(state=state, metrics=metrics, iteration=3, time=0.3)
         assert context.state is state
         assert context.metrics is metrics
         assert context.iteration == 3
-        assert context.config["x"] == 1
+        assert context.deadline_ms is None

@@ -40,6 +40,7 @@ def served(tmp_path):
         yield server, scheduler
     finally:
         server.shutdown()
+        server.server_close()
         scheduler.stop(wait=True, timeout=5.0)
         unregister_job_kind("instant")
 
@@ -90,13 +91,13 @@ class TestServiceView:
         assert "job latency  wait n=1 " in frame
 
         # Each request is counted once per route after its response is
-        # sent; wait until every request begun has been counted.
+        # sent; wait until the frame's two reads have been counted.
         counters = scheduler.telemetry.counters
+        expected = ("http.requests.GET /v1/stats", "http.requests.GET /v1/jobs")
         deadline = time.monotonic() + 5.0
-        while sum(
-            c.value for name, c in list(counters.items())
-            if name.startswith("http.requests.")
-        ) != counters["service.http_requests"].value:
+        while any(
+            name not in counters or counters[name].value < 1 for name in expected
+        ):
             assert time.monotonic() < deadline
             time.sleep(0.01)
         routes = {name for name in counters if name.startswith("http.requests.")}

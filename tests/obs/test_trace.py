@@ -18,8 +18,8 @@ from repro.core import (
     Verdict,
 )
 from repro.exec import CampaignEngine, EnginePolicy, WorkUnit
-from repro.experiments.campaign import CampaignOptions, run_once
-from repro.obs import TelemetryRegistry
+from repro.experiments.campaign import CampaignOptions, build_controller, run_once
+from repro.obs import TelemetryRegistry, TraceRecorder
 from repro.obs.cli import latency_registry, render_summary, summarize_path
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
@@ -32,7 +32,7 @@ from repro.obs.trace import (
     unit_trace_path,
     verify_trace,
 )
-from repro.sim import ScenarioType
+from repro.sim import ScenarioType, build_scenario
 from tests.conftest import (
     ScriptedRole,
     StubEnvironment,
@@ -218,6 +218,29 @@ class TestTraceRecorder:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_finished_run_is_freed_without_the_cycle_collector(self, tmp_path):
+        # An attached and finalized recorder must not tie the controller
+        # into a reference cycle: once its caller drops a finished
+        # controller, reference counting alone frees it, while the run's
+        # history and its trace outlive it.
+        controller = build_controller(build_scenario(ScenarioType.NOMINAL, 0))
+        controller.config.max_iterations = 5
+        path = tmp_path / "run.trace.jsonl"
+        recorder = TraceRecorder(path).attach(controller)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            recorder.finalize(controller.run().metrics)
+            state = controller.state
+            finished = weakref.ref(controller)
+            del controller
+            assert finished() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(state.run_history()) == 5
+        assert len(load_trace(path).ticks) == 5
 
     def test_zero_cost_when_disabled(self, tmp_path):
         controller = _build_controller()

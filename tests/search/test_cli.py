@@ -45,6 +45,26 @@ class TestReplay:
         assert "STL properties" in out
         assert "Counterexamples (scenario search)" in out
 
+    def test_replay_report_runs_the_entry_once(self, falsify_run, monkeypatch, capsys):
+        # The report's STL verdicts and sections come from the replay's
+        # own run, not from a second run of the same spec.
+        from repro.search import objective
+
+        built = []
+        build = objective.build_controller
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "build_controller", counting)
+        _, out_dir = falsify_run
+        code = search_main(["replay", str(out_dir / CORPUS_FILE_NAME), "--report"])
+        assert code == 0
+        assert len(built) == 1
+        out = capsys.readouterr().out
+        assert "safety: rho=" in out
+
     def test_replay_unknown_index(self, falsify_run):
         _, out_dir = falsify_run
         code = search_main(

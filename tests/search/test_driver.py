@@ -135,8 +135,8 @@ class TestReplayEntry:
 
         register_scenario(entry.scenario_name, nominal)
         try:
-            minimized = replay_entry(entry)
-            original = replay_entry(entry, minimized=False)
+            minimized, _, _ = replay_entry(entry)
+            original, _, _ = replay_entry(entry, minimized=False)
             assert entry.scenario_name in known_scenarios()
             assert spec_to_dict(build_scenario(entry.scenario_name, 3)) == spec_to_dict(
                 nominal(3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.trace_checks import safety_robustness
 from repro.experiments.campaign import CampaignOptions
 from repro.search.objective import (
     candidate_key,
@@ -10,6 +11,7 @@ from repro.search.objective import (
     evaluate_spec,
     execute_search_unit,
     run_spec,
+    score_run,
     search_unit,
 )
 from repro.search.space import get_space
@@ -46,12 +48,19 @@ class TestEvaluateSpec:
         )
         assert again == nominal_evaluation
 
-    def test_run_spec_returns_frames(self):
+    def test_run_spec_returns_the_runs_history(self, nominal_evaluation):
         space = get_space("pedestrian")
-        spec = space.to_spec(space.nominal_params(), seed=0)
-        result, frames = run_spec(spec, CampaignOptions())
-        assert result.iterations == len(frames) > 0
-        assert "min_separation" in frames[0].world
+        params = space.nominal_params()
+        spec = space.to_spec(params, seed=0)
+        result, state = run_spec(spec, CampaignOptions())
+        history = state.run_history()
+        assert result.iterations == len(history) > 0
+        assert [record.iteration for record in history] == list(range(len(history)))
+        assert safety_robustness(state) == nominal_evaluation.robustness
+        assert (
+            score_run("test:nominal", "pedestrian", params, spec, result, state)
+            == nominal_evaluation
+        )
 
 
 class TestWorkerPayload:

@@ -96,3 +96,4 @@ def api(scheduler):
     server, thread = serve(scheduler)
     yield server
     server.shutdown()
+    server.server_close()
